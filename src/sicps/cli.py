@@ -24,7 +24,7 @@ from .macc import (
     tradeoff_csv,
     tradeoff_curve,
 )
-from .scheme import build_mds_scheme, scheme_to_json, simulate_decode
+from .scheme import DecodeError, build_mds_scheme, scheme_to_json, simulate_decode
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
@@ -269,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except DecodeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFICATION_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

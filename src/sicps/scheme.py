@@ -2,19 +2,39 @@
 
 The server sums the messages inside each color class and transmits chi MDS
 combinations of the n per-color aggregates, where chi is the coloring's local
-chromatic value.  A node subtracts everything it already knows and is left
-with at most chi unknown aggregates, which an invertible Vandermonde
-submatrix recovers; properness guarantees the node's own aggregate then
-contains nothing but its own message.
+chromatic value.  A user subtracts everything it already knows and is left
+with the m <= chi aggregates of the colors in its closed anti-outneighborhood.
+The first m rows restricted to those colors form a transposed Vandermonde
+system, solved once per user from its master polynomial in O(m^2) time;
+properness guarantees that each of the user's own colors then carries nothing
+but that node's message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .coloring import Coloring, local_chromatic_value
-from .field import default_field_order, solve_mod, validate_field, vandermonde_rows
+from .field import default_field_order, validate_field, vandermonde_rows
 from .icp import Node, SuicpGraph
+
+
+class DecodeError(Exception):
+    """A user's unknown aggregates cannot be recovered from the broadcast.
+
+    Not a ValueError: the CLI reports it as a verification failure, not as
+    a usage error.
+    """
+
+    def __init__(self, user: int, unknown: list[int], chi: int, reason: str) -> None:
+        self.user = user
+        self.unknown = tuple(unknown)
+        self.chi = chi
+        super().__init__(
+            f"decode failed for user {user}: {reason} "
+            f"(unknown colors {list(self.unknown)}, chi={chi})"
+        )
 
 
 @dataclass(frozen=True)
@@ -29,9 +49,6 @@ class TransmissionScheme:
     @property
     def num_colors(self) -> int:
         return self.coloring.num_colors
-
-    def color_members(self) -> dict[int, list[Node]]:
-        return self.coloring.color_classes()
 
     def transmit(self, messages: dict[Node, int]) -> list[int]:
         """The chi broadcast symbols for one symbol of payload per node."""
@@ -80,59 +97,94 @@ def build_mds_scheme(
     )
 
 
+def solve_transposed_vandermonde(
+    points: list[int], rhs: list[int], wanted: list[int], q: int
+) -> list[int]:
+    """Components `wanted` of y solving sum_j points[j]**r * y[j] = rhs[r], r < m.
+
+    With P(X) = prod_j (X - points[j]) and b(X) = P(X) / (X - points[x]),
+    b vanishes on every point but points[x], so y[x] = (b . rhs) / b(points[x])
+    (Bjorck & Pereyra 1970).  P costs O(m^2) once; each wanted component costs
+    O(m) more.  Raises ZeroDivisionError when points[x] repeats another point.
+    """
+    master = [1]  # coefficients, lowest degree first
+    for p in points:
+        master = [(lo - p * hi) % q for lo, hi in zip([0] + master, master + [0])]
+    m = len(points)
+    solved = []
+    for x in wanted:
+        root = points[x]
+        # Synthetic division, highest coefficient first; Horner evaluates the
+        # quotient at the root and the dot product with rhs in the same pass.
+        b = master[m]
+        numerator = b * rhs[m - 1]
+        denominator = b
+        for r in range(m - 1, 0, -1):
+            b = (master[r] + root * b) % q
+            numerator += b * rhs[r - 1]
+            denominator = (denominator * root + b) % q
+        if denominator == 0:
+            raise ZeroDivisionError(f"point {root} is repeated")
+        solved.append(numerator * pow(denominator, -1, q) % q)
+    return solved
+
+
 def decode_node(
     scheme: TransmissionScheme,
     graph: SuicpGraph,
     node: Node,
     messages: dict[Node, int],
     broadcast: list[int],
-) -> int:
-    """Recover node's own message from the broadcast and its side information."""
+) -> dict[Node, int]:
+    """Recover the messages of every virtual node of `node`'s user.
+
+    The user's nodes share one side-information set and one closed
+    anti-outneighborhood, so a single solve serves all of them: subtract the
+    known aggregates, keep the first m rows for the m colors U still unknown,
+    and solve that m x m transposed Vandermonde system on the points of U
+    for the user's own colors only, in O(m^2) overall.  Properness leaves
+    nothing but a node's own message in its color's aggregate.
+    """
     q = scheme.field_order
     n = scheme.num_colors
-    coloring = scheme.coloring
-    side = graph.side_info(node)
+    color = scheme.coloring.assignment
+    user = node[0]
 
-    # Aggregate contributions the node can compute itself.
+    # Aggregate contributions the user can compute itself.
     known_part = [0] * n
-    for other in side:
-        known_part[coloring.color(other) - 1] = (
-            known_part[coloring.color(other) - 1] + messages[other]
-        ) % q
+    for other in graph.user_side[user - 1]:
+        known_part[color[other] - 1] += messages[other]
+
+    unknown = sorted({color[nd] for nd in graph.user_interferers[user - 1]})
+    m = len(unknown)
+    if m > scheme.chi:
+        raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
     residual = [
-        (broadcast[r] - sum(row[c] * known_part[c] for c in range(n))) % q
-        for r, row in enumerate(scheme.generator)
+        (symbol - sum(map(mul, row, known_part))) % q
+        for symbol, row in zip(broadcast, scheme.generator[:m])
     ]
 
-    # Colors whose aggregates remain unknown: those of the node itself and its
-    # interferers.  Pad with the smallest other colors to reach chi columns.
-    unknown = {coloring.color(nd) for nd in graph.closed_anti_outneighborhood(node)}
-    if len(unknown) > scheme.chi:
-        raise ValueError("more unknown colors than transmitted symbols")
-    selected = sorted(unknown)
-    for c in range(1, n + 1):
-        if len(selected) == scheme.chi:
-            break
-        if c not in unknown:
-            selected.append(c)
-    selected.sort()
-
-    submatrix = [[row[c - 1] for c in selected] for row in scheme.generator]
-    solved = solve_mod(submatrix, residual, q)
-    return solved[selected.index(coloring.color(node))]
+    own = [(user, t) for t in range(1, graph.num_columns + 1)]
+    points = [c % q for c in unknown]
+    wanted = [unknown.index(color[nd]) for nd in own]
+    try:
+        solved = solve_transposed_vandermonde(points, residual, wanted, q)
+    except ZeroDivisionError:
+        raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
+    return dict(zip(own, solved))
 
 
 def simulate_decode(
     scheme: TransmissionScheme, graph: SuicpGraph, messages: dict[Node, int]
 ) -> dict[Node, int]:
-    """Decode every node; the result must reproduce `messages` exactly."""
+    """Decode every node, one solve per user; the result must reproduce `messages`."""
     if set(messages) != set(graph.nodes):
         raise ValueError("messages must assign exactly one symbol per node")
     broadcast = scheme.transmit(messages)
-    return {
-        node: decode_node(scheme, graph, node, messages, broadcast)
-        for node in graph.nodes
-    }
+    decoded: dict[Node, int] = {}
+    for k in range(1, graph.K + 1):
+        decoded.update(decode_node(scheme, graph, (k, 1), messages, broadcast))
+    return decoded
 
 
 def scheme_to_json(scheme: TransmissionScheme) -> dict:
@@ -147,8 +199,10 @@ def scheme_to_json(scheme: TransmissionScheme) -> dict:
 
 
 __all__ = [
+    "DecodeError",
     "TransmissionScheme",
     "build_mds_scheme",
+    "solve_transposed_vandermonde",
     "decode_node",
     "simulate_decode",
     "scheme_to_json",

@@ -127,6 +127,30 @@ def test_decode_failure_exits_three(capsys, monkeypatch):
     assert json.loads(out)["failures"] == 2 * 10
 
 
+def test_decode_error_exits_three(capsys, monkeypatch):
+    from sicps.field import vandermonde_rows
+    from sicps.scheme import TransmissionScheme
+
+    real_build = cli.build_mds_scheme
+
+    def short_of_rows(graph, coloring, field_order=None):
+        # One row below the local chromatic value: some user cannot decode.
+        chi = real_build(graph, coloring, field_order).chi - 1
+        points = list(range(1, coloring.num_colors + 1))
+        return TransmissionScheme(coloring, chi, 257, vandermonde_rows(points, chi, 257))
+
+    monkeypatch.setattr(cli, "build_mds_scheme", short_of_rows)
+    code, out, err = run(
+        capsys,
+        ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
+         "--trials", "1", "--seed", "1"],
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: decode failed for user 1:")
+    assert "unknown colors [1, 2, 3, 4, 5, 6, 7], chi=6" in err
+
+
 def test_macc_rate_values(capsys):
     code, out, _ = run(
         capsys,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,16 @@ def test_simulation_handles_period_two_class():
     splits = {c.representative: (c.columns, c.split) for c in report.classes}
     assert splits[(2, 0, 2, 0)] == (2, 2)
     assert splits[(1, 1, 1, 1)] == (1, 4)
+
+
+def test_simulation_twenty_user_rung_within_budget():
+    # The (20,2,4) rung of the simulate ladder, under a 20 s budget.
+    start = time.perf_counter()
+    report = end_to_end_simulate(CcdnConfig(20, 20, 2), 4, list(range(1, 21)), seed=1)
+    elapsed = time.perf_counter() - start
+    assert report.decoded_ok
+    assert report.total_rate == rate_new(20, 2, 4) == Fraction(772, 325)
+    assert elapsed < 20, f"(20,2,4) simulate took {elapsed:.1f}s"
 
 
 def test_simulation_repeated_demands_same_rate():

@@ -6,11 +6,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sicps.coloring import theorem1_coloring, theorem5_coloring
-from sicps.field import default_field_order, is_prime, solve_mod
+from sicps.coloring import theorem1_coloring, theorem5_coloring, upper_bound_Ru
+from sicps.field import (
+    default_field_order,
+    is_prime,
+    next_prime_at_least,
+    solve_mod,
+    vandermonde_rows,
+)
 from sicps.icp import GapVector, build_union_icp, to_suicp
-from sicps.scheme import build_mds_scheme, scheme_to_json, simulate_decode
+from sicps.scheme import (
+    DecodeError,
+    TransmissionScheme,
+    build_mds_scheme,
+    decode_node,
+    scheme_to_json,
+    simulate_decode,
+    solve_transposed_vandermonde,
+)
 
 
 def setup(gaps, L):
@@ -179,6 +195,116 @@ def test_decode_requires_full_message_map():
 def test_solve_mod_rejects_singular():
     with pytest.raises(ValueError):
         solve_mod([[1, 2], [2, 4]], [1, 0], 5)
+
+
+def test_decode_node_returns_every_node_of_the_user():
+    icp, graph = setup((2, 1, 0), 2)
+    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 251)
+    rng = random.Random(3)
+    messages = {node: rng.randrange(251) for node in graph.nodes}
+    broadcast = scheme.transmit(messages)
+    decoded = decode_node(scheme, graph, (4, 2), messages, broadcast)
+    assert decoded == {(4, t): messages[(4, t)] for t in (1, 2, 3)}
+
+
+def _unknown_colors(graph, coloring, user):
+    return tuple(sorted({coloring.color(nd) for nd in graph.user_interferers[user - 1]}))
+
+
+def test_decode_error_when_rows_below_local_chromatic_value():
+    icp, graph = setup((2, 1, 0), 2)
+    coloring = theorem1_coloring(icp)
+    rows = build_mds_scheme(graph, coloring).chi - 1
+    points = list(range(1, coloring.num_colors + 1))
+    scheme = TransmissionScheme(coloring, rows, 257, vandermonde_rows(points, rows, 257))
+    messages = {node: 1 for node in graph.nodes}
+    with pytest.raises(DecodeError) as exc:
+        simulate_decode(scheme, graph, messages)
+    err = exc.value
+    assert not isinstance(err, ValueError)
+    # Users decode in order; the first one short of rows is reported.
+    first = next(k for k in range(1, graph.K + 1)
+                 if len(_unknown_colors(graph, coloring, k)) > rows)
+    assert err.user == first
+    assert err.unknown == _unknown_colors(graph, coloring, first)
+    assert err.chi == rows
+    assert f"user {first}" in str(err)
+    assert str(list(err.unknown)) in str(err)
+    assert f"chi={rows}" in str(err)
+
+
+def test_decode_error_on_zero_denominator():
+    # Below the color count, points 1..8 collide mod 5 and the solve breaks.
+    icp, graph = setup((2, 1, 0), 2)
+    coloring = theorem1_coloring(icp)
+    points = [c % 5 for c in range(1, 9)]
+    scheme = TransmissionScheme(coloring, 7, 5, vandermonde_rows(points, 7, 5))
+    with pytest.raises(DecodeError, match="zero denominator") as exc:
+        simulate_decode(scheme, graph, {node: 0 for node in graph.nodes})
+    assert exc.value.user == 1
+    assert exc.value.unknown == _unknown_colors(graph, coloring, 1)
+    assert exc.value.chi == 7
+
+
+SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
+
+
+@st.composite
+def transposed_vandermonde_systems(draw):
+    """(points, rhs, q): distinct points c mod q for c in a subset of 1..n, n <= q."""
+    q = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.one_of(st.just(q), st.integers(1, q)))
+    colors = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 12),
+                           unique=True))
+    points = [c % q for c in colors]
+    rhs = draw(st.lists(st.integers(0, q - 1), min_size=len(points),
+                        max_size=len(points)))
+    return points, rhs, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(transposed_vandermonde_systems())
+@example(([1, 2, 3, 0], [4, 0, 6, 1], 7))  # q = n = 7: color 7 sits at point 0
+@example(([0], [3], 2))
+def test_transposed_vandermonde_matches_gaussian_elimination(system):
+    points, rhs, q = system
+    m = len(points)
+    matrix = [[pow(p, r, q) for p in points] for r in range(m)]
+    expected = solve_mod(matrix, rhs, q)
+    assert solve_transposed_vandermonde(points, rhs, list(range(m)), q) == expected
+    # Any subset of components, in any order, matches the same solution.
+    wanted = list(reversed(range(0, m, 2)))
+    assert solve_transposed_vandermonde(points, rhs, wanted, q) == [
+        expected[j] for j in wanted
+    ]
+
+
+@st.composite
+def small_gap_vectors(draw, max_nodes=60):
+    """Canonical gap vectors with i <= 4 columns, L <= 3 and at most max_nodes nodes."""
+    i = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 3))
+    total = draw(st.integers(0, max_nodes // i - (i - 1) * L - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=i - 1, max_size=i - 1)))
+    gaps = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    spec, _ = GapVector(gaps, L).canonicalize()
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_gap_vectors(), budget=st.sampled_from(["lcv", "Ru"]),
+       small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, seed):
+    assert spec.K * spec.i <= 60
+    icp = build_union_icp(spec)
+    graph = to_suicp(icp)
+    # The smallest admissible prime puts color K at point 0 whenever K is prime.
+    q = next_prime_at_least(spec.K) if small_field else None
+    rows = upper_bound_Ru(spec) if budget == "Ru" else None
+    scheme = build_mds_scheme(graph, theorem1_coloring(icp), q, rows=rows)
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+    assert simulate_decode(scheme, graph, messages) == messages
 
 
 def test_scheme_json_shape():
