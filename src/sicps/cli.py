@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import DEFAULT_NODE_CAP, build_report, gap_ratio
-from .coloring import local_chromatic_value, theorem1_coloring, verify_proper
+from .coloring import local_chromatic_value, theorem1_coloring
 from .icp import GapVector, build_union_icp, to_suicp
 from .macc import (
     CcdnConfig,
@@ -60,8 +60,10 @@ def cmd_icp_analyze(args) -> int:
     icp = build_union_icp(spec)
     graph = to_suicp(icp)
     coloring = theorem1_coloring(icp)
-    violations = verify_proper(graph, coloring)
-    lcv = local_chromatic_value(graph, coloring) if not violations else None
+    try:
+        lcv = local_chromatic_value(graph, coloring)
+    except ValueError:  # the coloring is not proper
+        lcv = None
     ratio = gap_ratio(spec)
     payload = {
         "gaps": list(spec.gaps),
@@ -73,7 +75,7 @@ def cmd_icp_analyze(args) -> int:
         "gap_ratio": str(ratio),
         "coloring": {
             "colors": coloring.num_colors,
-            "proper": not violations,
+            "proper": lcv is not None,
             "local_chromatic": lcv,
         },
     }
@@ -88,7 +90,7 @@ def cmd_icp_analyze(args) -> int:
         print(f"lower_brute: {report.lower_brute if report.lower_brute is not None else 'skipped'}")
         print(f"exact: {report.exact if report.exact is not None else 'unknown'}")
         print(f"gap_ratio: {ratio} ({_decimal(ratio)})")
-        print(f"coloring_proper: {str(not violations).lower()}")
+        print(f"coloring_proper: {str(lcv is not None).lower()}")
         print(f"local_chromatic: {lcv}")
     return 0
 
@@ -128,8 +130,9 @@ def cmd_icp_decode_test(args) -> int:
 
 
 def cmd_macc_rate(args) -> int:
-    K, L, w = args.K, args.L, args.w
-    N = args.N if args.N is not None else K
+    N = args.N if args.N is not None else args.K
+    cfg = CcdnConfig(N=N, K=args.K, L=args.L)
+    K, L, w = cfg.K, cfg.L, args.w
     memory = Fraction(w * N, K)
     rates = {
         "new": rate_new(K, L, w),

@@ -11,6 +11,7 @@ rationals.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from .coloring import theorem1_coloring, upper_bound_Ru
 from .icp import GapVector, minimal_period, rotate_gaps, to_suicp, build_union_icp, wrap
 from .scheme import build_mds_scheme, simulate_decode
 
-RATE_SOURCES = ("NEW", "HKD", "RK", "CLOSED_FORM", "EXTREME", "MEMORY_SHARED")
+RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,6 @@ def composition_count_max_below(n: int, m: int, t: int) -> int:
     return total
 
 
-def composition_count_max_eq(n: int, m: int, t: int) -> int:
-    """Number of weak m-compositions of n whose maximum part equals t."""
-    if t == 0:
-        return 1 if n == 0 else 0
-    return composition_count_max_below(n, m, t + 1) - composition_count_max_below(n, m, t)
-
-
 @dataclass(frozen=True)
 class RotationClass:
     """Orbit of a composition under rotation: representative = base pattern x multiplicity."""
@@ -212,18 +206,41 @@ def group_rotation_classes(compositions) -> list[RotationClass]:
 
 
 def rate_new(K: int, L: int, w: int) -> Fraction:
-    """Delivery rate at memory w*N/K from the per-column union-instance bounds."""
+    """Delivery rate at memory w*N/K from the per-column union-instance bounds.
+
+    The numerator sums min(cap - max(b), K), cap = 2(K-wL)+w-1, over the weak
+    m-compositions b of n = K-wL-1, m = w+1.  Let B(t) count those with every
+    part below t, and A = B(n+1) = C(n+m-1, m-1).  The summand drops by one per
+    unit of max(b) once max(b) > cap-K, so summation by parts gives
+
+        numerator = A*min(cap-n, K) + sum_{t=a}^{n} B(t),  a = max(1, cap-K+1).
+
+    Inclusion-exclusion, B(t) = sum_s (-1)^s C(m,s) col[n-ts] with col[r] =
+    C(r+m-1, m-1), and swapping the sums: s = 0, 1 give (n-a+1)*A - m*C(n-a+m, m)
+    by the hockey stick, and s >= 2 needs only s <= min(m, n//a), t <= n//s,
+    i.e. O(n log m) big-integer additions over one table of col.
+    """
     _check_w(K, L, w)
     if w * L == K:
         return Fraction(0)
     n = K - w * L - 1
     m = w + 1
     cap = 2 * (K - w * L) + w - 1
-    total = 0
-    for t in range(n + 1):
-        count = composition_count_max_eq(n, m, t)
-        if count:
-            total += count * min(cap - t, K)
+    a = max(1, cap - K + 1)
+    A = math.comb(n + m - 1, m - 1)
+    total = A * min(cap - n, K)
+    if a <= n:
+        total += (n - a + 1) * A - m * math.comb(n - a + m, m)
+        # The s >= 2 terms read col[r] only for r <= n - 2a.
+        col = [1] * max(0, n - 2 * a + 1)
+        for r in range(1, len(col)):
+            col[r] = col[r - 1] * (r + m - 1) // r
+        binom = m
+        for s in range(2, min(m, n // a) + 1):
+            binom = binom * (m - s + 1) // s
+            # col[n - t*s] for t = a .. n//s, as one strided slice
+            term = binom * sum(col[n % s : n - s * a + 1 : s])
+            total += -term if s % 2 else term
     return Fraction(total, placement_set_count(K, L, w) * m)
 
 
@@ -305,12 +322,12 @@ def interpolate_rate(envelope: list[RatePoint], M) -> Fraction:
     M = Fraction(M)
     if not envelope or M < envelope[0].M or M > envelope[-1].M:
         raise ValueError("memory outside the curve's range")
-    for a, b in itertools.pairwise(envelope):
-        if a.M <= M <= b.M:
-            if M == a.M:
-                return a.rate
-            return a.rate + (b.rate - a.rate) * (M - a.M) / (b.M - a.M)
-    return envelope[-1].rate
+    j = bisect.bisect_left(envelope, M, key=lambda p: p.M)
+    b = envelope[j]
+    if M == b.M:
+        return b.rate
+    a = envelope[j - 1]
+    return a.rate + (b.rate - a.rate) * (M - a.M) / (b.M - a.M)
 
 
 def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
@@ -552,7 +569,6 @@ __all__ = [
     "iter_weak_compositions",
     "weak_compositions",
     "composition_count_max_below",
-    "composition_count_max_eq",
     "group_rotation_classes",
     "rate_new",
     "rate_hkd",

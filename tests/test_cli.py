@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sicps.cli as cli
 
@@ -186,6 +190,42 @@ def test_macc_rate_invalid_w(capsys):
     code, _, err = run(capsys, ["macc", "rate", "--K", "8", "--L", "2", "--w", "9"])
     assert code == 2
     assert "error:" in err
+
+
+def test_macc_rate_rejects_bad_config(capsys):
+    for flags in (["--K", "8", "--L", "0"], ["--K", "0", "--L", "1"],
+                  ["--N", "0", "--K", "8", "--L", "2"],
+                  ["--N", "-1", "--K", "8", "--L", "2"]):
+        code, out, err = run(capsys, ["macc", "rate", *flags, "--w", "1"])
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+SMALL_INTS = st.integers(-3, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["rate", "tradeoff"]),
+    N=st.one_of(st.none(), SMALL_INTS),
+    K=SMALL_INTS,
+    L=SMALL_INTS,
+    w=SMALL_INTS,
+    samples=st.integers(-3, 30),
+    as_json=st.booleans(),
+)
+def test_macc_rate_and_tradeoff_exit_cleanly(command, N, K, L, w, samples, as_json):
+    argv = ["macc", command, "--K", str(K), "--L", str(L)]
+    if N is not None:
+        argv += ["--N", str(N)]
+    argv += ["--w", str(w)] if command == "rate" else ["--samples", str(samples)]
+    if as_json:
+        argv += ["--format", "json"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
 
 
 def test_macc_tradeoff_stdout_csv(capsys):

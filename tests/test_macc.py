@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_placement_sets
 from sicps.icp import single_known_files, wrap
@@ -14,7 +16,6 @@ from sicps.macc import (
     CcdnConfig,
     build_delivery_icp,
     composition_count_max_below,
-    composition_count_max_eq,
     end_to_end_simulate,
     enumerate_placement_sets,
     group_rotation_classes,
@@ -119,6 +120,13 @@ def test_weak_compositions_count_identity():
             assert len(weak_compositions(n, m)) == math.comb(n + m - 1, m - 1)
 
 
+def composition_count_max_eq(n, m, t):
+    """Number of weak m-compositions of n whose maximum part equals t."""
+    if t == 0:
+        return 1 if n == 0 else 0
+    return composition_count_max_below(n, m, t + 1) - composition_count_max_below(n, m, t)
+
+
 def test_composition_count_examples():
     assert composition_count_max_below(3, 3, 4) == 10
     assert composition_count_max_below(3, 3, 1) == 0
@@ -192,6 +200,18 @@ def rate_new_direct(K, L, w):
     return Fraction(total, placement_set_count(K, L, w) * (w + 1))
 
 
+def rate_new_per_t(K, L, w):
+    """Oracle summing the per-column row count over the value t of the maximum part."""
+    if w * L == K:
+        return Fraction(0)
+    n, m = K - w * L - 1, w + 1
+    cap = 2 * (K - w * L) + w - 1
+    total = sum(
+        composition_count_max_eq(n, m, t) * min(cap - t, K) for t in range(n + 1)
+    )
+    return Fraction(total, placement_set_count(K, L, w) * m)
+
+
 def test_rate_new_values():
     assert rate_new(8, 2, 2) == Fraction(68, 60)
     assert rate_new(8, 2, 4) == 0
@@ -204,6 +224,32 @@ def test_rate_new_matches_enumeration():
         for L in range(1, K + 1):
             for w in range(1, K // L + 1):
                 assert rate_new(K, L, w) == rate_new_direct(K, L, w), (K, L, w)
+
+
+@st.composite
+def rate_configs(draw, max_columns=5000):
+    """(K, L, w) whose delivery table has at most max_columns columns (K = wL allowed)."""
+    w = draw(st.integers(1, 8))
+    L = draw(st.integers(1, 6))
+    n_max = 0
+    while math.comb(n_max + 1 + w, w) <= max_columns:
+        n_max += 1
+    n = draw(st.integers(-1, n_max))
+    return n + w * L + 1, L, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(rate_configs())
+@example((5001, 1, 1))  # 5,000 columns, a = n + 1
+@example((19, 6, 2))  # a = 1
+def test_rate_new_matches_enumeration_property(config):
+    assert rate_new(*config) == rate_new_direct(*config)
+
+
+def test_rate_new_matches_per_t_sum_at_benchmark_sizes():
+    for K, L in [(1000, 10), (600, 3), (2000, 50)]:
+        for w in range(1, K // L + 1):
+            assert rate_new(K, L, w) == rate_new_per_t(K, L, w), (K, L, w)
 
 
 def test_rate_new_rejects_bad_w():
