@@ -1,101 +1,3 @@
 """Structured index coding bounds and multi-access coded caching rates."""
 
-from .bounds import (
-    BoundReport,
-    build_report,
-    exact_rate_special,
-    gap_ratio,
-    is_acyclic_induced,
-    lower_bound_mais_constructive,
-    mais_bruteforce,
-    tilde_icp_bounds,
-)
-from .coloring import (
-    Coloring,
-    is_proper,
-    local_chromatic_value,
-    theorem1_coloring,
-    theorem5_coloring,
-    upper_bound_Ru,
-    verify_proper,
-)
-from .icp import (
-    GapVector,
-    SuicpGraph,
-    TildeIcp,
-    UnionIcp,
-    build_structured_icp,
-    build_tilde_icp,
-    build_union_icp,
-    canonical_rotation,
-    minimal_period,
-    rotate_gaps,
-    to_suicp,
-    wrap,
-)
-from .macc import (
-    CcdnConfig,
-    RatePoint,
-    build_delivery_icp,
-    composition_count_max_below,
-    end_to_end_simulate,
-    enumerate_placement_sets,
-    group_rotation_classes,
-    placement_map,
-    rate_closed_form_large_L,
-    rate_hkd,
-    rate_new,
-    rate_rk,
-    tradeoff_curve,
-    weak_compositions,
-)
-from .scheme import TransmissionScheme, build_mds_scheme, simulate_decode
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "CcdnConfig",
-    "Coloring",
-    "GapVector",
-    "RatePoint",
-    "SuicpGraph",
-    "TildeIcp",
-    "TransmissionScheme",
-    "UnionIcp",
-    "build_delivery_icp",
-    "build_mds_scheme",
-    "build_report",
-    "build_structured_icp",
-    "build_tilde_icp",
-    "build_union_icp",
-    "canonical_rotation",
-    "composition_count_max_below",
-    "end_to_end_simulate",
-    "enumerate_placement_sets",
-    "exact_rate_special",
-    "gap_ratio",
-    "group_rotation_classes",
-    "is_acyclic_induced",
-    "is_proper",
-    "local_chromatic_value",
-    "lower_bound_mais_constructive",
-    "mais_bruteforce",
-    "minimal_period",
-    "placement_map",
-    "rate_closed_form_large_L",
-    "rate_hkd",
-    "rate_new",
-    "rate_rk",
-    "rotate_gaps",
-    "simulate_decode",
-    "theorem1_coloring",
-    "theorem5_coloring",
-    "tilde_icp_bounds",
-    "to_suicp",
-    "tradeoff_curve",
-    "upper_bound_Ru",
-    "verify_proper",
-    "weak_compositions",
-    "wrap",
-]

@@ -1,7 +1,7 @@
 """Lower bounds via acyclic induced subgraphs, plus the exactly-solved families.
 
 The constructive bound rearranges the union table's columns by decreasing
-first-chunk interference and collects a staircase of K-(i-1)L+i-1 nodes that
+first-chunk interference and collects a staircase of `mais_lower` nodes that
 provably induces no directed cycle.  A branch-and-bound oracle computes the
 true maximum on small graphs so the construction can be cross-checked.
 """
@@ -55,8 +55,13 @@ class BoundReport:
         }
 
 
+def mais_lower(spec: GapVector) -> int:
+    """K-(i-1)L+i-1 = sum(gaps)+i, the acyclic set size the staircase attains."""
+    return sum(spec.gaps) + spec.i
+
+
 def lower_bound_mais_constructive(spec: GapVector) -> tuple[int, frozenset[Node]]:
-    """Value K-(i-1)L+i-1 together with an acyclic witness node set.
+    """Value `mais_lower(spec)` together with an acyclic witness node set.
 
     Columns are ordered by the size of user 1's first interference chunk
     (descending, ties by column index); the witness then takes all of row 1,
@@ -64,7 +69,7 @@ def lower_bound_mais_constructive(spec: GapVector) -> tuple[int, frozenset[Node]
     fewer columns as chunks run out.
     """
     require_leading_max(spec)
-    i, K = spec.i, spec.K
+    i = spec.i
     # First-chunk interference count of column p is the leading gap of its rotation.
     first_chunk = {p: rotate_gaps(spec.gaps, p - 1)[0] for p in range(1, i + 1)}
     ordered = sorted(range(1, i + 1), key=lambda p: (-first_chunk[p], p))
@@ -77,8 +82,8 @@ def lower_bound_mais_constructive(spec: GapVector) -> tuple[int, frozenset[Node]
         for row in range(prev + 2, a + 2):
             witness.update((row, p) for p in ordered[:take])
         prev = a
-    value = K - (i - 1) * spec.L + i - 1
-    assert len(witness) == value == sum(g + 1 for g in spec.gaps)
+    value = mais_lower(spec)
+    assert len(witness) == value
     return value, frozenset(witness)
 
 
@@ -208,42 +213,30 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP,
 def exact_rate_special(spec: GapVector) -> Fraction | None:
     """Exact optimal rate for the solved families; None when no case applies."""
     require_leading_max(spec)
-    K, i, L = spec.K, spec.i, spec.L
+    K = spec.K
     if all(g == 0 for g in spec.gaps[1:]):
-        return Fraction(K - (i - 1) * L + i - 1)
-    if L == 1:
+        return Fraction(mais_lower(spec))
+    if spec.L == 1:
         return Fraction(K)
-    if i == 2 and K % (sum(spec.gaps) + 2) == 0:
+    if spec.i == 2 and K % (sum(spec.gaps) + 2) == 0:
         return Fraction(sum(spec.gaps) + 2)
     return None
 
 
 def gap_ratio(spec: GapVector) -> Fraction:
     """Upper bound divided by the constructive lower bound; at most 2."""
-    require_leading_max(spec)
-    lower = spec.K - (spec.i - 1) * spec.L + spec.i - 1
-    return Fraction(upper_bound_Ru(spec), lower)
+    return Fraction(upper_bound_Ru(spec), mais_lower(spec))
 
 
 def tilde_icp_bounds(s: tuple[int, ...], l: int, L: int) -> tuple[Fraction, Fraction]:
     """Rate interval for the distinct-rotation union of s repeated l times.
 
-    The upper bound divides the union-instance bound by l, matching the
-    file-splitting argument (each part is 1/l of a unit file).
+    Both bounds are the union instance's for s*l divided by l, matching the
+    file-splitting argument (each part is 1/l of a unit file).  The pattern
+    must lead with its maximum entry.
     """
-    s = tuple(int(x) for x in s)
-    if not s or any(x < 0 for x in s):
-        raise ValueError("pattern must be non-empty with non-negative entries")
-    if s[0] != max(s):
-        raise ValueError("pattern must lead with its maximum entry")
-    if l < 1 or L < 1:
-        raise ValueError("repeat count and chunk length must be >= 1")
-    m = len(s)
-    i = l * m
-    K = l * sum(s) + (i - 1) * L + 1
-    lower = Fraction(sum(s) + m)
-    upper = Fraction(min(2 * (K - (i - 1) * L) + i - 2 - s[0], K), l)
-    return lower, upper
+    spec = GapVector(tuple(s) * l, L)
+    return Fraction(mais_lower(spec), l), Fraction(upper_bound_Ru(spec), l)
 
 
 def build_report(spec: GapVector, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport:
@@ -266,6 +259,7 @@ def build_report(spec: GapVector, node_cap: int = DEFAULT_NODE_CAP) -> BoundRepo
 __all__ = [
     "DEFAULT_NODE_CAP",
     "BoundReport",
+    "mais_lower",
     "lower_bound_mais_constructive",
     "is_acyclic_induced",
     "mais_bruteforce",

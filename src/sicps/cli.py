@@ -98,6 +98,8 @@ def cmd_icp_analyze(args) -> int:
 def cmd_icp_decode_test(args) -> int:
     import random
 
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()
     icp = build_union_icp(spec)
     graph = to_suicp(icp)

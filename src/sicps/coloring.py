@@ -36,12 +36,6 @@ class Coloring:
             classes.setdefault(self.assignment[node], []).append(node)
         return classes
 
-    def to_json(self) -> dict:
-        return {
-            "colors": self.num_colors,
-            "assignment": [[u, t, c] for (u, t), c in sorted(self.assignment.items())],
-        }
-
 
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
     """K-color scheme: color c sits at row <c + a_1 + ... + a_{v-1} + (v-1)L>_K of column v."""
@@ -95,10 +89,6 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
     return sorted(violations)
 
 
-def is_proper(graph: SuicpGraph, coloring: Coloring) -> bool:
-    return not verify_proper(graph, coloring)
-
-
 def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     """Max number of distinct colors in any node's closed anti-outneighborhood.
 
@@ -116,11 +106,15 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     return best
 
 
+def ru_cap(K: int, i: int, L: int) -> int:
+    """2(K-(i-1)L)+i-2: the i-column rate bound before a_i is subtracted and K caps it."""
+    return 2 * (K - (i - 1) * L) + i - 2
+
+
 def upper_bound_Ru(spec: GapVector) -> int:
-    """Rate bound min{2(K-(i-1)L)+i-2-a_i, K}; needs the leading gap maximal."""
+    """Rate bound min{ru_cap - a_i, K}; needs the leading gap maximal."""
     require_leading_max(spec)
-    K, i, L = spec.K, spec.i, spec.L
-    return min(2 * (K - (i - 1) * L) + i - 2 - spec.gaps[0], K)
+    return min(ru_cap(spec.K, spec.i, spec.L) - spec.gaps[0], spec.K)
 
 
 __all__ = [
@@ -128,7 +122,7 @@ __all__ = [
     "theorem1_coloring",
     "theorem5_coloring",
     "verify_proper",
-    "is_proper",
     "local_chromatic_value",
+    "ru_cap",
     "upper_bound_Ru",
 ]

@@ -119,46 +119,6 @@ def single_known_files(gaps: tuple[int, ...], L: int, K: int, user: int) -> froz
 
 
 @dataclass(frozen=True)
-class SingleIcp:
-    """Single-column instance: user k wants file k and knows (i-1)*L files."""
-
-    spec: GapVector
-    known: tuple[frozenset[int], ...]  # indexed by user-1
-
-    @property
-    def K(self) -> int:
-        return self.spec.K
-
-    def known_set(self, user: int) -> frozenset[int]:
-        return self.known[user - 1]
-
-    def want(self, user: int) -> int:
-        return user
-
-
-def build_structured_icp(spec: GapVector) -> SingleIcp:
-    """Construct the single-column instance for a gap vector."""
-    K = spec.K
-    known = tuple(
-        single_known_files(spec.gaps, spec.L, K, k) for k in range(1, K + 1)
-    )
-    return SingleIcp(spec=spec, known=known)
-
-
-def _column_known_sets(
-    columns: tuple[tuple[int, ...], ...], L: int, K: int
-) -> tuple[frozenset[Node], ...]:
-    """Per-user union of the columns' single-instance side information."""
-    per_user = []
-    for k in range(1, K + 1):
-        acc: set[Node] = set()
-        for t, col_gaps in enumerate(columns, start=1):
-            acc.update((b, t) for b in single_known_files(col_gaps, L, K, k))
-        per_user.append(frozenset(acc))
-    return tuple(per_user)
-
-
-@dataclass(frozen=True)
 class UnionIcp:
     """Union of a gap instance with its i-1 clockwise rotations.
 
@@ -184,73 +144,22 @@ class UnionIcp:
     def known_set(self, user: int) -> frozenset[Node]:
         return self.known[user - 1]
 
-    def to_json(self) -> dict:
-        return {
-            "gaps": list(self.spec.gaps),
-            "L": self.spec.L,
-            "K": self.K,
-            "i": self.i,
-            "known": [sorted([u, c] for (u, c) in ks) for ks in self.known],
-        }
-
 
 def build_union_icp(spec: GapVector) -> UnionIcp:
-    """Construct the union instance: one column per clockwise rotation."""
-    columns = tuple(rotate_gaps(spec.gaps, p) for p in range(spec.i))
-    known = _column_known_sets(columns, spec.L, spec.K)
-    return UnionIcp(spec=spec, columns=columns, known=known)
+    """Construct the union instance: one column per clockwise rotation.
 
-
-@dataclass(frozen=True)
-class TildeIcp:
-    """Union of only the distinct rotation columns of a repeated pattern s * l.
-
-    With s of length m repeated l times, the full rotation union would repeat
-    each distinct column l times; this variant keeps one copy of each, so a
-    unit file here corresponds to l equal parts of the union instance's files.
+    User k knows, in column t, the files it knows in the single-column
+    instance with column t's gaps.
     """
-
-    base: tuple[int, ...]
-    repeat: int
-    L: int
-    columns: tuple[tuple[int, ...], ...]
-    known: tuple[frozenset[Node], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.base)
-
-    @property
-    def i(self) -> int:
-        return self.repeat * self.m
-
-    @property
-    def K(self) -> int:
-        return self.repeat * sum(self.base) + (self.i - 1) * self.L + 1
-
-    def known_set(self, user: int) -> frozenset[Node]:
-        return self.known[user - 1]
-
-    def bar_equivalent(self) -> UnionIcp:
-        """The union instance obtained after splitting each file into l parts."""
-        return build_union_icp(GapVector(self.base * self.repeat, self.L))
-
-
-def build_tilde_icp(s: tuple[int, ...], l: int, L: int) -> TildeIcp:
-    """Construct the distinct-rotation union of the pattern s repeated l times."""
-    s = tuple(int(x) for x in s)
-    if not s:
-        raise ValueError("base pattern must be non-empty")
-    if any(x < 0 for x in s):
-        raise ValueError("pattern entries must be non-negative")
-    if l < 1:
-        raise ValueError("repeat count must be >= 1")
-    full = s * l
-    spec = GapVector(full, L)  # validates L and fixes K via the gap identity
-    period = minimal_period(full)
-    columns = tuple(rotate_gaps(full, t) for t in range(period))
-    known = _column_known_sets(columns, L, spec.K)
-    return TildeIcp(base=s, repeat=l, L=L, columns=columns, known=known)
+    K, L = spec.K, spec.L
+    columns = tuple(rotate_gaps(spec.gaps, p) for p in range(spec.i))
+    known = []
+    for k in range(1, K + 1):
+        acc: set[Node] = set()
+        for t, col_gaps in enumerate(columns, start=1):
+            acc.update((b, t) for b in single_known_files(col_gaps, L, K, k))
+        known.append(frozenset(acc))
+    return UnionIcp(spec=spec, columns=columns, known=tuple(known))
 
 
 @dataclass(frozen=True)
@@ -281,63 +190,29 @@ class SuicpGraph:
     def side_info(self, node: Node) -> frozenset[Node]:
         return self.user_side[node[0] - 1]
 
-    def interferers(self, node: Node) -> frozenset[Node]:
-        """All nodes that are neither side information for node's user nor node itself."""
-        others = self.user_interferers[node[0] - 1]
-        return others - {node}
 
-    def closed_anti_outneighborhood(self, node: Node) -> frozenset[Node]:
-        return self.user_interferers[node[0] - 1]
-
-
-def _graph_from_known(K: int, num_columns: int,
-                      known: tuple[frozenset[Node], ...]) -> SuicpGraph:
+def to_suicp(icp: UnionIcp) -> SuicpGraph:
+    """Convert a union instance to its virtual single-unicast graph."""
+    K, num_columns = icp.K, len(icp.columns)
     all_nodes = frozenset(
         (k, t) for k in range(1, K + 1) for t in range(1, num_columns + 1)
     )
-    interferers = tuple(all_nodes - ks for ks in known)
+    interferers = tuple(all_nodes - ks for ks in icp.known)
     return SuicpGraph(K=K, num_columns=num_columns,
-                      user_side=known, user_interferers=interferers)
-
-
-def to_suicp(icp: UnionIcp | TildeIcp) -> SuicpGraph:
-    """Convert a union-style instance to its virtual single-unicast graph."""
-    num_columns = len(icp.columns)
-    return _graph_from_known(icp.K, num_columns, icp.known)
-
-
-def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
-    """Side information of `user` computed directly from the union definition.
-
-    Kept as an independent route to the rotation-based construction; the two
-    must agree on every instance.
-    """
-    i, L, K = spec.i, spec.L, spec.K
-    out: set[Node] = set()
-    for t in range(1, i + 1):
-        for v in range(1, i):
-            s = sum(spec.gap(wrap(i + t - j, i)) for j in range(1, v + 1))
-            for r in range(1, L + 1):
-                out.add((wrap(user + s + (v - 1) * L + r, K), t))
-    return frozenset(out)
+                      user_side=icp.known, user_interferers=interferers)
 
 
 __all__ = [
     "Node",
     "GapVector",
-    "SingleIcp",
     "UnionIcp",
-    "TildeIcp",
     "SuicpGraph",
     "wrap",
     "rotate_gaps",
     "canonical_rotation",
     "minimal_period",
     "single_known_files",
-    "build_structured_icp",
     "build_union_icp",
-    "build_tilde_icp",
     "to_suicp",
-    "eq2_known_set",
     "require_leading_max",
 ]

@@ -18,11 +18,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import theorem1_coloring, upper_bound_Ru
+from .coloring import ru_cap, theorem1_coloring, upper_bound_Ru
 from .icp import GapVector, minimal_period, rotate_gaps, to_suicp, build_union_icp, wrap
 from .scheme import build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
+
+# Most evenly spaced points `tradeoff_curve` samples; it refuses more before
+# building anything.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -77,10 +81,6 @@ def iter_placement_sets(K: int, L: int, w: int):
 
     for a1 in range(1, K + 1):
         yield from extend([a1], a1)
-
-
-def enumerate_placement_sets(K: int, L: int, w: int) -> list[tuple[int, ...]]:
-    return list(iter_placement_sets(K, L, w))
 
 
 def placement_set_count(K: int, L: int, w: int) -> int:
@@ -143,21 +143,6 @@ def iter_weak_compositions(n: int, m: int):
             yield (first,) + rest
 
 
-def weak_compositions(n: int, m: int) -> list[tuple[int, ...]]:
-    return list(iter_weak_compositions(n, m))
-
-
-def composition_count_max_below(n: int, m: int, t: int) -> int:
-    """Number of weak m-compositions of n with every part strictly below t."""
-    if n < 0 or m < 1 or t < 1:
-        raise ValueError("need n >= 0, m >= 1, t >= 1")
-    total = 0
-    for s in range(n // t + 1):
-        r = n - t * s
-        total += (-1) ** s * math.comb(m, s) * math.comb(m + r - 1, r)
-    return total
-
-
 @dataclass(frozen=True)
 class RotationClass:
     """Orbit of a composition under rotation: representative = base pattern x multiplicity."""
@@ -208,7 +193,7 @@ def group_rotation_classes(compositions) -> list[RotationClass]:
 def rate_new(K: int, L: int, w: int) -> Fraction:
     """Delivery rate at memory w*N/K from the per-column union-instance bounds.
 
-    The numerator sums min(cap - max(b), K), cap = 2(K-wL)+w-1, over the weak
+    The numerator sums min(cap - max(b), K), cap = ru_cap(K, m, L), over the weak
     m-compositions b of n = K-wL-1, m = w+1.  Let B(t) count those with every
     part below t, and A = B(n+1) = C(n+m-1, m-1).  The summand drops by one per
     unit of max(b) once max(b) > cap-K, so summation by parts gives
@@ -225,7 +210,7 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
         return Fraction(0)
     n = K - w * L - 1
     m = w + 1
-    cap = 2 * (K - w * L) + w - 1
+    cap = ru_cap(K, m, L)
     a = max(1, cap - K + 1)
     A = math.comb(n + m - 1, m - 1)
     total = A * min(cap - n, K)
@@ -255,22 +240,6 @@ def rate_rk(N: int, K: int, L: int, M) -> Fraction:
     if load < 0 or load > 1:
         raise ValueError("memory must satisfy 0 <= L*M/N <= 1")
     return K * (1 - load) ** 2
-
-
-def rate_closed_form_large_L(K: int, L: int) -> Fraction:
-    """Exact w=1 rate for L >= K/2 (rounded down), odd/even correction on K-L-1.
-
-    Above this threshold every composition's maximum is large enough that the
-    per-column bound never saturates at K, which is what the closed form sums.
-    """
-    if 2 * L < K - 1:
-        raise ValueError("closed form needs access degree L >= K/2")
-    if L > K:
-        raise ValueError("access degree cannot exceed K")
-    base = (K - L) * (5 * (K - L) + 2)
-    if (K - L - 1) % 2 == 1:
-        return Fraction(base, 8 * K)
-    return Fraction(base + 1, 8 * K)
 
 
 @dataclass(frozen=True)
@@ -336,6 +305,8 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
     Corner points strictly above the lower convex envelope are reachable only
     through memory sharing, so the curve reports the envelope value there.
     """
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples}")
     corners = _corner_points(cfg)
     envelope = _lower_envelope(corners)
     vertices = {p.M: p for p in envelope}
@@ -554,6 +525,7 @@ def end_to_end_simulate(
 
 
 __all__ = [
+    "MAX_SAMPLES",
     "CcdnConfig",
     "PlacementPlan",
     "RotationClass",
@@ -563,17 +535,13 @@ __all__ = [
     "ClassReport",
     "SimulationReport",
     "iter_placement_sets",
-    "enumerate_placement_sets",
     "placement_set_count",
     "placement_map",
     "iter_weak_compositions",
-    "weak_compositions",
-    "composition_count_max_below",
     "group_rotation_classes",
     "rate_new",
     "rate_hkd",
     "rate_rk",
-    "rate_closed_form_large_L",
     "interpolate_rate",
     "tradeoff_curve",
     "tradeoff_csv",

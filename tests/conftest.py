@@ -1,11 +1,13 @@
-"""Shared enumeration and sampling helpers for the test suite."""
+"""Shared enumeration and sampling helpers, and closed-form oracles, for the test suite."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from sicps.icp import GapVector, canonical_rotation
+from sicps.icp import GapVector, Node, canonical_rotation, wrap
 from sicps.macc import iter_weak_compositions
 
 
@@ -51,3 +53,46 @@ def brute_placement_sets(K: int, L: int, w: int) -> list[tuple[int, ...]]:
         if ok:
             out.append(s)
     return out
+
+
+def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
+    """Side information of `user` computed directly from the union definition.
+
+    An independent route to the rotation-based construction; the two must
+    agree on every instance.
+    """
+    i, L, K = spec.i, spec.L, spec.K
+    out: set[Node] = set()
+    for t in range(1, i + 1):
+        for v in range(1, i):
+            s = sum(spec.gap(wrap(i + t - j, i)) for j in range(1, v + 1))
+            for r in range(1, L + 1):
+                out.add((wrap(user + s + (v - 1) * L + r, K), t))
+    return frozenset(out)
+
+
+def composition_count_max_below(n: int, m: int, t: int) -> int:
+    """Number of weak m-compositions of n with every part strictly below t."""
+    if n < 0 or m < 1 or t < 1:
+        raise ValueError("need n >= 0, m >= 1, t >= 1")
+    total = 0
+    for s in range(n // t + 1):
+        r = n - t * s
+        total += (-1) ** s * math.comb(m, s) * math.comb(m + r - 1, r)
+    return total
+
+
+def rate_closed_form_large_L(K: int, L: int) -> Fraction:
+    """Exact w=1 rate for L >= K/2 (rounded down), odd/even correction on K-L-1.
+
+    Above this threshold every composition's maximum is large enough that the
+    per-column bound never saturates at K, which is what the closed form sums.
+    """
+    if 2 * L < K - 1:
+        raise ValueError("closed form needs access degree L >= K/2")
+    if L > K:
+        raise ValueError("access degree cannot exceed K")
+    base = (K - L) * (5 * (K - L) + 2)
+    if (K - L - 1) % 2 == 1:
+        return Fraction(base, 8 * K)
+    return Fraction(base + 1, 8 * K)

@@ -14,7 +14,12 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from conftest import canonical_gap_vectors, random_canonical_gap_vector
+from conftest import (
+    canonical_gap_vectors,
+    composition_count_max_below,
+    random_canonical_gap_vector,
+    rate_closed_form_large_L,
+)
 from sicps.bounds import (
     exact_rate_special,
     is_acyclic_induced,
@@ -34,16 +39,14 @@ from sicps.icp import GapVector, build_union_icp, to_suicp
 from sicps.macc import (
     CcdnConfig,
     build_delivery_icp,
-    composition_count_max_below,
     group_rotation_classes,
     iter_placement_sets,
+    iter_weak_compositions,
     placement_map,
     placement_set_count,
-    rate_closed_form_large_L,
     rate_hkd,
     rate_new,
     rate_rk,
-    weak_compositions,
 )
 
 
@@ -231,7 +234,7 @@ def test_criterion_11_counting_identities():
         # and the generator itself on a materializable subgrid
         for n in range(0, 9):
             for m in range(1, 7):
-                assert len(weak_compositions(n, m)) == math.comb(n + m - 1, m - 1)
+                assert len(list(iter_weak_compositions(n, m))) == math.comb(n + m - 1, m - 1)
 
         # bounded-maximum counts: inclusion-exclusion vs brute recursion
         @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from sicps.bounds import (
     is_acyclic_induced,
     lower_bound_mais_constructive,
     mais_bruteforce,
+    mais_lower,
     tilde_icp_bounds,
 )
 from sicps.coloring import upper_bound_Ru
@@ -64,7 +65,7 @@ def test_constructive_witness_acyclic_sweep():
     for _ in range(40):
         spec = random_canonical_gap_vector(rng, max_K=18)
         value, witness = lower_bound_mais_constructive(spec)
-        assert value == spec.K - (spec.i - 1) * spec.L + spec.i - 1
+        assert value == mais_lower(spec) == spec.K - (spec.i - 1) * spec.L + spec.i - 1
         assert is_acyclic_induced(to_suicp(build_union_icp(spec)), witness), spec
 
 

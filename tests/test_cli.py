@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -98,6 +99,17 @@ def test_decode_test_zero_trials_vacuous(capsys):
     )
     assert code == 0
     assert json.loads(out)["failures"] == 0
+
+
+def test_decode_test_rejects_negative_trials(capsys):
+    code, out, err = run(
+        capsys,
+        ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
+         "--trials", "-1", "--seed", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --trials")
 
 
 def test_decode_test_field_too_small(capsys):
@@ -226,6 +238,66 @@ def test_macc_rate_and_tradeoff_exit_cleanly(command, N, K, L, w, samples, as_js
         code = cli.main(argv)
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+def test_macc_tradeoff_rejects_samples_out_of_range(capsys):
+    for samples in ("-1", "100001", "100000000"):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["macc", "tradeoff", "--K", "8", "--L", "2", "--samples", samples]
+        )
+        assert time.perf_counter() - start < 1.0, samples
+        assert code == 2, samples
+        assert out == ""
+        assert err.startswith("error: samples must be in [0, 100000]"), err
+
+
+def mostly_positive(low, high):
+    """Small integers, half of the draws in [1, high] so that runs get past validation."""
+    return st.one_of(st.integers(1, high), st.integers(low, high))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "decode-test", "simulate"]),
+    gaps=st.lists(mostly_positive(-1, 4), max_size=4),
+    L=mostly_positive(-1, 4),
+    N=st.one_of(st.none(), st.integers(-1, 9)),
+    K=mostly_positive(-1, 9),
+    w=mostly_positive(-1, 4),
+    valid_demands=st.booleans(),
+    demands=st.lists(st.integers(-1, 9), max_size=10),
+    field=st.one_of(st.none(), st.integers(-3, 12)),
+    trials=st.integers(-3, 3),
+    seed=st.integers(-3, 3),
+    as_json=st.booleans(),
+)
+def test_icp_and_simulate_exit_cleanly(command, gaps, L, N, K, w, valid_demands,
+                                       demands, field, trials, seed, as_json):
+    if command == "simulate":
+        if valid_demands:
+            demands = [1 + k % max(1, N if N is not None else K) for k in range(K)]
+        argv = ["macc", "simulate", f"--K={K}", f"--L={L}", f"--w={w}",
+                f"--demands={','.join(map(str, demands))}"]
+        if N is not None:
+            argv.append(f"--N={N}")
+    else:
+        argv = ["icp", command, f"--gaps={','.join(map(str, gaps))}", f"--L={L}"]
+        if command == "decode-test":
+            argv.append(f"--trials={trials}")
+    if command != "analyze":
+        argv.append(f"--seed={seed}")
+        if field is not None:
+            argv.append(f"--field={field}")
+    if as_json:
+        argv.append("--format=json")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    if command == "decode-test" and trials < 0:
+        assert code == 2
 
 
 def test_macc_tradeoff_stdout_csv(capsys):

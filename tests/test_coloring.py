@@ -9,7 +9,6 @@ import pytest
 from conftest import random_canonical_gap_vector
 from sicps.coloring import (
     Coloring,
-    is_proper,
     local_chromatic_value,
     theorem1_coloring,
     theorem5_coloring,
@@ -42,7 +41,7 @@ def test_general_coloring_eleven_user_table():
     assert coloring.num_colors == 11
     assert [coloring.color((k, 2)) for k in range(1, 12)] == [9, 10, 11] + list(range(1, 9))
     assert [coloring.color((k, 3)) for k in range(1, 12)] == [5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4]
-    assert is_proper(graph, coloring)
+    assert not verify_proper(graph, coloring)
     assert local_chromatic_value(graph, coloring) == 11
 
 
@@ -61,7 +60,7 @@ def test_general_coloring_degenerate_single_column():
     _, icp, graph = make((4,), 1)
     coloring = theorem1_coloring(icp)
     assert [coloring.color((k, 1)) for k in range(1, 6)] == [1, 2, 3, 4, 5]
-    assert is_proper(graph, coloring)
+    assert not verify_proper(graph, coloring)
 
 
 def test_general_coloring_proper_on_random_instances():
@@ -81,7 +80,7 @@ def test_two_column_coloring_examples():
         assert spec.K == K
         coloring = theorem5_coloring(icp)
         assert coloring.num_colors == 5
-        assert is_proper(graph, coloring)
+        assert not verify_proper(graph, coloring)
         assert local_chromatic_value(graph, coloring) == 5
         # each color appears K/5 times per column
         for t in (1, 2):
@@ -96,7 +95,7 @@ def test_two_column_coloring_zero_gaps():
         assert spec.K % 2 == 0
         coloring = theorem5_coloring(icp)
         assert coloring.num_colors == 2
-        assert is_proper(graph, coloring)
+        assert not verify_proper(graph, coloring)
         assert local_chromatic_value(graph, coloring) == 2
 
 
@@ -131,7 +130,7 @@ def test_verify_proper_flags_conflicts():
     all_one = Coloring(assignment={node: 1 for node in graph.nodes}, num_colors=1)
     violations = verify_proper(graph, all_one)
     assert violations
-    assert all(v in graph.interferers(u) for u, v in violations)
+    assert all(v != u and v in graph.user_interferers[u[0] - 1] for u, v in violations)
 
 
 def test_verify_proper_requires_full_cover():
@@ -184,7 +183,7 @@ def naive_violations(graph, coloring):
     """All-pairs oracle for the class-based properness check."""
     out = []
     for u in graph.nodes:
-        for v in graph.interferers(u):
+        for v in graph.user_interferers[u[0] - 1] - {u}:
             if coloring.color(u) == coloring.color(v):
                 out.append((u, v))
     return sorted(out)
@@ -193,7 +192,7 @@ def naive_violations(graph, coloring):
 def naive_local_chromatic(graph, coloring):
     """Per-node oracle for the per-user chromatic value computation."""
     return max(
-        len({coloring.color(v) for v in graph.interferers(u) | {u}})
+        len({coloring.color(v) for v in graph.user_interferers[u[0] - 1]})
         for u in graph.nodes
     )
 

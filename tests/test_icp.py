@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import canonical_gap_vectors, random_canonical_gap_vector
+from conftest import canonical_gap_vectors, eq2_known_set, random_canonical_gap_vector
+from sicps.bounds import mais_lower, tilde_icp_bounds
+from sicps.coloring import upper_bound_Ru
 from sicps.icp import (
     GapVector,
-    build_structured_icp,
-    build_tilde_icp,
     build_union_icp,
     canonical_rotation,
-    eq2_known_set,
     minimal_period,
     rotate_gaps,
     single_known_files,
@@ -83,21 +84,17 @@ def test_gap_vector_validation():
 
 
 def test_structured_icp_examples():
-    icp = build_structured_icp(GapVector((2, 1, 0), 2))
-    assert icp.K == 8
-    assert icp.known_set(3) == {6, 7, 1, 2}
-    assert icp.want(3) == 3
+    spec = GapVector((2, 1, 0), 2)
+    assert spec.K == 8
+    assert single_known_files(spec.gaps, spec.L, spec.K, 3) == {6, 7, 1, 2}
 
-    degenerate = build_structured_icp(GapVector((4,), 3))
+    degenerate = GapVector((4,), 3)
     assert degenerate.K == 5
-    assert all(icp == frozenset() for icp in degenerate.known)
+    assert all(
+        single_known_files(degenerate.gaps, 3, 5, k) == frozenset() for k in range(1, 6)
+    )
 
-    assert build_structured_icp(GapVector((3, 2, 1), 2)).K == 11
-
-
-def test_structured_icp_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        build_structured_icp(GapVector((2, 1, 0), 0))
+    assert GapVector((3, 2, 1), 2).K == 11
 
 
 def test_union_icp_user3_side_information_table():
@@ -206,58 +203,52 @@ def test_suicp_rows_share_side_information():
     for k in range(1, graph.K + 1):
         sets = {graph.side_info((k, t)) for t in range(1, graph.num_columns + 1)}
         assert len(sets) == 1
-    node = (2, 1)
-    assert node not in graph.interferers(node)
-    assert graph.interferers(node) | {node} == graph.closed_anti_outneighborhood(node)
+    # A user's closed anti-outneighborhood: its own nodes plus every node it
+    # does not know.
+    for k in range(1, graph.K + 1):
+        closed = graph.user_interferers[k - 1]
+        assert {(k, t) for t in range(1, graph.num_columns + 1)} <= closed
+        assert closed == frozenset(graph.nodes) - graph.side_info((k, 1))
 
 
 def test_tilde_icp_examples():
-    tilde = build_tilde_icp((2, 0, 2), 2, 1)
-    assert tilde.columns == ((2, 0, 2, 2, 0, 2), (2, 2, 0, 2, 2, 0), (0, 2, 2, 0, 2, 2))
-    assert all(len(col) == 6 for col in tilde.columns)
-    assert tilde.K == 2 * 4 + 5 * 1 + 1
+    # The distinct-rotation union of s repeated l times keeps one copy of each
+    # column of the union instance for s*l: its first minimal-period columns.
+    bar = build_union_icp(GapVector((2, 0, 2) * 2, 1))
+    distinct = bar.columns[:minimal_period(bar.spec.gaps)]
+    assert distinct == ((2, 0, 2, 2, 0, 2), (2, 2, 0, 2, 2, 0), (0, 2, 2, 0, 2, 2))
+    assert set(bar.columns) == set(distinct)
+    assert bar.K == 2 * 4 + 5 * 1 + 1
 
-    lemma12 = build_tilde_icp((1,), 3, 2)
+    lemma12 = build_union_icp(GapVector((1,) * 3, 2))
     assert lemma12.K == 8
-    assert lemma12.columns == ((1, 1, 1),)
+    assert set(lemma12.columns) == {(1, 1, 1)}
 
 
 def test_tilde_icp_degenerate_and_errors():
-    with pytest.raises(ValueError):
-        build_tilde_icp((), 1, 2)
-    with pytest.raises(ValueError):
-        build_tilde_icp((1,), 0, 2)
-    with pytest.raises(ValueError):
-        build_tilde_icp((1, -2), 1, 2)
+    # empty pattern, zero repeats, negative entry
+    for s, l, L in [((), 1, 2), ((1,), 0, 2), ((1, -2), 1, 2)]:
+        with pytest.raises(ValueError):
+            tilde_icp_bounds(s, l, L)
 
 
 def test_tilde_with_repeat_one_equals_union():
     spec = GapVector((2, 1, 0), 2)
-    tilde = build_tilde_icp((2, 1, 0), 1, 2)
-    union = build_union_icp(spec)
-    assert tilde.columns == union.columns
-    assert tilde.known == union.known
-    assert tilde.K == union.K
+    assert minimal_period(spec.gaps) == len(build_union_icp(spec).columns)
+    assert tilde_icp_bounds((2, 1, 0), 1, 2) == (mais_lower(spec), upper_bound_Ru(spec))
 
 
 def test_tilde_bar_equivalent():
-    tilde = build_tilde_icp((2, 0, 2), 2, 1)
-    bar = tilde.bar_equivalent()
-    assert bar.spec.gaps == (2, 0, 2, 2, 0, 2)
-    assert bar.K == tilde.K
-    # distinct bar columns coincide with the tilde columns
-    assert set(bar.columns) == set(tilde.columns)
-
-
-def test_union_icp_json_shape():
-    icp = build_union_icp(GapVector((2, 1), 1))
-    payload = icp.to_json()
-    assert list(payload) == ["gaps", "L", "K", "i", "known"]
-    assert payload["gaps"] == [2, 1]
-    assert payload["K"] == 5
-    assert len(payload["known"]) == 5
-    assert all(
-        isinstance(entry, list) and len(entry) == 2
-        for user in payload["known"]
-        for entry in user
-    )
+    # Splitting each file into l parts turns the tilde instance into the union
+    # instance for s*l; the bounds are that instance's divided by l, checked
+    # against their closed forms in (s, l, L) on every pattern with entries <= 3.
+    for m in (1, 2, 3):
+        for s in itertools.product(range(4), repeat=m):
+            if s[0] != max(s):
+                continue
+            for l, L in itertools.product((1, 2, 3), repeat=2):
+                i = l * m
+                K = l * sum(s) + (i - 1) * L + 1
+                assert GapVector(s * l, L).K == K
+                upper = Fraction(min(2 * (K - (i - 1) * L) + i - 2 - s[0], K), l)
+                assert tilde_icp_bounds(s, l, L) == (sum(s) + m, upper), (s, l, L)

@@ -10,26 +10,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_placement_sets
+from conftest import (
+    brute_placement_sets,
+    composition_count_max_below,
+    rate_closed_form_large_L,
+)
 from sicps.icp import single_known_files, wrap
 from sicps.macc import (
     CcdnConfig,
+    _column_label,
     build_delivery_icp,
-    composition_count_max_below,
     end_to_end_simulate,
-    enumerate_placement_sets,
     group_rotation_classes,
     interpolate_rate,
+    iter_placement_sets,
     iter_weak_compositions,
     placement_map,
     placement_set_count,
-    rate_closed_form_large_L,
     rate_hkd,
     rate_new,
     rate_rk,
     tradeoff_csv,
     tradeoff_curve,
-    weak_compositions,
 )
 
 EXAMPLE_SETS = [
@@ -43,34 +45,34 @@ EXAMPLE_SETS = [
 
 
 def test_placement_sets_eight_user_example():
-    sets = enumerate_placement_sets(8, 2, 2)
+    sets = list(iter_placement_sets(8, 2, 2))
     assert sets == sorted(EXAMPLE_SETS)
     assert len(sets) == placement_set_count(8, 2, 2) == 20
 
 
 def test_placement_sets_singletons():
-    assert enumerate_placement_sets(9, 3, 1) == [(a,) for a in range(1, 10)]
+    assert list(iter_placement_sets(9, 3, 1)) == [(a,) for a in range(1, 10)]
 
 
 def test_placement_sets_match_brute_filter():
     for K, L, w in [(10, 2, 3), (8, 2, 2), (12, 3, 3), (9, 4, 2), (7, 1, 3), (6, 3, 2)]:
-        assert enumerate_placement_sets(K, L, w) == brute_placement_sets(K, L, w)
-    assert len(enumerate_placement_sets(10, 2, 3)) == 50
+        assert list(iter_placement_sets(K, L, w)) == brute_placement_sets(K, L, w)
+    assert len(list(iter_placement_sets(10, 2, 3))) == 50
 
 
 def test_placement_sets_count_identity_grid():
     for K in range(2, 15):
         for L in range(1, K + 1):
             for w in range(1, K // L + 1):
-                enumerated = len(enumerate_placement_sets(K, L, w))
+                enumerated = len(list(iter_placement_sets(K, L, w)))
                 assert enumerated == placement_set_count(K, L, w), (K, L, w)
 
 
 def test_placement_sets_rejects_bad_w():
     with pytest.raises(ValueError):
-        enumerate_placement_sets(8, 2, 5)
+        list(iter_placement_sets(8, 2, 5))
     with pytest.raises(ValueError):
-        enumerate_placement_sets(8, 2, 0)
+        list(iter_placement_sets(8, 2, 0))
 
 
 def test_placement_plan_loads():
@@ -103,21 +105,21 @@ def test_placement_user_cache_window():
 
 
 def test_weak_compositions_examples():
-    b = weak_compositions(3, 3)
+    b = list(iter_weak_compositions(3, 3))
     assert len(b) == 10
     assert set(b) == {
         (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 2, 1),
         (1, 0, 2), (2, 0, 1), (1, 2, 0), (0, 1, 2), (1, 1, 1),
     }
     assert b == sorted(b)  # lexicographic
-    assert weak_compositions(0, 2) == [(0, 0)]
-    assert len(weak_compositions(4, 2)) == 5
+    assert list(iter_weak_compositions(0, 2)) == [(0, 0)]
+    assert len(list(iter_weak_compositions(4, 2))) == 5
 
 
 def test_weak_compositions_count_identity():
     for n in range(0, 9):
         for m in range(1, 7):
-            assert len(weak_compositions(n, m)) == math.comb(n + m - 1, m - 1)
+            assert len(list(iter_weak_compositions(n, m))) == math.comb(n + m - 1, m - 1)
 
 
 def composition_count_max_eq(n, m, t):
@@ -136,7 +138,7 @@ def test_composition_count_examples():
 def test_composition_count_matches_brute_force():
     for n in range(0, 10):
         for m in range(1, 7):
-            comps = weak_compositions(n, m)
+            comps = list(iter_weak_compositions(n, m))
             for t in range(1, n + 2):
                 brute = sum(1 for c in comps if max(c) < t)
                 assert composition_count_max_below(n, m, t) == brute, (n, m, t)
@@ -146,7 +148,7 @@ def test_composition_count_matches_brute_force():
 
 
 def test_rotation_classes_example():
-    classes = group_rotation_classes(weak_compositions(3, 3))
+    classes = group_rotation_classes(list(iter_weak_compositions(3, 3)))
     assert [c.representative for c in classes] == [
         (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1),
     ]
@@ -158,12 +160,12 @@ def test_rotation_classes_example():
 
 
 def test_rotation_classes_degenerate_and_even():
-    zero = group_rotation_classes(weak_compositions(0, 4))
+    zero = group_rotation_classes(list(iter_weak_compositions(0, 4)))
     assert len(zero) == 1
     assert zero[0].base == (0,)
     assert zero[0].multiplicity == 4
 
-    classes = group_rotation_classes(weak_compositions(4, 2))
+    classes = group_rotation_classes(list(iter_weak_compositions(4, 2)))
     assert {c.representative: set(c.members) for c in classes} == {
         (4, 0): {(4, 0), (0, 4)},
         (3, 1): {(3, 1), (1, 3)},
@@ -173,7 +175,7 @@ def test_rotation_classes_degenerate_and_even():
 
 def test_rotation_classes_partition_property():
     for n, m in [(3, 3), (5, 3), (4, 4), (6, 2)]:
-        comps = weak_compositions(n, m)
+        comps = list(iter_weak_compositions(n, m))
         classes = group_rotation_classes(comps)
         members = [c for cls in classes for c in cls.members]
         assert sorted(members) == sorted(comps)
@@ -373,7 +375,7 @@ def test_delivery_table_labels_are_all_compositions():
         table = build_delivery_icp(cfg, w, list(range(1, cfg.K + 1)))
         labels = [col.label for col in table.columns]
         n = cfg.K - w * cfg.L - 1
-        assert sorted(labels) == weak_compositions(n, w + 1)
+        assert sorted(labels) == list(iter_weak_compositions(n, w + 1))
         assert len(labels) == math.comb(cfg.K - w * cfg.L + w - 1, w)
 
 
@@ -403,6 +405,23 @@ def test_delivery_column_side_information_matches_label():
                 if table.plan.available_to_user(col.cells[row - 1][1], user)
             }
             assert si_rows == single_known_files(col.label, cfg.L, cfg.K, user)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 5), L=st.integers(1, 4), data=st.data())
+def test_column_label_round_trip(w, L, data):
+    # Rows 2..K of user 1 for a column labelled (b_{w+1}, ..., b_1): each gap of
+    # non-side-information rows is followed by one chunk of L known rows, the
+    # last gap by none.
+    label = tuple(data.draw(st.lists(st.integers(0, 5), min_size=w + 1, max_size=w + 1)))
+    flags: list[bool] = []
+    for gap in label[:-1]:
+        flags += [False] * gap + [True] * L
+    flags += [False] * label[-1]
+    K = sum(label) + w * L + 1
+    known = single_known_files(label, L, K, 1)
+    assert flags == [row in known for row in range(2, K + 1)]
+    assert _column_label(flags, w, L) == label
 
 
 def test_delivery_table_validates_demands():
