@@ -12,15 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import upper_bound_Ru
-from .icp import (
-    GapVector,
-    Node,
-    SuicpGraph,
-    build_union_icp,
-    require_leading_max,
-    rotate_gaps,
-    to_suicp,
-)
+from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
 
 DEFAULT_NODE_CAP = 26
 
@@ -173,22 +165,16 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP,
 
     Branches on the vertices of a found cycle (every acyclic set must drop at
     least one of them); earlier branch vertices are protected from later
-    exclusion so the subtrees partition the search space.  Refuses graphs
-    above `node_cap` rather than approximating.
+    exclusion so the subtrees partition the search space.  `initial` must be
+    a known lower bound (e.g. the constructive value); it seeds the pruning.
+    Refuses graphs above `node_cap` rather than approximating.
     """
     n = len(graph)
     if n > node_cap:
         raise ValueError(f"graph has {n} nodes, above the brute-force cap {node_cap}")
     order = list(graph.nodes)
     adj = {u: sorted(graph.side_info(u)) for u in order}
-
-    # Greedy seed: grow a set, keeping it acyclic.
-    greedy: set[Node] = set()
-    for u in order:
-        greedy.add(u)
-        if not is_acyclic_induced(graph, greedy):
-            greedy.remove(u)
-    best = max(initial, len(greedy))
+    best = initial
 
     def search(excluded: set[Node], protected: frozenset[Node]) -> None:
         nonlocal best
@@ -239,14 +225,13 @@ def tilde_icp_bounds(s: tuple[int, ...], l: int, L: int) -> tuple[Fraction, Frac
     return Fraction(mais_lower(spec), l), Fraction(upper_bound_Ru(spec), l)
 
 
-def build_report(spec: GapVector, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport:
-    """Assemble every bound for one instance; brute force only under the cap."""
-    require_leading_max(spec)
+def build_report(icp: UnionIcp, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport:
+    """Assemble every bound for one union instance; brute force only under the cap."""
+    spec = icp.spec
     lower, witness = lower_bound_mais_constructive(spec)
     brute = None
-    if spec.i * spec.K <= node_cap:
-        graph = to_suicp(build_union_icp(spec))
-        brute = mais_bruteforce(graph, node_cap=node_cap, initial=lower)
+    if len(icp) <= node_cap:
+        brute = mais_bruteforce(icp, node_cap=node_cap, initial=lower)
     return BoundReport(
         upper=upper_bound_Ru(spec),
         lower_constructive=lower,

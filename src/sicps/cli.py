@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bounds import DEFAULT_NODE_CAP, build_report, gap_ratio
 from .coloring import local_chromatic_value, theorem1_coloring
-from .icp import GapVector, build_union_icp, to_suicp
+from .icp import GapVector, build_union_icp
 from .macc import (
     CcdnConfig,
     end_to_end_simulate,
@@ -56,12 +56,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_icp_analyze(args) -> int:
     spec, shift = GapVector(tuple(args.gaps), args.L).canonicalize()
-    report = build_report(spec, node_cap=_mais_cap())
     icp = build_union_icp(spec)
-    graph = to_suicp(icp)
+    report = build_report(icp, node_cap=_mais_cap())
     coloring = theorem1_coloring(icp)
     try:
-        lcv = local_chromatic_value(graph, coloring)
+        lcv = local_chromatic_value(icp, coloring)
     except ValueError:  # the coloring is not proper
         lcv = None
     ratio = gap_ratio(spec)
@@ -102,14 +101,13 @@ def cmd_icp_decode_test(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()
     icp = build_union_icp(spec)
-    graph = to_suicp(icp)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), args.field)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), args.field)
     failures = 0
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
-        messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-        decoded = simulate_decode(scheme, graph, messages)
-        failures += sum(decoded[node] != messages[node] for node in graph.nodes)
+        messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
+        decoded = simulate_decode(scheme, icp, messages)
+        failures += sum(decoded[node] != messages[node] for node in icp.nodes)
     payload = {
         "gaps": list(spec.gaps),
         "L": spec.L,

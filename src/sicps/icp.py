@@ -4,14 +4,14 @@ An instance is described by a gap pattern (a_i, ..., a_1) and a chunk length
 L: arranging the K files on a circle, each user's side information consists
 of i-1 chunks of L consecutive files, separated by the gaps.  Taking the
 union of such a problem with its i-1 clockwise rotations yields a unicast
-problem where every user wants i files; that union is what the coloring and
-bound engines operate on, after conversion to a single-unicast graph over
-(user, column) virtual nodes.
+problem where every user wants i files; that union is itself the
+single-unicast graph over (user, column) virtual nodes that the coloring and
+bound engines operate on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Node = tuple[int, int]  # (user, column), both 1-based
 
@@ -119,62 +119,26 @@ def single_known_files(gaps: tuple[int, ...], L: int, K: int, user: int) -> froz
 
 
 @dataclass(frozen=True)
-class UnionIcp:
-    """Union of a gap instance with its i-1 clockwise rotations.
-
-    User k wants the i files (k, 1), ..., (k, i); column p carries the
-    (p-1)-th clockwise rotation of the defining gaps.
-    """
-
-    spec: GapVector
-    columns: tuple[tuple[int, ...], ...]
-    known: tuple[frozenset[Node], ...]  # indexed by user-1
-
-    @property
-    def K(self) -> int:
-        return self.spec.K
-
-    @property
-    def i(self) -> int:
-        return self.spec.i
-
-    def want_set(self, user: int) -> frozenset[Node]:
-        return frozenset((user, t) for t in range(1, self.i + 1))
-
-    def known_set(self, user: int) -> frozenset[Node]:
-        return self.known[user - 1]
-
-
-def build_union_icp(spec: GapVector) -> UnionIcp:
-    """Construct the union instance: one column per clockwise rotation.
-
-    User k knows, in column t, the files it knows in the single-column
-    instance with column t's gaps.
-    """
-    K, L = spec.K, spec.L
-    columns = tuple(rotate_gaps(spec.gaps, p) for p in range(spec.i))
-    known = []
-    for k in range(1, K + 1):
-        acc: set[Node] = set()
-        for t, col_gaps in enumerate(columns, start=1):
-            acc.update((b, t) for b in single_known_files(col_gaps, L, K, k))
-        known.append(frozenset(acc))
-    return UnionIcp(spec=spec, columns=columns, known=tuple(known))
-
-
-@dataclass(frozen=True)
 class SuicpGraph:
     """Single-unicast side-information graph over (user, column) virtual nodes.
 
     There is an edge u -> v exactly when v's requested file is side
     information for u; all nodes of one user share the same side-information
-    set.  Interferer sets (the complement) are precomputed per user.
+    set.  Interferer sets (the complement) are derived per user.
     """
 
     K: int
     num_columns: int
     user_side: tuple[frozenset[Node], ...]
-    user_interferers: tuple[frozenset[Node], ...]
+    user_interferers: tuple[frozenset[Node], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        all_nodes = frozenset(self.nodes)
+        object.__setattr__(
+            self, "user_interferers", tuple(all_nodes - ks for ks in self.user_side)
+        )
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -191,15 +155,38 @@ class SuicpGraph:
         return self.user_side[node[0] - 1]
 
 
-def to_suicp(icp: UnionIcp) -> SuicpGraph:
-    """Convert a union instance to its virtual single-unicast graph."""
-    K, num_columns = icp.K, len(icp.columns)
-    all_nodes = frozenset(
-        (k, t) for k in range(1, K + 1) for t in range(1, num_columns + 1)
+@dataclass(frozen=True)
+class UnionIcp(SuicpGraph):
+    """Union of a gap instance with its i-1 clockwise rotations, as its own graph.
+
+    User k wants the i files (k, 1), ..., (k, i); column p carries the
+    (p-1)-th clockwise rotation of the defining gaps.
+    """
+
+    spec: GapVector
+
+    @property
+    def i(self) -> int:
+        return self.spec.i
+
+
+def build_union_icp(spec: GapVector) -> UnionIcp:
+    """Construct the union instance: one column per clockwise rotation.
+
+    User k knows, in column t, the files it knows in the single-column
+    instance with column t's gaps.
+    """
+    K, L = spec.K, spec.L
+    columns = [rotate_gaps(spec.gaps, p) for p in range(spec.i)]
+    known = tuple(
+        frozenset(
+            (b, t)
+            for t, col_gaps in enumerate(columns, start=1)
+            for b in single_known_files(col_gaps, L, K, k)
+        )
+        for k in range(1, K + 1)
     )
-    interferers = tuple(all_nodes - ks for ks in icp.known)
-    return SuicpGraph(K=K, num_columns=num_columns,
-                      user_side=icp.known, user_interferers=interferers)
+    return UnionIcp(K=K, num_columns=spec.i, user_side=known, spec=spec)
 
 
 __all__ = [
@@ -213,6 +200,5 @@ __all__ = [
     "minimal_period",
     "single_known_files",
     "build_union_icp",
-    "to_suicp",
     "require_leading_max",
 ]

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import ru_cap, theorem1_coloring, upper_bound_Ru
-from .icp import GapVector, minimal_period, rotate_gaps, to_suicp, build_union_icp, wrap
+from .icp import (
+    GapVector, build_union_icp, canonical_rotation, minimal_period, rotate_gaps, wrap,
+)
 from .scheme import build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
@@ -59,12 +61,8 @@ def iter_placement_sets(K: int, L: int, w: int):
     being >= L, which the recursion enforces directly.
     """
     _check_w(K, L, w)
-    if L == 1:
+    if L == 1:  # every w-subset; the recursion below takes about 20x longer on these
         yield from itertools.combinations(range(1, K + 1), w)
-        return
-    if w == 1:
-        for a in range(1, K + 1):
-            yield (a,)
         return
 
     def extend(chosen: list[int], last: int):
@@ -131,18 +129,6 @@ def placement_map(cfg: CcdnConfig, w: int) -> PlacementPlan:
     return plan
 
 
-def iter_weak_compositions(n: int, m: int):
-    """All m-tuples of non-negative integers summing to n, lexicographic."""
-    if n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_weak_compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class RotationClass:
     """Orbit of a composition under rotation: representative = base pattern x multiplicity."""
@@ -170,12 +156,8 @@ def group_rotation_classes(compositions) -> list[RotationClass]:
     if len(set(comps)) != math.comb(n + m - 1, m - 1):
         raise ValueError(f"expected the complete family of {m}-compositions of {n}")
 
-    grouped: dict[tuple[int, ...], None] = {}
-    for c in comps:
-        rep = max(rotate_gaps(c, t) for t in range(m))
-        grouped[rep] = None
     classes = []
-    for rep in sorted(grouped, reverse=True):
+    for rep in sorted({canonical_rotation(c)[0] for c in comps}, reverse=True):
         period = minimal_period(rep)
         members = tuple(rotate_gaps(rep, t) for t in range(period))
         classes.append(
@@ -356,33 +338,15 @@ class DeliveryTable:
     columns: tuple[DeliveryColumn, ...]
 
 
-def _column_label(si_flags: list[bool], w: int, L: int) -> tuple[int, ...]:
-    """Parse rows 2..K (side-information or not) into the (b_{w+1},...,b_1) gaps."""
-    label: list[int] = []
-    idx = 0
-    while idx < len(si_flags):
-        gap = 0
-        while idx < len(si_flags) and not si_flags[idx]:
-            gap += 1
-            idx += 1
-        label.append(gap)
-        run = 0
-        while idx < len(si_flags) and si_flags[idx]:
-            run += 1
-            idx += 1
-        if run:
-            if run % L:
-                raise AssertionError("side-information run is not chunk-aligned")
-            label.extend([0] * (run // L - 1))
-    if len(label) == w:  # the scan ended inside a side-information run
-        label.append(0)
-    if len(label) != w + 1:
-        raise AssertionError(f"column parsed into {len(label)} gaps, expected {w + 1}")
-    return tuple(label)
-
-
 def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryTable:
-    """K x C(K-wL+w-1, w) table of missing subfiles, one labeled column per composition."""
+    """K x C(K-wL+w-1, w) table of missing subfiles, one labeled column per composition.
+
+    User 1 misses the sets c_1 < ... < c_w with c_1 > L.  Row m of that
+    column holds the set shifted by m-1, which user 1 reads exactly when some
+    c_j + m-1 lands in its caches 1..L, i.e. in a chunk of L rows starting at
+    row K-c_j+2.  The gaps between those chunks, from row 2 on, make the label
+    (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).
+    """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
     if any(not 1 <= d <= cfg.N for d in demands):
@@ -391,16 +355,14 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
     K, L = cfg.K, cfg.L
     columns = []
     for anchor in plan.missing_sets(1):
-        cells = []
-        si_flags = []
-        for row in range(1, K + 1):
-            shifted = tuple(sorted(wrap(c + row - 1, K) for c in anchor))
-            cells.append((demands[row - 1], shifted))
-            if row >= 2:
-                si_flags.append(plan.available_to_user(shifted, 1))
-        label = _column_label(si_flags, w, L)
+        cells = tuple(
+            (demands[row - 1], tuple(sorted(wrap(c + row - 1, K) for c in anchor)))
+            for row in range(1, K + 1)
+        )
+        inner = [b - a - L for a, b in zip(anchor, anchor[1:])]
+        label = (K - anchor[-1], *reversed(inner), anchor[0] - L - 1)
         assert sum(label) == K - w * L - 1
-        columns.append(DeliveryColumn(anchor=anchor, label=label, cells=tuple(cells)))
+        columns.append(DeliveryColumn(anchor=anchor, label=label, cells=cells))
     assert len(columns) == math.comb(K - w * L + w - 1, w)
     return DeliveryTable(cfg=cfg, w=w, plan=plan, columns=tuple(columns))
 
@@ -469,11 +431,10 @@ def end_to_end_simulate(
         period = len(cls.base)
         bar_spec = GapVector(cls.representative, cfg.L)
         bar = build_union_icp(bar_spec)
-        graph = to_suicp(bar)
         # Budget exactly the rows the closed-form rate accounts for; the
         # coloring occasionally needs fewer, never more.
         scheme = build_mds_scheme(
-            graph, theorem1_coloring(bar), field_order, rows=upper_bound_Ru(bar_spec)
+            bar, theorem1_coloring(bar), field_order, rows=upper_bound_Ru(bar_spec)
         )
         q = scheme.field_order
 
@@ -491,8 +452,8 @@ def end_to_end_simulate(
                     symbols[key] = rng.randrange(q)
                 messages[(k, p)] = symbols[key]
                 placement_of[(k, p)] = key
-        decoded = simulate_decode(scheme, graph, messages)
-        for node in graph.nodes:
+        decoded = simulate_decode(scheme, bar, messages)
+        for node in bar.nodes:
             if decoded[node] != messages[node]:
                 subfile, part = placement_of[node]
                 failures.append(
@@ -537,7 +498,6 @@ __all__ = [
     "iter_placement_sets",
     "placement_set_count",
     "placement_map",
-    "iter_weak_compositions",
     "group_rotation_classes",
     "rate_new",
     "rate_hkd",

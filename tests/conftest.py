@@ -8,7 +8,18 @@ import random
 from fractions import Fraction
 
 from sicps.icp import GapVector, Node, canonical_rotation, wrap
-from sicps.macc import iter_weak_compositions
+
+
+def iter_weak_compositions(n: int, m: int):
+    """All m-tuples of non-negative integers summing to n, lexicographic."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in iter_weak_compositions(n - first, m - 1):
+            yield (first,) + rest
 
 
 def canonical_gap_vectors(max_nodes: int):

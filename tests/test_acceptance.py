@@ -17,6 +17,7 @@ from functools import lru_cache
 from conftest import (
     canonical_gap_vectors,
     composition_count_max_below,
+    iter_weak_compositions,
     random_canonical_gap_vector,
     rate_closed_form_large_L,
 )
@@ -35,13 +36,12 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, build_union_icp, to_suicp
+from sicps.icp import GapVector, build_union_icp
 from sicps.macc import (
     CcdnConfig,
     build_delivery_icp,
     group_rotation_classes,
     iter_placement_sets,
-    iter_weak_compositions,
     placement_map,
     placement_set_count,
     rate_hkd,
@@ -100,8 +100,7 @@ def test_criterion_03_staircase_witness():
         spec = GapVector((5, 3, 2), 2)
         value, witness = lower_bound_mais_constructive(spec)
         assert value == 13
-        graph = to_suicp(build_union_icp(spec))
-        assert is_acyclic_induced(graph, witness)
+        assert is_acyclic_induced(build_union_icp(spec), witness)
 
 
 def test_criterion_04_two_column_exact_rate():
@@ -111,10 +110,9 @@ def test_criterion_04_two_column_exact_rate():
             assert spec.K == K
             assert exact_rate_special(spec) == 5
             icp = build_union_icp(spec)
-            graph = to_suicp(icp)
             coloring = theorem5_coloring(icp)
-            assert verify_proper(graph, coloring) == []
-            assert local_chromatic_value(graph, coloring) == 5
+            assert verify_proper(icp, coloring) == []
+            assert local_chromatic_value(icp, coloring) == 5
 
 
 def test_criterion_05_eight_user_caching_rates():
@@ -200,10 +198,9 @@ def test_criterion_10_random_instance_properties():
             ru = upper_bound_Ru(spec)
             assert Fraction(ru, lower) <= 2, spec
             icp = build_union_icp(spec)
-            graph = to_suicp(icp)
             coloring = theorem1_coloring(icp)
-            assert verify_proper(graph, coloring) == [], spec
-            assert local_chromatic_value(graph, coloring) <= ru, spec
+            assert verify_proper(icp, coloring) == [], spec
+            assert local_chromatic_value(icp, coloring) <= ru, spec
 
 
 def test_criterion_11_counting_identities():
@@ -258,7 +255,7 @@ def test_criterion_12_brute_force_consistency():
     with criterion(12, 300.0, "exact oracle vs constructive bound, <= 26 nodes"):
         for spec in canonical_gap_vectors(26):
             lower, witness = lower_bound_mais_constructive(spec)
-            graph = to_suicp(build_union_icp(spec))
+            graph = build_union_icp(spec)
             assert is_acyclic_induced(graph, witness), spec
             brute = mais_bruteforce(graph, initial=lower)
             assert brute >= lower, spec

@@ -20,19 +20,18 @@ from sicps.bounds import (
     tilde_icp_bounds,
 )
 from sicps.coloring import upper_bound_Ru
-from sicps.icp import GapVector, SuicpGraph, build_union_icp, to_suicp
+from sicps.icp import GapVector, SuicpGraph, build_union_icp
 
 
 def graph_of(gaps, L):
-    return to_suicp(build_union_icp(GapVector(gaps, L)))
+    return build_union_icp(GapVector(gaps, L))
 
 
 def complete_side_info_graph(n):
     """Every user knows every other requested file: all 2-cycles."""
     all_nodes = frozenset((k, 1) for k in range(1, n + 1))
     known = tuple(all_nodes - {(k, 1)} for k in range(1, n + 1))
-    interferers = tuple(all_nodes - ks for ks in known)
-    return SuicpGraph(K=n, num_columns=1, user_side=known, user_interferers=interferers)
+    return SuicpGraph(K=n, num_columns=1, user_side=known)
 
 
 def test_constructive_fifteen_user_witness():
@@ -66,7 +65,7 @@ def test_constructive_witness_acyclic_sweep():
         spec = random_canonical_gap_vector(rng, max_K=18)
         value, witness = lower_bound_mais_constructive(spec)
         assert value == mais_lower(spec) == spec.K - (spec.i - 1) * spec.L + spec.i - 1
-        assert is_acyclic_induced(to_suicp(build_union_icp(spec)), witness), spec
+        assert is_acyclic_induced(build_union_icp(spec), witness), spec
 
 
 def test_is_acyclic_induced_basics():
@@ -109,7 +108,7 @@ def test_bruteforce_cap():
 def test_bruteforce_vs_constructive_small_sweep():
     for spec in canonical_gap_vectors(20):
         lower, witness = lower_bound_mais_constructive(spec)
-        graph = to_suicp(build_union_icp(spec))
+        graph = build_union_icp(spec)
         brute = mais_bruteforce(graph, initial=lower)
         assert lower <= brute <= len(graph), spec
 
@@ -135,10 +134,7 @@ def random_side_info_graph(rng, users, columns, density):
         own = {(k, t) for t in range(1, columns + 1)}
         pool = sorted(all_nodes - own)
         known.append(frozenset(nd for nd in pool if rng.random() < density))
-    known = tuple(known)
-    interferers = tuple(all_nodes - ks for ks in known)
-    return SuicpGraph(K=users, num_columns=columns,
-                      user_side=known, user_interferers=interferers)
+    return SuicpGraph(K=users, num_columns=columns, user_side=tuple(known))
 
 
 def test_bruteforce_matches_subset_enumeration():
@@ -191,10 +187,9 @@ def test_exact_rate_is_achieved_by_a_coloring():
         if exact is None:
             continue
         icp = build_union_icp(spec)
-        graph = to_suicp(icp)
-        values = [local_chromatic_value(graph, theorem1_coloring(icp))]
+        values = [local_chromatic_value(icp, theorem1_coloring(icp))]
         if spec.i == 2 and spec.K % (sum(spec.gaps) + 2) == 0:
-            values.append(local_chromatic_value(graph, theorem5_coloring(icp)))
+            values.append(local_chromatic_value(icp, theorem5_coloring(icp)))
         assert min(values) == exact, spec
 
 
@@ -238,7 +233,7 @@ def test_tilde_bounds_validation():
 
 
 def test_bound_report_assembly_and_json():
-    report = build_report(GapVector((2, 1, 0), 2))
+    report = build_report(build_union_icp(GapVector((2, 1, 0), 2)))
     assert (report.upper, report.lower_constructive, report.lower_brute) == (7, 6, 6)
     assert report.exact is None
     payload = report.to_json()
@@ -246,11 +241,12 @@ def test_bound_report_assembly_and_json():
     assert payload["exact"] is None
     assert [1, 1] in payload["witness"]
 
-    big = build_report(GapVector((3, 2, 1), 2))  # 33 nodes: above the default cap
+    # 33 nodes: above the default cap
+    big = build_report(build_union_icp(GapVector((3, 2, 1), 2)))
     assert big.lower_brute is None
     assert big.upper == 11
 
-    exact = build_report(GapVector((2, 1), 6))
+    exact = build_report(build_union_icp(GapVector((2, 1), 6)))
     assert exact.exact == 5
     assert str(exact.to_json()["exact"]) == "5"
 

@@ -77,6 +77,28 @@ def test_analyze_respects_mais_cap_env(capsys, monkeypatch):
     assert json.loads(out)["bounds"]["lower_brute"] == 9
 
 
+def test_analyze_builds_the_union_once(capsys, monkeypatch):
+    # The bound report, the oracle and the coloring all read one union instance;
+    # the name is patched wherever a module could look it up.
+    import sicps.bounds as bounds
+
+    original = cli.build_union_icp
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return original(spec)
+
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "build_union_icp", counted, raising=False)
+    code, out, _ = run(
+        capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["bounds"]["lower_brute"] == 6  # the oracle ran
+    assert len(specs) == 1
+
+
 def test_decode_test_passes(capsys):
     code, out, _ = run(
         capsys,

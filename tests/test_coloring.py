@@ -15,34 +15,33 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, build_union_icp, to_suicp
+from sicps.icp import GapVector, build_union_icp
 
 
 def make(gaps, L):
     spec = GapVector(gaps, L)
-    icp = build_union_icp(spec)
-    return spec, icp, to_suicp(icp)
+    return spec, build_union_icp(spec)
 
 
 def test_general_coloring_reproduces_eight_user_table():
     # Frozen from the worked 8-user example's coloring table.
-    _, icp, graph = make((2, 1, 0), 2)
+    _, icp = make((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
     assert [coloring.color((k, 1)) for k in range(1, 9)] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert [coloring.color((k, 2)) for k in range(1, 9)] == [7, 8, 1, 2, 3, 4, 5, 6]
     assert [coloring.color((k, 3)) for k in range(1, 9)] == [4, 5, 6, 7, 8, 1, 2, 3]
-    assert verify_proper(graph, coloring) == []
-    assert local_chromatic_value(graph, coloring) == 7
+    assert verify_proper(icp, coloring) == []
+    assert local_chromatic_value(icp, coloring) == 7
 
 
 def test_general_coloring_eleven_user_table():
-    _, icp, graph = make((3, 2, 1), 2)
+    _, icp = make((3, 2, 1), 2)
     coloring = theorem1_coloring(icp)
     assert coloring.num_colors == 11
     assert [coloring.color((k, 2)) for k in range(1, 12)] == [9, 10, 11] + list(range(1, 9))
     assert [coloring.color((k, 3)) for k in range(1, 12)] == [5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4]
-    assert not verify_proper(graph, coloring)
-    assert local_chromatic_value(graph, coloring) == 11
+    assert not verify_proper(icp, coloring)
+    assert local_chromatic_value(icp, coloring) == 11
 
 
 def test_general_coloring_each_color_once_per_column():
@@ -57,10 +56,10 @@ def test_general_coloring_each_color_once_per_column():
 
 
 def test_general_coloring_degenerate_single_column():
-    _, icp, graph = make((4,), 1)
+    _, icp = make((4,), 1)
     coloring = theorem1_coloring(icp)
     assert [coloring.color((k, 1)) for k in range(1, 6)] == [1, 2, 3, 4, 5]
-    assert not verify_proper(graph, coloring)
+    assert not verify_proper(icp, coloring)
 
 
 def test_general_coloring_proper_on_random_instances():
@@ -68,20 +67,19 @@ def test_general_coloring_proper_on_random_instances():
     for _ in range(60):
         spec = random_canonical_gap_vector(rng, max_K=24)
         icp = build_union_icp(spec)
-        graph = to_suicp(icp)
         coloring = theorem1_coloring(icp)
-        assert verify_proper(graph, coloring) == [], spec
-        assert local_chromatic_value(graph, coloring) <= upper_bound_Ru(spec)
+        assert verify_proper(icp, coloring) == [], spec
+        assert local_chromatic_value(icp, coloring) <= upper_bound_Ru(spec)
 
 
 def test_two_column_coloring_examples():
     for L, K in [(6, 10), (11, 15)]:
-        spec, icp, graph = make((2, 1), L)
+        spec, icp = make((2, 1), L)
         assert spec.K == K
         coloring = theorem5_coloring(icp)
         assert coloring.num_colors == 5
-        assert not verify_proper(graph, coloring)
-        assert local_chromatic_value(graph, coloring) == 5
+        assert not verify_proper(icp, coloring)
+        assert local_chromatic_value(icp, coloring) == 5
         # each color appears K/5 times per column
         for t in (1, 2):
             column = [coloring.color((k, t)) for k in range(1, K + 1)]
@@ -91,12 +89,12 @@ def test_two_column_coloring_examples():
 def test_two_column_coloring_zero_gaps():
     # (0,0)_L has K = L+1; two colors suffice whenever K is even.
     for L in (1, 3, 5, 9):
-        spec, icp, graph = make((0, 0), L)
+        spec, icp = make((0, 0), L)
         assert spec.K % 2 == 0
         coloring = theorem5_coloring(icp)
         assert coloring.num_colors == 2
-        assert not verify_proper(graph, coloring)
-        assert local_chromatic_value(graph, coloring) == 2
+        assert not verify_proper(icp, coloring)
+        assert local_chromatic_value(icp, coloring) == 2
 
 
 def test_two_column_coloring_exhaustive_value():
@@ -110,54 +108,54 @@ def test_two_column_coloring_exhaustive_value():
                     break
                 if K % n:
                     continue
-                spec, icp, graph = make((a2, a1), L)
+                spec, icp = make((a2, a1), L)
                 coloring = theorem5_coloring(icp)
-                assert verify_proper(graph, coloring) == [], spec
-                assert local_chromatic_value(graph, coloring) == n, spec
+                assert verify_proper(icp, coloring) == [], spec
+                assert local_chromatic_value(icp, coloring) == n, spec
 
 
 def test_two_column_coloring_rejections():
-    _, icp3, _ = make((2, 1, 0), 2)
+    _, icp3 = make((2, 1, 0), 2)
     with pytest.raises(ValueError):
         theorem5_coloring(icp3)
-    _, icp_bad, _ = make((2, 1), 7)  # K = 11, not a multiple of 5
+    _, icp_bad = make((2, 1), 7)  # K = 11, not a multiple of 5
     with pytest.raises(ValueError):
         theorem5_coloring(icp_bad)
 
 
 def test_verify_proper_flags_conflicts():
-    _, icp, graph = make((2, 1, 0), 2)
-    all_one = Coloring(assignment={node: 1 for node in graph.nodes}, num_colors=1)
-    violations = verify_proper(graph, all_one)
+    _, icp = make((2, 1, 0), 2)
+    all_one = Coloring(assignment={node: 1 for node in icp.nodes}, num_colors=1)
+    violations = verify_proper(icp, all_one)
     assert violations
-    assert all(v != u and v in graph.user_interferers[u[0] - 1] for u, v in violations)
+    assert all(v != u and v in icp.user_interferers[u[0] - 1] for u, v in violations)
 
 
 def test_verify_proper_requires_full_cover():
-    _, icp, graph = make((2, 1), 1)
-    partial = dict.fromkeys(list(graph.nodes)[:-1], 1)
+    _, icp = make((2, 1), 1)
+    partial = dict.fromkeys(list(icp.nodes)[:-1], 1)
     with pytest.raises(ValueError):
-        verify_proper(graph, Coloring(assignment=partial, num_colors=1))
+        verify_proper(icp, Coloring(assignment=partial, num_colors=1))
 
 
 def test_local_chromatic_value_naive_coloring():
     # One color per node: the value counts the whole closed anti-outneighborhood.
     for gaps, L in [((2, 1, 0), 2), ((3, 2, 1), 2), ((2, 1), 6)]:
-        spec, icp, graph = make(gaps, L)
-        nodes = list(graph.nodes)
+        spec, icp = make(gaps, L)
+        nodes = list(icp.nodes)
         naive = Coloring(
             assignment={node: j + 1 for j, node in enumerate(nodes)},
             num_colors=len(nodes),
         )
         i, K, chunk = spec.i, spec.K, spec.L
-        assert local_chromatic_value(graph, naive) == i * K - i * (i - 1) * chunk
+        assert local_chromatic_value(icp, naive) == i * K - i * (i - 1) * chunk
 
 
 def test_local_chromatic_value_rejects_improper():
-    _, icp, graph = make((2, 1, 0), 2)
-    all_one = Coloring(assignment={node: 1 for node in graph.nodes}, num_colors=1)
+    _, icp = make((2, 1, 0), 2)
+    all_one = Coloring(assignment={node: 1 for node in icp.nodes}, num_colors=1)
     with pytest.raises(ValueError):
-        local_chromatic_value(graph, all_one)
+        local_chromatic_value(icp, all_one)
 
 
 def test_upper_bound_examples():
@@ -202,14 +200,13 @@ def test_properness_and_value_against_naive_oracles():
     for _ in range(15):
         spec = random_canonical_gap_vector(rng, max_K=12)
         icp = build_union_icp(spec)
-        graph = to_suicp(icp)
         good = theorem1_coloring(icp)
-        assert verify_proper(graph, good) == naive_violations(graph, good) == []
-        assert local_chromatic_value(graph, good) == naive_local_chromatic(graph, good)
+        assert verify_proper(icp, good) == naive_violations(icp, good) == []
+        assert local_chromatic_value(icp, good) == naive_local_chromatic(icp, good)
         # a deliberately clashing coloring must produce identical violation lists
         squashed = Coloring(
             assignment={nd: 1 + (good.color(nd) - 1) % max(1, good.num_colors // 2)
-                        for nd in graph.nodes},
+                        for nd in icp.nodes},
             num_colors=max(1, good.num_colors // 2),
         )
-        assert verify_proper(graph, squashed) == naive_violations(graph, squashed)
+        assert verify_proper(icp, squashed) == naive_violations(icp, squashed)

@@ -18,7 +18,6 @@ from sicps.icp import (
     minimal_period,
     rotate_gaps,
     single_known_files,
-    to_suicp,
     wrap,
 )
 
@@ -101,7 +100,7 @@ def test_union_icp_user3_side_information_table():
     # Shaded cells of the worked 8-user example: per-column side information
     # of user 3 in the three-column table.
     icp = build_union_icp(GapVector((2, 1, 0), 2))
-    known = icp.known_set(3)
+    known = icp.side_info((3, 1))
     by_column = {
         t: {b for (b, col) in known if col == t} for t in (1, 2, 3)
     }
@@ -113,10 +112,10 @@ def test_union_icp_user3_side_information_table():
 def test_union_icp_sizes():
     icp = build_union_icp(GapVector((2, 1), 6))
     assert icp.K == 10
-    assert all(len(icp.known_set(k)) == 2 * 1 * 6 for k in range(1, 11))
+    assert all(len(icp.side_info((k, 1))) == 2 * 1 * 6 for k in range(1, 11))
 
     trivial = build_union_icp(GapVector((7,), 4))
-    assert all(ks == frozenset() for ks in trivial.known)
+    assert all(ks == frozenset() for ks in trivial.user_side)
 
 
 def test_union_icp_matches_direct_formula():
@@ -125,16 +124,17 @@ def test_union_icp_matches_direct_formula():
         spec = random_canonical_gap_vector(rng, max_K=16)
         icp = build_union_icp(spec)
         for k in range(1, spec.K + 1):
-            assert icp.known_set(k) == eq2_known_set(spec, k)
+            assert icp.side_info((k, 1)) == eq2_known_set(spec, k)
 
 
 def test_union_columns_are_rotated_single_instances():
     for spec in [GapVector((2, 1, 0), 2), GapVector((3, 2, 1), 2), GapVector((2, 1), 6)]:
         icp = build_union_icp(spec)
-        for p, column_gaps in enumerate(icp.columns, start=1):
-            assert column_gaps == rotate_gaps(spec.gaps, p - 1)
+        assert icp.num_columns == spec.i
+        for p in range(1, spec.i + 1):
+            column_gaps = rotate_gaps(spec.gaps, p - 1)
             for k in (1, spec.K // 2 + 1, spec.K):
-                in_column = {b for (b, col) in icp.known_set(k) if col == p}
+                in_column = {b for (b, col) in icp.side_info((k, 1)) if col == p}
                 assert in_column == single_known_files(column_gaps, spec.L, spec.K, k)
 
 
@@ -145,9 +145,9 @@ def test_union_known_sets_invariants():
         icp = build_union_icp(spec)
         i, L = spec.i, spec.L
         for k in range(1, spec.K + 1):
-            known = icp.known_set(k)
+            known = icp.side_info((k, 1))
             assert len(known) == i * (i - 1) * L
-            assert not (known & icp.want_set(k))
+            assert not (known & {(k, t) for t in range(1, i + 1)})
 
 
 def test_rotation_closure_isomorphism():
@@ -159,8 +159,8 @@ def test_rotation_closure_isomorphism():
         for t in range(1, i):
             rotated = build_union_icp(spec.rotated(t))
             for k in range(1, spec.K + 1):
-                mapped = {(b, wrap(p + t, i)) for (b, p) in rotated.known_set(k)}
-                assert mapped == base.known_set(k)
+                mapped = {(b, wrap(p + t, i)) for (b, p) in rotated.side_info((k, 1))}
+                assert mapped == base.side_info((k, 1))
 
 
 def test_interference_shift_property():
@@ -172,7 +172,7 @@ def test_interference_shift_property():
         icp = build_union_icp(spec)
         K, L = spec.K, spec.L
         for k in range(1, K + 1):
-            known = icp.known_set(k)
+            known = icp.side_info((k, 1))
             for n in range(1, spec.i):
                 a_n = spec.gap(n)
                 for m in range(a_n + L + 1, K):
@@ -181,17 +181,17 @@ def test_interference_shift_property():
                     assert upper == lower, (spec.gaps, spec.L, k, n, m)
 
 
-def test_to_suicp_node_counts():
-    assert len(to_suicp(build_union_icp(GapVector((2, 1, 0), 2)))) == 24
-    graph = to_suicp(build_union_icp(GapVector((4,), 1)))
+def test_union_graph_node_counts():
+    assert len(build_union_icp(GapVector((2, 1, 0), 2))) == 24
+    graph = build_union_icp(GapVector((4,), 1))
     assert len(graph) == 5
     assert all(graph.side_info(node) == frozenset() for node in graph.nodes)
 
 
-def test_to_suicp_in_neighbors():
+def test_union_graph_in_neighbors():
     # 33 nodes; every node's requested file is known by (i-1)*L users, i.e.
     # i*(i-1)*L virtual in-neighbors, counted here by direct enumeration.
-    graph = to_suicp(build_union_icp(GapVector((3, 2, 1), 2)))
+    graph = build_union_icp(GapVector((3, 2, 1), 2))
     assert len(graph) == 33
     for target in graph.nodes:
         in_neighbors = [u for u in graph.nodes if target in graph.side_info(u)]
@@ -199,7 +199,7 @@ def test_to_suicp_in_neighbors():
 
 
 def test_suicp_rows_share_side_information():
-    graph = to_suicp(build_union_icp(GapVector((3, 2, 1), 2)))
+    graph = build_union_icp(GapVector((3, 2, 1), 2))
     for k in range(1, graph.K + 1):
         sets = {graph.side_info((k, t)) for t in range(1, graph.num_columns + 1)}
         assert len(sets) == 1
@@ -214,15 +214,16 @@ def test_suicp_rows_share_side_information():
 def test_tilde_icp_examples():
     # The distinct-rotation union of s repeated l times keeps one copy of each
     # column of the union instance for s*l: its first minimal-period columns.
-    bar = build_union_icp(GapVector((2, 0, 2) * 2, 1))
-    distinct = bar.columns[:minimal_period(bar.spec.gaps)]
-    assert distinct == ((2, 0, 2, 2, 0, 2), (2, 2, 0, 2, 2, 0), (0, 2, 2, 0, 2, 2))
-    assert set(bar.columns) == set(distinct)
-    assert bar.K == 2 * 4 + 5 * 1 + 1
+    bar = GapVector((2, 0, 2) * 2, 1)
+    columns = [rotate_gaps(bar.gaps, p) for p in range(bar.i)]
+    distinct = columns[:minimal_period(bar.gaps)]
+    assert distinct == [(2, 0, 2, 2, 0, 2), (2, 2, 0, 2, 2, 0), (0, 2, 2, 0, 2, 2)]
+    assert set(columns) == set(distinct)
+    assert build_union_icp(bar).K == 2 * 4 + 5 * 1 + 1
 
-    lemma12 = build_union_icp(GapVector((1,) * 3, 2))
-    assert lemma12.K == 8
-    assert set(lemma12.columns) == {(1, 1, 1)}
+    lemma12 = GapVector((1,) * 3, 2)
+    assert build_union_icp(lemma12).K == 8
+    assert {rotate_gaps(lemma12.gaps, p) for p in range(lemma12.i)} == {(1, 1, 1)}
 
 
 def test_tilde_icp_degenerate_and_errors():
@@ -234,7 +235,7 @@ def test_tilde_icp_degenerate_and_errors():
 
 def test_tilde_with_repeat_one_equals_union():
     spec = GapVector((2, 1, 0), 2)
-    assert minimal_period(spec.gaps) == len(build_union_icp(spec).columns)
+    assert minimal_period(spec.gaps) == build_union_icp(spec).num_columns
     assert tilde_icp_bounds((2, 1, 0), 1, 2) == (mais_lower(spec), upper_bound_Ru(spec))
 
 

@@ -7,24 +7,23 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     brute_placement_sets,
     composition_count_max_below,
+    iter_weak_compositions,
     rate_closed_form_large_L,
 )
 from sicps.icp import single_known_files, wrap
 from sicps.macc import (
     CcdnConfig,
-    _column_label,
     build_delivery_icp,
     end_to_end_simulate,
     group_rotation_classes,
     interpolate_rate,
     iter_placement_sets,
-    iter_weak_compositions,
     placement_map,
     placement_set_count,
     rate_hkd,
@@ -407,21 +406,26 @@ def test_delivery_column_side_information_matches_label():
             assert si_rows == single_known_files(col.label, cfg.L, cfg.K, user)
 
 
-@settings(max_examples=200, deadline=None)
-@given(w=st.integers(1, 5), L=st.integers(1, 4), data=st.data())
-def test_column_label_round_trip(w, L, data):
-    # Rows 2..K of user 1 for a column labelled (b_{w+1}, ..., b_1): each gap of
-    # non-side-information rows is followed by one chunk of L known rows, the
-    # last gap by none.
-    label = tuple(data.draw(st.lists(st.integers(0, 5), min_size=w + 1, max_size=w + 1)))
-    flags: list[bool] = []
-    for gap in label[:-1]:
-        flags += [False] * gap + [True] * L
-    flags += [False] * label[-1]
-    K = sum(label) + w * L + 1
-    known = single_known_files(label, L, K, 1)
-    assert flags == [row in known for row in range(2, K + 1)]
-    assert _column_label(flags, w, L) == label
+@settings(max_examples=100, deadline=None)
+@given(w=st.integers(1, 5), L=st.integers(1, 4), n=st.integers(0, 12))
+@example(w=2, L=2, n=3)  # the eight-user table
+@example(w=1, L=1, n=0)
+def test_column_labels_match_side_information_rows(w, L, n):
+    # The closed-form label of each column is the gap pattern of the rows that
+    # the cache topology makes available to user 1, and the labels run through
+    # the weak (w+1)-compositions of n = K-wL-1, each exactly once.
+    assume(math.comb(n + w, w) <= 2000)
+    K = w * L + n + 1
+    table = build_delivery_icp(CcdnConfig(K, K, L), w, [1] * K)
+    for col in table.columns:
+        si_rows = {
+            row
+            for row in range(1, K + 1)
+            if table.plan.available_to_user(col.cells[row - 1][1], 1)
+        }
+        assert si_rows == single_known_files(col.label, L, K, 1), (K, col.anchor)
+    labels = sorted(col.label for col in table.columns)
+    assert labels == list(iter_weak_compositions(n, w + 1))
 
 
 def test_delivery_table_validates_demands():
@@ -465,7 +469,7 @@ def test_class_graph_matches_physical_availability():
     # The broadcast decodes against the union-instance graph; check that the
     # graph's side information coincides, node by node, with what the cache
     # topology actually makes available to each user in the class's columns.
-    from sicps.icp import GapVector, build_union_icp, rotate_gaps, to_suicp
+    from sicps.icp import GapVector, build_union_icp, rotate_gaps
 
     for K, L, w in [(8, 2, 2), (10, 2, 3), (9, 3, 2), (11, 2, 3)]:
         cfg = CcdnConfig(K, K, L)
@@ -475,7 +479,6 @@ def test_class_graph_matches_physical_availability():
         for cls in classes:
             period = len(cls.base)
             bar = build_union_icp(GapVector(cls.representative, L))
-            graph = to_suicp(bar)
             for k in range(1, K + 1):
                 physical = {
                     (m, p)
@@ -487,7 +490,7 @@ def test_class_graph_matches_physical_availability():
                         k,
                     )
                 }
-                assert physical == graph.side_info((k, 1)), (K, L, w, cls, k)
+                assert physical == bar.side_info((k, 1)), (K, L, w, cls, k)
             assert period == len(set(cls.members))
 
 

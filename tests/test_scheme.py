@@ -17,7 +17,7 @@ from sicps.field import (
     solve_mod,
     vandermonde_rows,
 )
-from sicps.icp import GapVector, build_union_icp, to_suicp
+from sicps.icp import GapVector, build_union_icp
 from sicps.scheme import (
     DecodeError,
     TransmissionScheme,
@@ -30,8 +30,7 @@ from sicps.scheme import (
 
 
 def setup(gaps, L):
-    icp = build_union_icp(GapVector(gaps, L))
-    return icp, to_suicp(icp)
+    return build_union_icp(GapVector(gaps, L))
 
 
 def det_mod(matrix, q):
@@ -66,8 +65,8 @@ def all_minors_nonsingular(generator, q):
 
 
 def test_scheme_eight_user_example():
-    icp, graph = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 251)
+    icp = setup((2, 1, 0), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
     assert scheme.chi == 7
     assert scheme.field_order == 251
     assert len(scheme.generator) == 7
@@ -75,29 +74,29 @@ def test_scheme_eight_user_example():
 
 
 def test_scheme_single_node():
-    icp, graph = setup((0,), 1)
-    assert len(graph) == 1
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 2)
+    icp = setup((0,), 1)
+    assert len(icp) == 1
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 2)
     assert scheme.generator == ((1,),)
     messages = {(1, 1): 1}
     assert scheme.transmit(messages) == [1]
-    assert simulate_decode(scheme, graph, messages) == messages
+    assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_scheme_two_column_coloring():
-    icp, graph = setup((2, 1), 6)
-    scheme = build_mds_scheme(graph, theorem5_coloring(icp))
+    icp = setup((2, 1), 6)
+    scheme = build_mds_scheme(icp, theorem5_coloring(icp))
     assert scheme.chi == 5
     assert scheme.num_colors == 5
 
 
 def test_field_validation():
-    icp, graph = setup((2, 1, 0), 2)
+    icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
     with pytest.raises(ValueError):
-        build_mds_scheme(graph, coloring, 7)  # below 8 colors
+        build_mds_scheme(icp, coloring, 7)  # below 8 colors
     with pytest.raises(ValueError):
-        build_mds_scheme(graph, coloring, 256)  # not prime
+        build_mds_scheme(icp, coloring, 256)  # not prime
     assert is_prime(default_field_order(8))
     assert default_field_order(8) == 257
     assert default_field_order(300) == 307
@@ -105,15 +104,15 @@ def test_field_validation():
 
 def test_generator_is_mds_exhaustive_small():
     for gaps, L, q in [((2, 1), 1, 11), ((2, 1, 0), 2, 251), ((1, 1), 2, 13)]:
-        icp, graph = setup(gaps, L)
-        scheme = build_mds_scheme(graph, theorem1_coloring(icp), q)
+        icp = setup(gaps, L)
+        scheme = build_mds_scheme(icp, theorem1_coloring(icp), q)
         assert scheme.num_colors <= 12
         assert all_minors_nonsingular(scheme.generator, q)
 
 
 def test_generator_is_mds_spot_check_large():
-    icp, graph = setup((3, 2, 1), 2)  # 11 colors
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp))
+    icp = setup((3, 2, 1), 2)  # 11 colors
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
     rng = random.Random(23)
     q = scheme.field_order
     for _ in range(200):
@@ -123,32 +122,32 @@ def test_generator_is_mds_spot_check_large():
 
 
 def test_decode_eight_user_fixed_seed():
-    icp, graph = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 251)
+    icp = setup((2, 1, 0), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
     rng = random.Random("decode:0")
-    messages = {node: rng.randrange(251) for node in graph.nodes}
-    assert simulate_decode(scheme, graph, messages) == messages
+    messages = {node: rng.randrange(251) for node in icp.nodes}
+    assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_decode_no_side_information():
     # i=1: every aggregate is unknown, decoding is a direct full solve.
-    icp, graph = setup((4,), 1)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 11)
+    icp = setup((4,), 1)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 11)
     assert scheme.chi == scheme.num_colors == 5
     rng = random.Random(2)
-    messages = {node: rng.randrange(11) for node in graph.nodes}
-    assert simulate_decode(scheme, graph, messages) == messages
+    messages = {node: rng.randrange(11) for node in icp.nodes}
+    assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_decode_eleven_user_repeated_trials():
-    icp, graph = setup((3, 2, 1), 2)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp))
+    icp = setup((3, 2, 1), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
     failures = 0
     for trial in range(100):
         rng = random.Random(f"trial:{trial}")
-        messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-        decoded = simulate_decode(scheme, graph, messages)
-        failures += sum(decoded[node] != messages[node] for node in graph.nodes)
+        messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
+        decoded = simulate_decode(scheme, icp, messages)
+        failures += sum(decoded[node] != messages[node] for node in icp.nodes)
     assert failures == 0
 
 
@@ -159,37 +158,37 @@ def test_decode_across_fields_and_colorings():
         ((3, 0, 0), 2, theorem1_coloring, [11, 257]),
     ]
     for gaps, L, make_coloring, fields in cases:
-        icp, graph = setup(gaps, L)
+        icp = setup(gaps, L)
         coloring = make_coloring(icp)
         for q in fields:
-            scheme = build_mds_scheme(graph, coloring, q)
+            scheme = build_mds_scheme(icp, coloring, q)
             rng = random.Random(f"{gaps}:{q}")
-            messages = {node: rng.randrange(q) for node in graph.nodes}
-            assert simulate_decode(scheme, graph, messages) == messages
+            messages = {node: rng.randrange(q) for node in icp.nodes}
+            assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_row_budget_override():
     # Budgeting more rows than the minimum keeps decoding intact.
-    icp, graph = setup((2, 2, 0), 2)
+    icp = setup((2, 2, 0), 2)
     coloring = theorem1_coloring(icp)
-    tight = build_mds_scheme(graph, coloring)
+    tight = build_mds_scheme(icp, coloring)
     assert tight.chi == 8
-    padded = build_mds_scheme(graph, coloring, rows=9)
+    padded = build_mds_scheme(icp, coloring, rows=9)
     assert padded.chi == 9
     rng = random.Random(17)
-    messages = {node: rng.randrange(padded.field_order) for node in graph.nodes}
-    assert simulate_decode(padded, graph, messages) == messages
+    messages = {node: rng.randrange(padded.field_order) for node in icp.nodes}
+    assert simulate_decode(padded, icp, messages) == messages
     with pytest.raises(ValueError):
-        build_mds_scheme(graph, coloring, rows=7)  # below the minimum
+        build_mds_scheme(icp, coloring, rows=7)  # below the minimum
     with pytest.raises(ValueError):
-        build_mds_scheme(graph, coloring, rows=10)  # above the color count
+        build_mds_scheme(icp, coloring, rows=10)  # above the color count
 
 
 def test_decode_requires_full_message_map():
-    icp, graph = setup((2, 1), 1)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp))
+    icp = setup((2, 1), 1)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
     with pytest.raises(ValueError):
-        simulate_decode(scheme, graph, {})
+        simulate_decode(scheme, icp, {})
 
 
 def test_solve_mod_rejects_singular():
@@ -198,12 +197,12 @@ def test_solve_mod_rejects_singular():
 
 
 def test_decode_node_returns_every_node_of_the_user():
-    icp, graph = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 251)
+    icp = setup((2, 1, 0), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
     rng = random.Random(3)
-    messages = {node: rng.randrange(251) for node in graph.nodes}
+    messages = {node: rng.randrange(251) for node in icp.nodes}
     broadcast = scheme.transmit(messages)
-    decoded = decode_node(scheme, graph, (4, 2), messages, broadcast)
+    decoded = decode_node(scheme, icp, (4, 2), messages, broadcast)
     assert decoded == {(4, t): messages[(4, t)] for t in (1, 2, 3)}
 
 
@@ -212,21 +211,21 @@ def _unknown_colors(graph, coloring, user):
 
 
 def test_decode_error_when_rows_below_local_chromatic_value():
-    icp, graph = setup((2, 1, 0), 2)
+    icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    rows = build_mds_scheme(graph, coloring).chi - 1
+    rows = build_mds_scheme(icp, coloring).chi - 1
     points = list(range(1, coloring.num_colors + 1))
     scheme = TransmissionScheme(coloring, rows, 257, vandermonde_rows(points, rows, 257))
-    messages = {node: 1 for node in graph.nodes}
+    messages = {node: 1 for node in icp.nodes}
     with pytest.raises(DecodeError) as exc:
-        simulate_decode(scheme, graph, messages)
+        simulate_decode(scheme, icp, messages)
     err = exc.value
     assert not isinstance(err, ValueError)
     # Users decode in order; the first one short of rows is reported.
-    first = next(k for k in range(1, graph.K + 1)
-                 if len(_unknown_colors(graph, coloring, k)) > rows)
+    first = next(k for k in range(1, icp.K + 1)
+                 if len(_unknown_colors(icp, coloring, k)) > rows)
     assert err.user == first
-    assert err.unknown == _unknown_colors(graph, coloring, first)
+    assert err.unknown == _unknown_colors(icp, coloring, first)
     assert err.chi == rows
     assert f"user {first}" in str(err)
     assert str(list(err.unknown)) in str(err)
@@ -235,14 +234,14 @@ def test_decode_error_when_rows_below_local_chromatic_value():
 
 def test_decode_error_on_zero_denominator():
     # Below the color count, points 1..8 collide mod 5 and the solve breaks.
-    icp, graph = setup((2, 1, 0), 2)
+    icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
     points = [c % 5 for c in range(1, 9)]
     scheme = TransmissionScheme(coloring, 7, 5, vandermonde_rows(points, 7, 5))
     with pytest.raises(DecodeError, match="zero denominator") as exc:
-        simulate_decode(scheme, graph, {node: 0 for node in graph.nodes})
+        simulate_decode(scheme, icp, {node: 0 for node in icp.nodes})
     assert exc.value.user == 1
-    assert exc.value.unknown == _unknown_colors(graph, coloring, 1)
+    assert exc.value.unknown == _unknown_colors(icp, coloring, 1)
     assert exc.value.chi == 7
 
 
@@ -297,19 +296,18 @@ def small_gap_vectors(draw, max_nodes=60):
 def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, seed):
     assert spec.K * spec.i <= 60
     icp = build_union_icp(spec)
-    graph = to_suicp(icp)
     # The smallest admissible prime puts color K at point 0 whenever K is prime.
     q = next_prime_at_least(spec.K) if small_field else None
     rows = upper_bound_Ru(spec) if budget == "Ru" else None
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), q, rows=rows)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), q, rows=rows)
     rng = random.Random(seed)
-    messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-    assert simulate_decode(scheme, graph, messages) == messages
+    messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
+    assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_scheme_json_shape():
-    icp, graph = setup((2, 1), 1)
-    scheme = build_mds_scheme(graph, theorem1_coloring(icp), 11)
+    icp = setup((2, 1), 1)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 11)
     payload = scheme_to_json(scheme)
     assert list(payload) == ["colors", "chi", "field", "assignment"]
     assert payload["colors"] == 5
