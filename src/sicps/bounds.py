@@ -1,4 +1,4 @@
-"""Lower bounds via acyclic induced subgraphs, plus the exactly-solved families.
+"""Lower bounds via acyclic induced subgraphs, and the report of every bound.
 
 The constructive bound rearranges the union table's columns by decreasing
 first-chunk interference and collects a staircase of `mais_lower` nodes that
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import upper_bound_Ru
+from .coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
 
 DEFAULT_NODE_CAP = 26
@@ -19,13 +19,20 @@ DEFAULT_NODE_CAP = 26
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bundle of the bounds computed for one instance."""
+    """Bundle of the bounds computed for one instance.
+
+    `colors` and `local_chromatic` (None if not proper) are the Theorem-1
+    coloring's; `local_chromatic_t5` is None where Theorem 5 does not apply.
+    """
 
     upper: int
     lower_constructive: int
     lower_brute: int | None
     exact: Fraction | None
     witness: frozenset[Node]
+    colors: int
+    local_chromatic: int | None
+    local_chromatic_t5: int | None
 
     def __post_init__(self) -> None:
         if self.lower_constructive > self.upper:
@@ -196,48 +203,41 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP,
     return best
 
 
-def exact_rate_special(spec: GapVector) -> Fraction | None:
-    """Exact optimal rate for the solved families; None when no case applies."""
-    require_leading_max(spec)
-    K = spec.K
-    if all(g == 0 for g in spec.gaps[1:]):
-        return Fraction(mais_lower(spec))
-    if spec.L == 1:
-        return Fraction(K)
-    if spec.i == 2 and K % (sum(spec.gaps) + 2) == 0:
-        return Fraction(sum(spec.gaps) + 2)
-    return None
-
-
 def gap_ratio(spec: GapVector) -> Fraction:
     """Upper bound divided by the constructive lower bound; at most 2."""
     return Fraction(upper_bound_Ru(spec), mais_lower(spec))
 
 
-def tilde_icp_bounds(s: tuple[int, ...], l: int, L: int) -> tuple[Fraction, Fraction]:
-    """Rate interval for the distinct-rotation union of s repeated l times.
-
-    Both bounds are the union instance's for s*l divided by l, matching the
-    file-splitting argument (each part is 1/l of a unit file).  The pattern
-    must lead with its maximum entry.
-    """
-    spec = GapVector(tuple(s) * l, L)
-    return Fraction(mais_lower(spec), l), Fraction(upper_bound_Ru(spec), l)
-
-
 def build_report(icp: UnionIcp, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport:
-    """Assemble every bound for one union instance; brute force only under the cap."""
+    """Compute every bound for one union instance; brute force only under the cap.
+
+    `exact` is the best coloring value wherever it meets the best lower bound.
+    """
     spec = icp.spec
     lower, witness = lower_bound_mais_constructive(spec)
     brute = None
     if len(icp) <= node_cap:
         brute = mais_bruteforce(icp, node_cap=node_cap, initial=lower)
+    coloring = theorem1_coloring(icp)
+    try:
+        lcv = local_chromatic_value(icp, coloring)
+    except ValueError:  # the coloring is not proper
+        lcv = None
+    try:
+        lcv_t5 = local_chromatic_value(icp, theorem5_coloring(icp))
+    except ValueError:  # Theorem 5 does not apply, or its coloring is not proper
+        lcv_t5 = None
+    best_upper = min((v for v in (lcv, lcv_t5) if v is not None), default=None)
+    best_lower = lower if brute is None else brute
     return BoundReport(
         upper=upper_bound_Ru(spec),
         lower_constructive=lower,
         lower_brute=brute,
-        exact=exact_rate_special(spec),
+        exact=Fraction(best_upper) if best_upper == best_lower else None,
         witness=witness,
+        colors=coloring.num_colors,
+        local_chromatic=lcv,
+        local_chromatic_t5=lcv_t5,
     )
 
 
@@ -248,8 +248,6 @@ __all__ = [
     "lower_bound_mais_constructive",
     "is_acyclic_induced",
     "mais_bruteforce",
-    "exact_rate_special",
     "gap_ratio",
-    "tilde_icp_bounds",
     "build_report",
 ]

@@ -13,15 +13,15 @@ import sys
 from fractions import Fraction
 
 from .bounds import DEFAULT_NODE_CAP, build_report, gap_ratio
-from .coloring import local_chromatic_value, theorem1_coloring
+from .coloring import theorem1_coloring
 from .icp import GapVector, build_union_icp
 from .macc import (
     CcdnConfig,
+    RatePoint,
     end_to_end_simulate,
     rate_hkd,
     rate_new,
     rate_rk,
-    tradeoff_csv,
     tradeoff_curve,
 )
 from .scheme import DecodeError, build_mds_scheme, scheme_to_json, simulate_decode
@@ -34,16 +34,30 @@ def _decimal(x: Fraction) -> str:
     return f"{float(x):.6g}"
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects a comma-separated integer list")
-
-
 def _mais_cap() -> int:
-    raw = os.environ.get("SICPS_MAIS_CAP")
-    return DEFAULT_NODE_CAP if raw is None else int(raw)
+    raw = os.environ.get("SICPS_MAIS_CAP", str(DEFAULT_NODE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SICPS_MAIS_CAP must be an integer, got {raw!r}")
+
+
+def _config(args) -> CcdnConfig:
+    """The caching system of the macc flags; --N defaults to --K."""
+    return CcdnConfig(N=args.K if args.N is None else args.N, K=args.K, L=args.L)
+
+
+_TRADEOFF_FIELDS = ("M_exact", "M_decimal", "rate_exact", "rate_decimal", "source")
+
+
+def _tradeoff_rows(points: list[RatePoint]) -> list[tuple[str, ...]]:
+    return [(str(p.M), _decimal(p.M), str(p.rate), _decimal(p.rate), p.source)
+            for p in points]
+
+
+def tradeoff_csv(points: list[RatePoint]) -> str:
+    lines = [",".join(row) for row in [_TRADEOFF_FIELDS, *_tradeoff_rows(points)]]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,13 +70,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_icp_analyze(args) -> int:
     spec, shift = GapVector(tuple(args.gaps), args.L).canonicalize()
-    icp = build_union_icp(spec)
-    report = build_report(icp, node_cap=_mais_cap())
-    coloring = theorem1_coloring(icp)
-    try:
-        lcv = local_chromatic_value(icp, coloring)
-    except ValueError:  # the coloring is not proper
-        lcv = None
+    report = build_report(build_union_icp(spec), node_cap=_mais_cap())
+    lcv = report.local_chromatic
     ratio = gap_ratio(spec)
     payload = {
         "gaps": list(spec.gaps),
@@ -73,7 +82,7 @@ def cmd_icp_analyze(args) -> int:
         "bounds": report.to_json(),
         "gap_ratio": str(ratio),
         "coloring": {
-            "colors": coloring.num_colors,
+            "colors": report.colors,
             "proper": lcv is not None,
             "local_chromatic": lcv,
         },
@@ -130,9 +139,8 @@ def cmd_icp_decode_test(args) -> int:
 
 
 def cmd_macc_rate(args) -> int:
-    N = args.N if args.N is not None else args.K
-    cfg = CcdnConfig(N=N, K=args.K, L=args.L)
-    K, L, w = cfg.K, cfg.L, args.w
+    cfg = _config(args)
+    N, K, L, w = cfg.N, cfg.K, cfg.L, args.w
     memory = Fraction(w * N, K)
     rates = {
         "new": rate_new(K, L, w),
@@ -161,20 +169,9 @@ def cmd_macc_rate(args) -> int:
 
 
 def cmd_macc_tradeoff(args) -> int:
-    N = args.N if args.N is not None else args.K
-    cfg = CcdnConfig(N=N, K=args.K, L=args.L)
-    points = tradeoff_curve(cfg, samples=args.samples)
+    points = tradeoff_curve(_config(args), samples=args.samples)
     if args.format == "json":
-        payload = [
-            {
-                "M_exact": str(p.M),
-                "M_decimal": _decimal(p.M),
-                "rate_exact": str(p.rate),
-                "rate_decimal": _decimal(p.rate),
-                "source": p.source,
-            }
-            for p in points
-        ]
+        payload = [dict(zip(_TRADEOFF_FIELDS, row)) for row in _tradeoff_rows(points)]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(tradeoff_csv(points), args.out)
@@ -182,10 +179,8 @@ def cmd_macc_tradeoff(args) -> int:
 
 
 def cmd_macc_simulate(args) -> int:
-    N = args.N if args.N is not None else args.K
-    cfg = CcdnConfig(N=N, K=args.K, L=args.L)
     report = end_to_end_simulate(
-        cfg, args.w, args.demands, field_order=args.field, seed=args.seed
+        _config(args), args.w, args.demands, field_order=args.field, seed=args.seed
     )
     if args.format == "text":
         print(f"decoded_ok: {str(report.decoded_ok).lower()}")
@@ -205,6 +200,28 @@ def _add_format(parser, choices=("text", "json"), default="text") -> None:
     parser.add_argument("--format", choices=list(choices), default=default)
 
 
+def _add_int_list(parser, flag: str) -> None:
+    """A required comma-separated integer list; "" is the empty list, an empty item an error."""
+    def parse(text: str) -> list[int]:
+        try:
+            return [int(part) for part in text.split(",")] if text else []
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} expects a comma-separated integer list")
+
+    parser.add_argument(flag, required=True, type=parse)
+
+
+def _add_gap_instance(parser) -> None:
+    _add_int_list(parser, "--gaps")
+    parser.add_argument("--L", required=True, type=int)
+
+
+def _add_caching_system(parser) -> None:
+    parser.add_argument("--N", type=int, default=None)
+    parser.add_argument("--K", required=True, type=int)
+    parser.add_argument("--L", required=True, type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sicps",
@@ -216,16 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     icp_sub = icp.add_subparsers(dest="command", required=True)
 
     analyze = icp_sub.add_parser("analyze", help="bounds, exact cases, coloring value")
-    analyze.add_argument("--gaps", required=True,
-                         type=lambda s: _parse_int_list(s, "--gaps"))
-    analyze.add_argument("--L", required=True, type=int)
+    _add_gap_instance(analyze)
     _add_format(analyze)
     analyze.set_defaults(handler=cmd_icp_analyze)
 
     decode = icp_sub.add_parser("decode-test", help="randomized decode verification")
-    decode.add_argument("--gaps", required=True,
-                        type=lambda s: _parse_int_list(s, "--gaps"))
-    decode.add_argument("--L", required=True, type=int)
+    _add_gap_instance(decode)
     decode.add_argument("--field", type=int, default=None)
     decode.add_argument("--trials", type=int, default=20)
     decode.add_argument("--seed", required=True, type=int)
@@ -236,29 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
     macc_sub = macc.add_subparsers(dest="command", required=True)
 
     rate = macc_sub.add_parser("rate", help="corner-point rates")
-    rate.add_argument("--N", type=int, default=None)
-    rate.add_argument("--K", required=True, type=int)
-    rate.add_argument("--L", required=True, type=int)
+    _add_caching_system(rate)
     rate.add_argument("--w", required=True, type=int)
     _add_format(rate)
     rate.set_defaults(handler=cmd_macc_rate)
 
     tradeoff = macc_sub.add_parser("tradeoff", help="rate-memory curve as CSV")
-    tradeoff.add_argument("--N", type=int, default=None)
-    tradeoff.add_argument("--K", required=True, type=int)
-    tradeoff.add_argument("--L", required=True, type=int)
+    _add_caching_system(tradeoff)
     tradeoff.add_argument("--samples", type=int, default=0)
     tradeoff.add_argument("--out", default=None)
     _add_format(tradeoff, choices=("csv", "json"), default="csv")
     tradeoff.set_defaults(handler=cmd_macc_tradeoff)
 
     simulate = macc_sub.add_parser("simulate", help="placement-to-decode simulation")
-    simulate.add_argument("--N", type=int, default=None)
-    simulate.add_argument("--K", required=True, type=int)
-    simulate.add_argument("--L", required=True, type=int)
+    _add_caching_system(simulate)
     simulate.add_argument("--w", required=True, type=int)
-    simulate.add_argument("--demands", required=True,
-                          type=lambda s: _parse_int_list(s, "--demands"))
+    _add_int_list(simulate, "--demands")
     simulate.add_argument("--field", type=int, default=None)
     simulate.add_argument("--seed", required=True, type=int)
     _add_format(simulate, choices=("json", "text"), default="json")

@@ -305,15 +305,6 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
     return [out[M] for M in sorted(out)]
 
 
-def tradeoff_csv(points: list[RatePoint]) -> str:
-    lines = ["M_exact,M_decimal,rate_exact,rate_decimal,source"]
-    for p in points:
-        lines.append(
-            f"{p.M},{float(p.M):.6g},{p.rate},{float(p.rate):.6g},{p.source}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 Subfile = tuple[int, tuple[int, ...]]  # (file id, cache set)
 
 
@@ -504,7 +495,6 @@ __all__ = [
     "rate_rk",
     "interpolate_rate",
     "tradeoff_curve",
-    "tradeoff_csv",
     "build_delivery_icp",
     "end_to_end_simulate",
 ]

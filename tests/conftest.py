@@ -7,7 +7,11 @@ import math
 import random
 from fractions import Fraction
 
-from sicps.icp import GapVector, Node, canonical_rotation, wrap
+from hypothesis import strategies as st
+
+from sicps.bounds import mais_lower
+from sicps.coloring import upper_bound_Ru
+from sicps.icp import GapVector, Node, canonical_rotation, require_leading_max, wrap
 
 
 def iter_weak_compositions(n: int, m: int):
@@ -51,6 +55,19 @@ def random_canonical_gap_vector(rng: random.Random, max_K: int = 30) -> GapVecto
         cuts = sorted(rng.randint(0, total) for _ in range(i - 1))
         parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
         return GapVector(canonical_rotation(parts)[0], L)
+
+
+@st.composite
+def gap_vectors(draw, max_nodes: int) -> GapVector:
+    """Hypothesis strategy over the canonical gap vectors of `canonical_gap_vectors`."""
+    i = draw(st.integers(1, math.isqrt(max_nodes)))
+    L = 1 if i == 1 else draw(st.integers(1, (max_nodes // i - 1) // (i - 1)))
+    budget = max_nodes // i - (i - 1) * L - 1
+    gaps = []
+    for _ in range(i):
+        gaps.append(draw(st.integers(0, budget)))
+        budget -= gaps[-1]
+    return GapVector(canonical_rotation(tuple(gaps))[0], L)
 
 
 def brute_placement_sets(K: int, L: int, w: int) -> list[tuple[int, ...]]:
@@ -107,3 +124,30 @@ def rate_closed_form_large_L(K: int, L: int) -> Fraction:
     if (K - L - 1) % 2 == 1:
         return Fraction(base, 8 * K)
     return Fraction(base + 1, 8 * K)
+
+
+def exact_rate_special(spec: GapVector) -> Fraction | None:
+    """Exact optimal rate for the paper's solved families; None when no case applies.
+
+    The oracle that the computed `BoundReport.exact` must match.
+    """
+    require_leading_max(spec)
+    K = spec.K
+    if all(g == 0 for g in spec.gaps[1:]):
+        return Fraction(mais_lower(spec))
+    if spec.L == 1:
+        return Fraction(K)
+    if spec.i == 2 and K % (sum(spec.gaps) + 2) == 0:
+        return Fraction(sum(spec.gaps) + 2)
+    return None
+
+
+def tilde_icp_bounds(s: tuple[int, ...], l: int, L: int) -> tuple[Fraction, Fraction]:
+    """Rate interval for the distinct-rotation union of s repeated l times.
+
+    Both bounds are the union instance's for s*l divided by l, matching the
+    file-splitting argument (each part is 1/l of a unit file).  The pattern
+    must lead with its maximum entry.
+    """
+    spec = GapVector(tuple(s) * l, L)
+    return Fraction(mais_lower(spec), l), Fraction(upper_bound_Ru(spec), l)

@@ -17,16 +17,16 @@ from functools import lru_cache
 from conftest import (
     canonical_gap_vectors,
     composition_count_max_below,
+    exact_rate_special,
     iter_weak_compositions,
     random_canonical_gap_vector,
     rate_closed_form_large_L,
+    tilde_icp_bounds,
 )
 from sicps.bounds import (
-    exact_rate_special,
     is_acyclic_induced,
     lower_bound_mais_constructive,
     mais_bruteforce,
-    tilde_icp_bounds,
 )
 from sicps.cli import main as cli_main
 from sicps.coloring import (

@@ -6,18 +6,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import canonical_gap_vectors, random_canonical_gap_vector
+from conftest import (
+    canonical_gap_vectors,
+    exact_rate_special,
+    gap_vectors,
+    random_canonical_gap_vector,
+    tilde_icp_bounds,
+)
 from sicps.bounds import (
     BoundReport,
     build_report,
-    exact_rate_special,
     gap_ratio,
     is_acyclic_induced,
     lower_bound_mais_constructive,
     mais_bruteforce,
     mais_lower,
-    tilde_icp_bounds,
 )
 from sicps.coloring import upper_bound_Ru
 from sicps.icp import GapVector, SuicpGraph, build_union_icp
@@ -179,18 +184,31 @@ def test_exact_rate_sandwich_sweep():
 
 
 def test_exact_rate_is_achieved_by_a_coloring():
-    # wherever an exact value exists, one of the two constructions attains it
+    # wherever an exact value exists, one of the two constructions attains it;
+    # the report computes exactly these values, and None everywhere else
     from sicps.coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring
 
     for spec in canonical_gap_vectors(40):
         exact = exact_rate_special(spec)
+        icp = build_union_icp(spec)
+        assert build_report(icp).exact == exact, spec
         if exact is None:
             continue
-        icp = build_union_icp(spec)
         values = [local_chromatic_value(icp, theorem1_coloring(icp))]
         if spec.i == 2 and spec.K % (sum(spec.gaps) + 2) == 0:
             values.append(local_chromatic_value(icp, theorem5_coloring(icp)))
         assert min(values) == exact, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=40))
+def test_exact_is_where_computed_bounds_meet(spec):
+    report = build_report(build_union_icp(spec))
+    assert report.exact == exact_rate_special(spec)
+    uppers = [v for v in (report.local_chromatic, report.local_chromatic_t5) if v is not None]
+    lower = max(report.lower_constructive, report.lower_brute or 0)
+    assert min(uppers) >= lower
+    assert (report.exact is not None) == (min(uppers) == lower)
 
 
 def test_gap_ratio_examples():
@@ -236,6 +254,7 @@ def test_bound_report_assembly_and_json():
     report = build_report(build_union_icp(GapVector((2, 1, 0), 2)))
     assert (report.upper, report.lower_constructive, report.lower_brute) == (7, 6, 6)
     assert report.exact is None
+    assert (report.colors, report.local_chromatic, report.local_chromatic_t5) == (8, 7, None)
     payload = report.to_json()
     assert list(payload) == ["upper", "lower_constructive", "lower_brute", "exact", "witness"]
     assert payload["exact"] is None
@@ -248,13 +267,15 @@ def test_bound_report_assembly_and_json():
 
     exact = build_report(build_union_icp(GapVector((2, 1), 6)))
     assert exact.exact == 5
+    assert exact.local_chromatic_t5 == 5  # Theorem 5 meets the staircase
     assert str(exact.to_json()["exact"]) == "5"
 
 
 def test_bound_report_rejects_inconsistent_values():
+    colorings = dict(colors=8, local_chromatic=7, local_chromatic_t5=None)
     with pytest.raises(ValueError):
         BoundReport(upper=5, lower_constructive=6, lower_brute=None,
-                    exact=None, witness=frozenset())
+                    exact=None, witness=frozenset(), **colorings)
     with pytest.raises(ValueError):
         BoundReport(upper=7, lower_constructive=6, lower_brute=5,
-                    exact=None, witness=frozenset())
+                    exact=None, witness=frozenset(), **colorings)

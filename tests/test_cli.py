@@ -77,6 +77,31 @@ def test_analyze_respects_mais_cap_env(capsys, monkeypatch):
     assert json.loads(out)["bounds"]["lower_brute"] == 9
 
 
+def test_analyze_rejects_non_integer_mais_cap(capsys, monkeypatch):
+    monkeypatch.setenv("SICPS_MAIS_CAP", "abc")
+    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: SICPS_MAIS_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["icp", "analyze", "--gaps", "2,,1", "--L", "2"],
+    ["icp", "analyze", "--gaps", "2,1,", "--L", "2"],
+    ["icp", "decode-test", "--gaps", ",2,1", "--L", "2", "--seed", "1"],
+    ["macc", "simulate", "--K", "8", "--L", "2", "--w", "2",
+     "--demands", "1,2,,3,4,5,6,7,8", "--seed", "1"],
+])
+def test_integer_list_rejects_empty_items(capsys, argv):
+    flag = next(arg for arg in argv if arg in ("--gaps", "--demands"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: {flag} expects a comma-separated integer list" in captured.err
+
+
 def test_analyze_builds_the_union_once(capsys, monkeypatch):
     # The bound report, the oracle and the coloring all read one union instance;
     # the name is patched wherever a module could look it up.

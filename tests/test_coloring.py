@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_canonical_gap_vector
+from conftest import gap_vectors, random_canonical_gap_vector
 from sicps.coloring import (
     Coloring,
     local_chromatic_value,
@@ -70,6 +71,15 @@ def test_general_coloring_proper_on_random_instances():
         coloring = theorem1_coloring(icp)
         assert verify_proper(icp, coloring) == [], spec
         assert local_chromatic_value(icp, coloring) <= upper_bound_Ru(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=150))
+def test_general_coloring_proper_property(spec):
+    icp = build_union_icp(spec)
+    coloring = theorem1_coloring(icp)
+    assert verify_proper(icp, coloring) == []
+    assert local_chromatic_value(icp, coloring) <= upper_bound_Ru(spec)
 
 
 def test_two_column_coloring_examples():

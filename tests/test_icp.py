@@ -8,8 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import canonical_gap_vectors, eq2_known_set, random_canonical_gap_vector
-from sicps.bounds import mais_lower, tilde_icp_bounds
+from conftest import (
+    canonical_gap_vectors,
+    eq2_known_set,
+    random_canonical_gap_vector,
+    tilde_icp_bounds,
+)
+from sicps.bounds import mais_lower
 from sicps.coloring import upper_bound_Ru
 from sicps.icp import (
     GapVector,

@@ -16,6 +16,7 @@ from conftest import (
     iter_weak_compositions,
     rate_closed_form_large_L,
 )
+from sicps.cli import tradeoff_csv
 from sicps.icp import single_known_files, wrap
 from sicps.macc import (
     CcdnConfig,
@@ -29,7 +30,6 @@ from sicps.macc import (
     rate_hkd,
     rate_new,
     rate_rk,
-    tradeoff_csv,
     tradeoff_curve,
 )
 
