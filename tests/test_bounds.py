@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from conftest import (
     random_canonical_gap_vector,
     tilde_icp_bounds,
 )
+import sicps.cli as cli
 from sicps.bounds import (
     BoundReport,
     build_report,
@@ -103,18 +106,28 @@ def test_bruteforce_eight_user_value():
     assert mais_bruteforce(graph) == 6
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(capsys, monkeypatch):
     graph = graph_of((3, 2, 1), 2)  # 33 nodes
     with pytest.raises(ValueError):
         mais_bruteforce(graph, node_cap=26)
     assert mais_bruteforce(graph_of((2, 1, 0), 2), node_cap=24) == 6
+    # 23 nodes, under the node cap, but 23 users: refused before the 2^K table
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        mais_bruteforce(complete_side_info_graph(23))
+    assert time.perf_counter() - start < 0.5
+    # the CLI reports a refused oracle as skipped: K = 24 under a raised cap
+    monkeypatch.setenv("SICPS_MAIS_CAP", "60")
+    code = cli.main(["icp", "analyze", "--gaps", "11,11", "--L", "1", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["lower_brute"] is None
 
 
 def test_bruteforce_vs_constructive_small_sweep():
     for spec in canonical_gap_vectors(20):
         lower, witness = lower_bound_mais_constructive(spec)
         graph = build_union_icp(spec)
-        brute = mais_bruteforce(graph, initial=lower)
+        brute = mais_bruteforce(graph)
         assert lower <= brute <= len(graph), spec
 
 
@@ -130,16 +143,33 @@ def subset_enumeration_mais(graph):
     return 0
 
 
-def random_side_info_graph(rng, users, columns, density):
+def random_side_info_graph(rng, users, columns, density, self_knowledge=False):
+    """Each node is side information for each other user with probability
+    `density`; with `self_knowledge`, also for its own user."""
     all_nodes = frozenset(
         (k, t) for k in range(1, users + 1) for t in range(1, columns + 1)
     )
     known = []
     for k in range(1, users + 1):
-        own = {(k, t) for t in range(1, columns + 1)}
+        own = set() if self_knowledge else {(k, t) for t in range(1, columns + 1)}
         pool = sorted(all_nodes - own)
         known.append(frozenset(nd for nd in pool if rng.random() < density))
     return SuicpGraph(K=users, num_columns=columns, user_side=tuple(known))
+
+
+def random_circulant_graph(rng, users, columns):
+    """User k knows (k + d, t) for each d in a random offset set of column t:
+    shifting every user by one is an automorphism, as in a union instance."""
+    offsets = [[d for d in range(users) if rng.random() < 0.5] for _ in range(columns)]
+    known = tuple(
+        frozenset(
+            ((k + d) % users + 1, t)
+            for t, column in enumerate(offsets, start=1)
+            for d in column
+        )
+        for k in range(users)
+    )
+    return SuicpGraph(K=users, num_columns=columns, user_side=known)
 
 
 def test_bruteforce_matches_subset_enumeration():
@@ -156,6 +186,19 @@ def test_bruteforce_matches_subset_enumeration():
         graph = random_side_info_graph(
             rng, rng.randint(2, 5), rng.randint(1, 2), rng.uniform(0.1, 0.9)
         )
+        if len(graph) > 10:
+            continue
+        assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
+    # graphs in which a user may know its own nodes
+    for trial in range(40):
+        graph = random_side_info_graph(
+            rng, rng.randint(1, 5), rng.randint(1, 2), rng.uniform(0.1, 0.9),
+            self_knowledge=True,
+        )
+        assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
+    # user-circulant graphs that are not union instances
+    for trial in range(40):
+        graph = random_circulant_graph(rng, rng.randint(1, 6), rng.randint(1, 2))
         if len(graph) > 10:
             continue
         assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
