@@ -31,7 +31,10 @@ VERIFICATION_FAILURE = 3
 
 
 def _decimal(x: Fraction) -> str:
-    return f"{float(x):.6g}"
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        raise ValueError("value too large to print as a decimal (floats end near 1.8e308)")
 
 
 def _mais_cap() -> int:
@@ -162,9 +165,9 @@ def cmd_macc_rate(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         labels = {"new": "R_new", "hkd": "R_HKD", "rk": "R_RK"}
-        print(f"M: {memory} ({_decimal(memory)})")
-        for name, value in rates.items():
-            print(f"{labels[name]}: {value} ({_decimal(value)})")
+        lines = [f"M: {memory} ({_decimal(memory)})"]
+        lines += [f"{labels[name]}: {value} ({_decimal(value)})" for name, value in rates.items()]
+        print("\n".join(lines))
     return 0
 
 

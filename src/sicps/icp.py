@@ -91,9 +91,6 @@ class GapVector:
     def is_leading_max(self) -> bool:
         return self.gaps[0] == max(self.gaps)
 
-    def rotated(self, t: int) -> "GapVector":
-        return GapVector(rotate_gaps(self.gaps, t), self.L)
-
     def canonicalize(self) -> tuple["GapVector", int]:
         canonical, shift = canonical_rotation(self.gaps)
         return GapVector(canonical, self.L), shift

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .coloring import ru_cap, theorem1_coloring, upper_bound_Ru
 from .icp import (
@@ -57,28 +58,22 @@ def _check_w(K: int, L: int, w: int) -> None:
 def iter_placement_sets(K: int, L: int, w: int):
     """Yield the w-subsets of [K] with pairwise circular separation >= L, in lex order.
 
-    Pairwise separation is equivalent to every cyclically consecutive gap
-    being >= L, which the recursion enforces directly.
+    With y_j = c_j - (j-1)(L-1), consecutive gaps >= L become y strictly
+    increasing in [1, K-(w-1)(L-1)], and the wrap-around gap >= L becomes
+    y_w - y_1 <= K-wL+w-1.  So each first element takes one `combinations`
+    call over the rest, shifted back by (j-1)(L-1); both orders are lex.
     """
     _check_w(K, L, w)
-    if L == 1:  # every w-subset; the recursion below takes about 20x longer on these
+    if L == 1:  # no shift, one call: 8x faster than the loop below on the K <= 24 grid
         yield from itertools.combinations(range(1, K + 1), w)
         return
-
-    def extend(chosen: list[int], last: int):
-        remaining = w - len(chosen)
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        # Wrap-around leaves room: the last element may not exceed first+K-L.
-        upper = min(K, chosen[0] + K - L - (remaining - 1) * L)
-        for nxt in range(last + L, upper + 1):
-            chosen.append(nxt)
-            yield from extend(chosen, nxt)
-            chosen.pop()
-
-    for a1 in range(1, K + 1):
-        yield from extend([a1], a1)
+    top = K - (w - 1) * (L - 1)
+    span = K - w * L + w - 1
+    shifts = range(L - 1, (w - 1) * (L - 1) + 1, L - 1)
+    for first in range(1, top + 1):
+        window = range(first + 1, min(top, first + span) + 1)
+        for rest in itertools.combinations(window, w - 1):
+            yield (first, *map(add, rest, shifts))
 
 
 def placement_set_count(K: int, L: int, w: int) -> int:
@@ -129,47 +124,24 @@ def placement_map(cfg: CcdnConfig, w: int) -> PlacementPlan:
     return plan
 
 
-@dataclass(frozen=True)
-class RotationClass:
-    """Orbit of a composition under rotation: representative = base pattern x multiplicity."""
+def group_rotation_classes(compositions) -> list[tuple[int, ...]]:
+    """Rotation orbits of a complete composition family, as their representatives.
 
-    representative: tuple[int, ...]
-    base: tuple[int, ...]
-    multiplicity: int
-    members: tuple[tuple[int, ...], ...]
-
-
-def group_rotation_classes(compositions) -> list[RotationClass]:
-    """Partition a complete composition family into rotation orbits.
-
-    Each orbit is keyed by its lexicographically greatest rotation (so the
-    maximum part leads); members are listed in clockwise-rotation order from
-    the representative.
+    Each orbit is represented by its lexicographically greatest rotation (so
+    the maximum part leads); the representatives come in decreasing order.
+    The orbit of rep is rotate_gaps(rep, t) for t < minimal_period(rep).
     """
-    comps = [tuple(c) for c in compositions]
+    comps = {tuple(c) for c in compositions}
     if not comps:
         return []
-    m = len(comps[0])
-    n = sum(comps[0])
-    if any(len(c) != m or sum(c) != n for c in comps):
+    (m, n), *others = {(len(c), sum(c)) for c in comps}
+    if others:
         raise ValueError("compositions disagree on length or total")
-    if len(set(comps)) != math.comb(n + m - 1, m - 1):
+    if len(comps) != math.comb(n + m - 1, m - 1):
         raise ValueError(f"expected the complete family of {m}-compositions of {n}")
-
-    classes = []
-    for rep in sorted({canonical_rotation(c)[0] for c in comps}, reverse=True):
-        period = minimal_period(rep)
-        members = tuple(rotate_gaps(rep, t) for t in range(period))
-        classes.append(
-            RotationClass(
-                representative=rep,
-                base=rep[:period],
-                multiplicity=m // period,
-                members=members,
-            )
-        )
-    assert sum(len(c.members) for c in classes) == len(set(comps))
-    return classes
+    reps = sorted({canonical_rotation(c)[0] for c in comps}, reverse=True)
+    assert sum(map(minimal_period, reps)) == len(comps)
+    return reps
 
 
 def rate_new(K: int, L: int, w: int) -> Fraction:
@@ -323,8 +295,6 @@ class DeliveryColumn:
 
 @dataclass(frozen=True)
 class DeliveryTable:
-    cfg: CcdnConfig
-    w: int
     plan: PlacementPlan
     columns: tuple[DeliveryColumn, ...]
 
@@ -355,7 +325,7 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
         assert sum(label) == K - w * L - 1
         columns.append(DeliveryColumn(anchor=anchor, label=label, cells=cells))
     assert len(columns) == math.comb(K - w * L + w - 1, w)
-    return DeliveryTable(cfg=cfg, w=w, plan=plan, columns=tuple(columns))
+    return DeliveryTable(plan=plan, columns=tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -401,31 +371,27 @@ def end_to_end_simulate(
 ) -> SimulationReport:
     """Place, build the delivery table, broadcast per rotation class, decode all users.
 
-    Periodic class representatives are handled by splitting each affected
-    subfile into `multiplicity` equal parts, turning the class's columns into
-    a full union instance.  The transmitted size is sum(chi / (split * |sets|))
-    over classes, in file units.
+    A representative of period p < len(rep) covers only p distinct columns,
+    so each of their subfiles is split into len(rep)/p equal parts, turning
+    the class's columns into a full union instance.  The transmitted size is
+    sum(chi / (split * |sets|)) over classes, in file units.
     """
     table = build_delivery_icp(cfg, w, demands)
     num_subfiles = len(table.plan.sets)
-    if not table.columns:
-        return SimulationReport(True, Fraction(0), (), ())
-
-    classes = group_rotation_classes([col.label for col in table.columns])
     column_by_label = {col.label: col for col in table.columns}
     rng = random.Random(f"{seed}")
 
     total = Fraction(0)
     reports = []
     failures: list[dict] = []
-    for cls in classes:
-        period = len(cls.base)
-        bar_spec = GapVector(cls.representative, cfg.L)
-        bar = build_union_icp(bar_spec)
+    for rep in group_rotation_classes(column_by_label):
+        period = minimal_period(rep)
+        split = len(rep) // period
+        bar = build_union_icp(GapVector(rep, cfg.L))
         # Budget exactly the rows the closed-form rate accounts for; the
         # coloring occasionally needs fewer, never more.
         scheme = build_mds_scheme(
-            bar, theorem1_coloring(bar), field_order, rows=upper_bound_Ru(bar_spec)
+            bar, theorem1_coloring(bar), field_order, rows=upper_bound_Ru(bar.spec)
         )
         q = scheme.field_order
 
@@ -435,7 +401,7 @@ def end_to_end_simulate(
         messages = {}
         placement_of = {}
         for p in range(1, bar.i + 1):
-            column = column_by_label[cls.members[(p - 1) % period]]
+            column = column_by_label[rotate_gaps(rep, p - 1)]
             part = (p - 1) // period
             for k in range(1, cfg.K + 1):
                 key = (column.cells[k - 1], part)
@@ -449,7 +415,7 @@ def end_to_end_simulate(
                 subfile, part = placement_of[node]
                 failures.append(
                     {
-                        "representative": list(cls.representative),
+                        "representative": list(rep),
                         "user": node[0],
                         "file": subfile[0],
                         "cache_set": list(subfile[1]),
@@ -458,16 +424,8 @@ def end_to_end_simulate(
                         "decoded": decoded[node],
                     }
                 )
-        total += Fraction(scheme.chi, cls.multiplicity * num_subfiles)
-        reports.append(
-            ClassReport(
-                representative=cls.representative,
-                columns=period,
-                split=cls.multiplicity,
-                chi=scheme.chi,
-                field=q,
-            )
-        )
+        total += Fraction(scheme.chi, split * num_subfiles)
+        reports.append(ClassReport(rep, columns=period, split=split, chi=scheme.chi, field=q))
     return SimulationReport(
         decoded_ok=not failures,
         total_rate=total,
@@ -480,7 +438,6 @@ __all__ = [
     "MAX_SAMPLES",
     "CcdnConfig",
     "PlacementPlan",
-    "RotationClass",
     "RatePoint",
     "DeliveryColumn",
     "DeliveryTable",

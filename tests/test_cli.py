@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sicps.cli as cli
@@ -159,6 +159,18 @@ def test_decode_test_rejects_negative_trials(capsys):
     assert err.startswith("error: --trials")
 
 
+def test_decode_test_large_prime_field(capsys):
+    argv = ["icp", "decode-test", "--gaps", "2,1", "--L", "1", "--seed", "1", "--trials", "1"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, [*argv, "--field", str(2**61 - 1)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert f"field: {2**61 - 1}" in out and "failures: 0" in out
+    code, out, err = run(capsys, [*argv, "--field", str(2**61 + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: field order {2**61 + 1} is not prime\n"
+
+
 def test_decode_test_field_too_small(capsys):
     code, _, err = run(
         capsys,
@@ -262,18 +274,21 @@ def test_macc_rate_rejects_bad_config(capsys):
 
 
 SMALL_INTS = st.integers(-3, 12)
+HUGE_N = 10**400  # past the float range, so its decimal cannot be printed
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(["rate", "tradeoff"]),
-    N=st.one_of(st.none(), SMALL_INTS),
+    N=st.one_of(st.none(), SMALL_INTS, st.just(HUGE_N)),
     K=SMALL_INTS,
     L=SMALL_INTS,
     w=SMALL_INTS,
     samples=st.integers(-3, 30),
     as_json=st.booleans(),
 )
+@example(command="rate", N=HUGE_N, K=8, L=2, w=2, samples=0, as_json=False)
+@example(command="tradeoff", N=HUGE_N, K=8, L=2, w=2, samples=0, as_json=False)
 def test_macc_rate_and_tradeoff_exit_cleanly(command, N, K, L, w, samples, as_json):
     argv = ["macc", command, "--K", str(K), "--L", str(L)]
     if N is not None:
@@ -281,10 +296,21 @@ def test_macc_rate_and_tradeoff_exit_cleanly(command, N, K, L, w, samples, as_js
     argv += ["--w", str(w)] if command == "rate" else ["--samples", str(samples)]
     if as_json:
         argv += ["--format", "json"]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+    if code == 2:
+        assert out.getvalue() == ""
+
+
+def test_macc_huge_N_writes_no_file(capsys, tmp_path):
+    out_path = tmp_path / "curve.csv"
+    code, out, err = run(capsys, ["macc", "tradeoff", "--N", str(HUGE_N), "--K", "8",
+                                  "--L", "2", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value too large to print as a decimal")
+    assert not out_path.exists()
 
 
 def test_macc_tradeoff_rejects_samples_out_of_range(capsys):
@@ -392,6 +418,18 @@ def test_macc_simulate_json(capsys):
     assert payload["decoded_ok"] is True
     assert payload["total_rate"] == "17/15"
     assert Fraction(payload["total_rate"]) == Fraction(68, 60)
+
+
+def test_macc_simulate_thousand_element_placement(capsys):
+    # w = 1,000 fills memory (K = wL): nothing is left to send.
+    code, out, _ = run(
+        capsys,
+        ["macc", "simulate", "--K", "2000", "--L", "2", "--w", "1000",
+         "--demands", ",".join(["1"] * 2000), "--seed", "1"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"decoded_ok": True, "total_rate": "0", "classes": [],
+                               "failures": []}
 
 
 def test_macc_simulate_bad_demands(capsys):

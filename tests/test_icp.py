@@ -162,7 +162,7 @@ def test_rotation_closure_isomorphism():
         base = build_union_icp(spec)
         i = spec.i
         for t in range(1, i):
-            rotated = build_union_icp(spec.rotated(t))
+            rotated = build_union_icp(GapVector(rotate_gaps(spec.gaps, t), spec.L))
             for k in range(1, spec.K + 1):
                 mapped = {(b, wrap(p + t, i)) for (b, p) in rotated.side_info((k, 1))}
                 assert mapped == base.side_info((k, 1))

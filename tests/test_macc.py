@@ -17,7 +17,9 @@ from conftest import (
     rate_closed_form_large_L,
 )
 from sicps.cli import tradeoff_csv
-from sicps.icp import single_known_files, wrap
+from sicps.icp import (
+    canonical_rotation, minimal_period, rotate_gaps, single_known_files, wrap,
+)
 from sicps.macc import (
     CcdnConfig,
     build_delivery_icp,
@@ -54,9 +56,19 @@ def test_placement_sets_singletons():
 
 
 def test_placement_sets_match_brute_filter():
-    for K, L, w in [(10, 2, 3), (8, 2, 2), (12, 3, 3), (9, 4, 2), (7, 1, 3), (6, 3, 2)]:
-        assert list(iter_placement_sets(K, L, w)) == brute_placement_sets(K, L, w)
+    # Same sets in the same (lex) order as filtering every w-subset.
+    for K in range(1, 13):
+        for L in range(1, K + 1):
+            for w in range(1, K // L + 1):
+                assert list(iter_placement_sets(K, L, w)) == brute_placement_sets(K, L, w)
     assert len(list(iter_placement_sets(10, 2, 3))) == 50
+
+
+def test_placement_sets_at_a_thousand_elements():
+    # w = 1,000 is far past the interpreter's recursion limit.
+    sets = list(iter_placement_sets(2001, 2, 1000))
+    assert len(sets) == placement_set_count(2001, 2, 1000) == 2001
+    assert sets[0] == tuple(range(1, 2000, 2))
 
 
 def test_placement_sets_count_identity_grid():
@@ -147,42 +159,34 @@ def test_composition_count_matches_brute_force():
 
 
 def test_rotation_classes_example():
-    classes = group_rotation_classes(list(iter_weak_compositions(3, 3)))
-    assert [c.representative for c in classes] == [
-        (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1),
-    ]
-    by_rep = {c.representative: c for c in classes}
-    assert by_rep[(2, 0, 1)].members == ((2, 0, 1), (1, 2, 0), (0, 1, 2))
-    assert by_rep[(1, 1, 1)].base == (1,)
-    assert by_rep[(1, 1, 1)].multiplicity == 3
-    assert by_rep[(3, 0, 0)].multiplicity == 1
+    reps = group_rotation_classes(list(iter_weak_compositions(3, 3)))
+    assert reps == [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1)]
 
 
 def test_rotation_classes_degenerate_and_even():
-    zero = group_rotation_classes(list(iter_weak_compositions(0, 4)))
-    assert len(zero) == 1
-    assert zero[0].base == (0,)
-    assert zero[0].multiplicity == 4
+    assert group_rotation_classes(list(iter_weak_compositions(0, 4))) == [(0, 0, 0, 0)]
+    # The all-zero label is one column served in four parts.
+    report = end_to_end_simulate(CcdnConfig(7, 7, 2), 3, list(range(1, 8)), seed=1)
+    assert [(c.representative, c.columns, c.split) for c in report.classes] == [
+        ((0, 0, 0, 0), 1, 4)
+    ]
 
-    classes = group_rotation_classes(list(iter_weak_compositions(4, 2)))
-    assert {c.representative: set(c.members) for c in classes} == {
-        (4, 0): {(4, 0), (0, 4)},
-        (3, 1): {(3, 1), (1, 3)},
-        (2, 2): {(2, 2)},
-    }
+    reps = group_rotation_classes(list(iter_weak_compositions(4, 2)))
+    assert reps == [(4, 0), (3, 1), (2, 2)]
 
 
 def test_rotation_classes_partition_property():
     for n, m in [(3, 3), (5, 3), (4, 4), (6, 2)]:
         comps = list(iter_weak_compositions(n, m))
-        classes = group_rotation_classes(comps)
-        members = [c for cls in classes for c in cls.members]
-        assert sorted(members) == sorted(comps)
-        for cls in classes:
-            assert set(cls.members) == {
-                tuple(cls.representative[(j - t) % m] for j in range(m))
-                for t in range(m)
-            }
+        reps = group_rotation_classes(comps)
+        assert reps == sorted(reps, reverse=True)
+        orbits = [
+            {tuple(rep[(j - t) % m] for j in range(m)) for t in range(m)} for rep in reps
+        ]
+        assert sorted(c for orbit in orbits for c in orbit) == sorted(comps)
+        for rep, orbit in zip(reps, orbits):
+            assert canonical_rotation(rep)[0] == rep == max(orbit)
+            assert len(orbit) == minimal_period(rep)
 
 
 def test_rotation_classes_require_complete_family():
@@ -445,7 +449,8 @@ def test_simulation_eight_user_example():
     assert by_rep[(2, 1, 0)].chi == 7
     assert by_rep[(2, 0, 1)].chi == 7
     assert by_rep[(1, 1, 1)].chi == 8
-    assert by_rep[(1, 1, 1)].split == 3
+    assert (by_rep[(1, 1, 1)].columns, by_rep[(1, 1, 1)].split) == (1, 3)
+    assert (by_rep[(3, 0, 0)].columns, by_rep[(3, 0, 0)].split) == (3, 1)
     assert report.failures == ()
 
 
@@ -469,29 +474,27 @@ def test_class_graph_matches_physical_availability():
     # The broadcast decodes against the union-instance graph; check that the
     # graph's side information coincides, node by node, with what the cache
     # topology actually makes available to each user in the class's columns.
-    from sicps.icp import GapVector, build_union_icp, rotate_gaps
+    from sicps.icp import GapVector, build_union_icp
 
     for K, L, w in [(8, 2, 2), (10, 2, 3), (9, 3, 2), (11, 2, 3)]:
         cfg = CcdnConfig(K, K, L)
         table = build_delivery_icp(cfg, w, list(range(1, K + 1)))
-        classes = group_rotation_classes([c.label for c in table.columns])
         by_label = {c.label: c for c in table.columns}
-        for cls in classes:
-            period = len(cls.base)
-            bar = build_union_icp(GapVector(cls.representative, L))
+        for rep in group_rotation_classes(by_label):
+            bar = build_union_icp(GapVector(rep, L))
             for k in range(1, K + 1):
                 physical = {
                     (m, p)
                     for p in range(1, bar.i + 1)
                     for m in range(1, K + 1)
                     if table.plan.available_to_user(
-                        by_label[rotate_gaps(cls.representative, p - 1)]
+                        by_label[rotate_gaps(rep, p - 1)]
                         .cells[m - 1][1],
                         k,
                     )
                 }
-                assert physical == bar.side_info((k, 1)), (K, L, w, cls, k)
-            assert period == len(set(cls.members))
+                assert physical == bar.side_info((k, 1)), (K, L, w, rep, k)
+            assert minimal_period(rep) == len({rotate_gaps(rep, t) for t in range(len(rep))})
 
 
 def test_rate_new_half_memory_unit_access():

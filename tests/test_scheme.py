@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sicps.coloring import theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from sicps.field import (
+    PRIME_CHECK_BOUND,
     default_field_order,
     is_prime,
     next_prime_at_least,
@@ -100,6 +101,33 @@ def test_field_validation():
     assert is_prime(default_field_order(8))
     assert default_field_order(8) == 257
     assert default_field_order(300) == 307
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 200_000) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_is_prime_large_orders():
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime(2**61 + 1)
+    # Strong pseudoprimes to the first eleven and twelve primes as bases.
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(PRIME_CHECK_BOUND - 1)
+    assert is_prime(10**24 + 7)  # the first prime above 10**24
+    with pytest.raises(ValueError, match="checked exactly"):
+        is_prime(PRIME_CHECK_BOUND)
 
 
 def test_generator_is_mds_exhaustive_small():
