@@ -3,8 +3,9 @@
 The constructive bound rearranges the union table's columns by decreasing
 first-chunk interference and collects a staircase of `mais_lower` nodes that
 provably induces no directed cycle.  An exact oracle, a dynamic program over
-orders of the users, computes the true maximum on small graphs so the
-construction can be cross-checked.
+orders of the users with one entry per orbit of the cyclic user shift,
+computes the true maximum on small graphs so the construction can be
+cross-checked.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ class BoundReport:
 
     `colors` and `local_chromatic` (None if not proper) are the Theorem-1
     coloring's; `local_chromatic_t5` is None where Theorem 5 does not apply.
+    Construction refuses a lower bound above either local chromatic value,
+    the paper's sandwich MAIS <= broadcast rate <= local chromatic value.
     """
 
     upper: int
@@ -45,6 +48,10 @@ class BoundReport:
         if self.exact is not None:
             if not self.lower_constructive <= self.exact <= self.upper:
                 raise ValueError("exact rate outside bound interval")
+        lower = max(self.lower_constructive, self.lower_brute or 0)
+        uppers = (self.local_chromatic, self.local_chromatic_t5)
+        if any(v is not None and v < lower for v in uppers):
+            raise ValueError("a lower bound exceeds a local chromatic value")
 
     def to_json(self) -> dict:
         return {
@@ -124,9 +131,11 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
     and the answer is f[all users], in O(2^K * K * i) time.  Testing against A,
     not A - k, is what drops a node its own user knows.  When shifting every
     user by one maps `user_side` onto itself, as it does for every union
-    instance, some best order starts with user 1, so only the sets holding
-    user 1 (odd A) are filled; an even entry left at 0 under-counts a valid
-    order and so never raises a maximum.
+    instance, f is constant on each orbit of that shift.  So A is walked
+    upwards, the recurrence runs only at the smallest set of each orbit (every
+    A - k is smaller, hence already filled), and its value is copied to the
+    orbit's other rotations: about 2^K / K recurrences.  Without the symmetry
+    the shift is 0, every orbit is {A}, and the loop is the plain DP.
 
     A graph in which no user knows anything is acyclic and returns its size.
     Otherwise graphs above `node_cap` nodes or above MAX_ORACLE_USERS users
@@ -144,10 +153,14 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
         for b, t in side:
             knowers[b - 1][t - 1] |= 1 << k
     shifted = tuple(frozenset((b % K + 1, t) for b, t in side) for side in graph.user_side)
-    symmetric = shifted == graph.user_side[1:] + graph.user_side[:1]
+    shift = 1 if shifted == graph.user_side[1:] + graph.user_side[:1] else 0
+    full = (1 << K) - 1
     users = [(1 << k, knowers[k]) for k in range(K)]
-    f = [0] * (1 << K)
-    for A in range(1, 1 << K, 2 if symmetric else 1):
+    f = [-1] * (1 << K)
+    f[0] = 0
+    for A in range(1, 1 << K):
+        if f[A] >= 0:  # filled from the smallest set of its orbit
+            continue
         best = 0
         for bit, masks in users:  # plain loops: about 3x faster than max(sum(...))
             if A & bit:
@@ -157,7 +170,10 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
                         value += 1
                 if value > best:
                     best = value
-        f[A] = best
+        B = A
+        while f[B] < 0:  # the orbit's other sets are all still unset; stops back at A
+            f[B] = best
+            B = ((B << shift) & full) | (B >> (K - shift))
     return f[-1]
 
 

@@ -31,6 +31,12 @@ RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 # building anything.
 MAX_SAMPLES = 100_000
 
+# Most placement sets, and most delivery-table cells (columns times users),
+# that `build_delivery_icp` materialises; it refuses more before enumerating.
+# `end_to_end_simulate` takes about 60 us per cell (Intel Xeon, Python 3.11),
+# so the limit is about a minute.
+MAX_SIMULATION_SIZE = 1_000_000
+
 
 @dataclass(frozen=True)
 class CcdnConfig:
@@ -306,14 +312,20 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
     column holds the set shifted by m-1, which user 1 reads exactly when some
     c_j + m-1 lands in its caches 1..L, i.e. in a chunk of L rows starting at
     row K-c_j+2.  The gaps between those chunks, from row 2 on, make the label
-    (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).
+    (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).  A family with more
+    than MAX_SIMULATION_SIZE placement sets or table cells is refused first.
     """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
     if any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError("demands must be file ids in [1, N]")
-    plan = placement_map(cfg, w)
     K, L = cfg.K, cfg.L
+    sets = placement_set_count(K, L, w)
+    num_cells = K * math.comb(K - w * L + w - 1, w)
+    if max(sets, num_cells) > MAX_SIMULATION_SIZE:
+        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {sets} placement sets and "
+                         f"{num_cells} delivery cells, above the limit {MAX_SIMULATION_SIZE}")
+    plan = placement_map(cfg, w)
     columns = []
     for anchor in plan.missing_sets(1):
         cells = tuple(
@@ -324,7 +336,7 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
         label = (K - anchor[-1], *reversed(inner), anchor[0] - L - 1)
         assert sum(label) == K - w * L - 1
         columns.append(DeliveryColumn(anchor=anchor, label=label, cells=cells))
-    assert len(columns) == math.comb(K - w * L + w - 1, w)
+    assert len(columns) * K == num_cells
     return DeliveryTable(plan=plan, columns=tuple(columns))
 
 
@@ -436,6 +448,7 @@ def end_to_end_simulate(
 
 __all__ = [
     "MAX_SAMPLES",
+    "MAX_SIMULATION_SIZE",
     "CcdnConfig",
     "PlacementPlan",
     "RatePoint",

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     canonical_gap_vectors,
@@ -204,6 +205,31 @@ def test_bruteforce_matches_subset_enumeration():
         assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
 
 
+def relabel_users(graph, perm):
+    """The same graph with user k renamed perm[k - 1]."""
+    side = [frozenset()] * graph.K
+    for k, known in enumerate(graph.user_side, start=1):
+        side[perm[k - 1] - 1] = frozenset((perm[b - 1], t) for b, t in known)
+    return SuicpGraph(K=graph.K, num_columns=graph.num_columns, user_side=tuple(side))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=26), data=st.data())
+def test_bruteforce_symmetric_path_matches_plain_dp(spec, data):
+    # A random relabelling generally breaks the user shift symmetry, so the
+    # second graph takes the plain DP, one entry per set.
+    graph = build_union_icp(spec)
+    perm = data.draw(st.permutations(range(1, spec.K + 1)))
+    assert mais_bruteforce(relabel_users(graph, perm)) == mais_bruteforce(graph)
+
+
+def test_bruteforce_raised_cap_values():
+    # 40 nodes and K = 20, above the default cap; the plain DP on randomly
+    # relabelled users gives the same values.
+    for gaps, L, value in [((9, 9), 1, 20), ((7, 7), 5, 16)]:
+        assert mais_bruteforce(graph_of(gaps, L), node_cap=40) == value
+
+
 def test_exact_rate_cases():
     spec = GapVector((5, 0, 0), 3)
     assert spec.K == 12
@@ -322,3 +348,12 @@ def test_bound_report_rejects_inconsistent_values():
     with pytest.raises(ValueError):
         BoundReport(upper=7, lower_constructive=6, lower_brute=5,
                     exact=None, witness=frozenset(), **colorings)
+    # MAIS <= broadcast rate <= local chromatic value, for either coloring
+    with pytest.raises(ValueError):
+        BoundReport(upper=9, lower_constructive=6, lower_brute=8,
+                    exact=None, witness=frozenset(), **colorings)
+    with pytest.raises(ValueError):
+        BoundReport(upper=9, lower_constructive=6, lower_brute=None, exact=None,
+                    witness=frozenset(), colors=8, local_chromatic=None, local_chromatic_t5=5)
+    BoundReport(upper=9, lower_constructive=6, lower_brute=7, exact=Fraction(7),
+                witness=frozenset(), colors=8, local_chromatic=7, local_chromatic_t5=None)

@@ -442,6 +442,20 @@ def test_macc_simulate_bad_demands(capsys):
     assert "error:" in err
 
 
+def test_macc_simulate_refuses_oversized_family(capsys):
+    # C(40,20) placement sets: refused before any is enumerated
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        ["macc", "simulate", "--K", "40", "--L", "1", "--w", "20",
+         "--demands", ",".join(["1"] * 40), "--seed", "1"],
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "137846528820 placement sets" in err
+
+
 def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     import sicps.macc as macc
 
