@@ -15,7 +15,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 
@@ -33,8 +33,11 @@ MAX_SAMPLES = 100_000
 
 # Most placement sets, and most delivery-table cells (columns times users),
 # that `build_delivery_icp` materialises; it refuses more before enumerating.
-# `end_to_end_simulate` takes about 60 us per cell (Intel Xeon, Python 3.11),
-# so the limit is about a minute.
+# `end_to_end_simulate` costs about 2-3 us per user-node pair of its classes'
+# unions (Intel Xeon, Python 3.11), and a class's union holds about K pairs per
+# cell, more when its representative is periodic: 50 us a cell at (20,2,4),
+# 190 us at (60,1,2).  `icp.MAX_UNION_PAIRS` bounds each class; (120,1,119)
+# has 120 cells but one 1.7-million-pair class, 3.6 s.
 MAX_SIMULATION_SIZE = 1_000_000
 
 
@@ -51,9 +54,6 @@ class CcdnConfig:
             raise ValueError("N and K must be positive")
         if not 1 <= self.L <= self.K:
             raise ValueError(f"access degree must satisfy 1 <= L <= K, got {self.L}")
-
-    def max_w(self) -> int:
-        return self.K // self.L
 
 
 def _check_w(K: int, L: int, w: int) -> None:
@@ -94,40 +94,13 @@ def placement_set_count(K: int, L: int, w: int) -> int:
 class PlacementPlan:
     """One subfile of every file per placement set, each of size 1/|sets|."""
 
-    cfg: CcdnConfig
-    w: int
     sets: tuple[tuple[int, ...], ...]
-
-    @property
-    def subfile_size(self) -> Fraction:
-        return Fraction(1, len(self.sets))
-
-    def user_caches(self, user: int) -> tuple[int, ...]:
-        K = self.cfg.K
-        return tuple(wrap(user + j, K) for j in range(self.cfg.L))
-
-    def available_to_user(self, cache_set: tuple[int, ...], user: int) -> bool:
-        window = set(self.user_caches(user))
-        return any(c in window for c in cache_set)
-
-    def missing_sets(self, user: int) -> list[tuple[int, ...]]:
-        return [s for s in self.sets if not self.available_to_user(s, user)]
-
-    def subfiles_per_cache(self) -> int:
-        K, L, w = self.cfg.K, self.cfg.L, self.w
-        return math.comb(K - w * L + w - 1, w - 1)
-
-    def per_cache_load(self) -> Fraction:
-        """Memory used per cache, in file units: exactly w*N/K."""
-        return self.cfg.N * self.subfiles_per_cache() * self.subfile_size
 
 
 def placement_map(cfg: CcdnConfig, w: int) -> PlacementPlan:
     sets = tuple(iter_placement_sets(cfg.K, cfg.L, w))
     assert len(sets) == placement_set_count(cfg.K, cfg.L, w)
-    plan = PlacementPlan(cfg=cfg, w=w, sets=sets)
-    assert plan.per_cache_load() == Fraction(w * cfg.N, cfg.K)
-    return plan
+    return PlacementPlan(sets)
 
 
 def group_rotation_classes(compositions) -> list[tuple[int, ...]]:
@@ -218,7 +191,7 @@ class RatePoint:
 def _corner_points(cfg: CcdnConfig) -> list[RatePoint]:
     K, L, N = cfg.K, cfg.L, cfg.N
     points = [RatePoint(Fraction(0), Fraction(K), "EXTREME")]
-    for w in range(1, cfg.max_w() + 1):
+    for w in range(1, K // L + 1):
         points.append(RatePoint(Fraction(w * N, K), rate_new(K, L, w), "NEW"))
     top = Fraction(math.ceil(Fraction(K, L)) * N, K)
     if all(p.M != top for p in points):
@@ -227,14 +200,8 @@ def _corner_points(cfg: CcdnConfig) -> list[RatePoint]:
 
 
 def _lower_envelope(points: list[RatePoint]) -> list[RatePoint]:
-    pts = sorted(points, key=lambda p: (p.M, p.rate))
-    dedup: list[RatePoint] = []
-    for p in pts:
-        if dedup and dedup[-1].M == p.M:
-            continue  # keep the lower-rate point at equal memory
-        dedup.append(p)
     hull: list[RatePoint] = []
-    for p in dedup:
+    for p in sorted(points, key=lambda p: p.M):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # Drop b when it lies on or above the segment a->p.
@@ -327,7 +294,7 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
                          f"{num_cells} delivery cells, above the limit {MAX_SIMULATION_SIZE}")
     plan = placement_map(cfg, w)
     columns = []
-    for anchor in plan.missing_sets(1):
+    for anchor in (s for s in plan.sets if s[0] > L):
         cells = tuple(
             (demands[row - 1], tuple(sorted(wrap(c + row - 1, K) for c in anchor)))
             for row in range(1, K + 1)
@@ -360,16 +327,7 @@ class SimulationReport:
         return {
             "decoded_ok": self.decoded_ok,
             "total_rate": str(self.total_rate),
-            "classes": [
-                {
-                    "representative": list(c.representative),
-                    "columns": c.columns,
-                    "split": c.split,
-                    "chi": c.chi,
-                    "field": c.field,
-                }
-                for c in self.classes
-            ],
+            "classes": [asdict(c) for c in self.classes],
             "failures": list(self.failures),
         }
 

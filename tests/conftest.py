@@ -83,6 +83,21 @@ def brute_placement_sets(K: int, L: int, w: int) -> list[tuple[int, ...]]:
     return out
 
 
+def user_caches(K: int, L: int, user: int) -> tuple[int, ...]:
+    """The L consecutive caches (cyclic) that `user` reads."""
+    return tuple(wrap(user + j, K) for j in range(L))
+
+
+def available_to_user(K: int, L: int, cache_set: tuple[int, ...], user: int) -> bool:
+    """Whether `user` reads a subfile stored on `cache_set` (physical availability oracle)."""
+    return not set(cache_set).isdisjoint(user_caches(K, L, user))
+
+
+def missing_sets(K: int, L: int, sets, user: int) -> list[tuple[int, ...]]:
+    """The placement sets, in order, of the subfiles that `user` cannot read."""
+    return [s for s in sets if not available_to_user(K, L, s, user)]
+
+
 def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
     """Side information of `user` computed directly from the union definition.
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from conftest import (
+    available_to_user,
     canonical_gap_vectors,
     composition_count_max_below,
     exact_rate_special,
@@ -150,9 +151,7 @@ def test_criterion_06_end_to_end_decode(capsys):
         table = build_delivery_icp(cfg, 2, list(range(1, 9)))
         for user in range(1, 9):
             row = {col.cells[user - 1][1] for col in table.columns}
-            accessible = {
-                s for s in table.plan.sets if table.plan.available_to_user(s, user)
-            }
+            accessible = {s for s in table.plan.sets if available_to_user(8, 2, s, user)}
             assert row | accessible == set(table.plan.sets)
             assert len(row) + len(accessible) == 20
 

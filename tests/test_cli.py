@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -456,6 +458,22 @@ def test_macc_simulate_refuses_oversized_family(capsys):
     assert err.startswith("error:") and "137846528820 placement sets" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # one class of i = 500 columns: 500 * 500 * 500 user-node pairs
+    ["macc", "simulate", "--K", "500", "--L", "1", "--w", "499",
+     "--demands", ",".join(["1"] * 500), "--seed", "1"],
+    ["icp", "analyze", "--gaps", "0,0", "--L", "1000000000"],
+    ["icp", "decode-test", "--gaps", "100000,0", "--L", "1", "--seed", "1"],
+])
+def test_oversized_union_refused_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "user-node pairs" in err
+
+
 def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     import sicps.macc as macc
 
@@ -495,3 +513,16 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # Every `sicps ...` line of the README's CLI block exits 0, so a README
+    # that drifts from the flags fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sicps ")]
+    assert len(lines) >= 6
+    monkeypatch.chdir(tmp_path)  # --out files land here
+    for line in lines:
+        code, _, err = run(capsys, shlex.split(line)[1:])
+        assert code == 0, (line, err)

@@ -123,6 +123,18 @@ def test_union_icp_sizes():
     assert all(ks == frozenset() for ks in trivial.user_side)
 
 
+def test_union_icp_refuses_too_many_user_node_pairs(monkeypatch):
+    spec = GapVector((2, 1, 0), 2)  # K = 8, i = 3: 8 * 24 = 192 pairs
+    monkeypatch.setattr("sicps.icp.MAX_UNION_PAIRS", 192)
+    assert len(build_union_icp(spec)) == 24
+    monkeypatch.setattr("sicps.icp.MAX_UNION_PAIRS", 191)
+    with pytest.raises(ValueError, match="192 user-node pairs"):
+        build_union_icp(spec)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="2008008 user-node pairs"):
+        build_union_icp(GapVector((1000, 0), 1))  # K = 1002
+
+
 def test_union_icp_matches_direct_formula():
     rng = random.Random(5)
     for _ in range(25):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    available_to_user,
     brute_placement_sets,
     composition_count_max_below,
     iter_weak_compositions,
+    missing_sets,
     rate_closed_form_large_L,
+    user_caches,
 )
+import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.icp import (
     canonical_rotation, minimal_period, rotate_gaps, single_known_files, wrap,
@@ -87,14 +92,26 @@ def test_placement_sets_rejects_bad_w():
 
 
 def test_placement_plan_loads():
-    plan = placement_map(CcdnConfig(5, 8, 2), 2)
-    assert plan.subfile_size == Fraction(1, 20)
-    assert plan.per_cache_load() == Fraction(2 * 5, 8)
-    assert plan.subfiles_per_cache() == 5
+    # Every cache lies in exactly C(K-wL+w-1, w-1) placement sets, and every
+    # subfile is 1/|sets| of its file, so each cache holds w*N/K files.
+    for K in range(1, 13):
+        for L in range(1, K + 1):
+            for w in range(1, K // L + 1):
+                sets = placement_map(CcdnConfig(K, K, L), w).sets
+                per_cache = math.comb(K - w * L + w - 1, w - 1)
+                assert Counter(c for s in sets for c in s) == dict.fromkeys(
+                    range(1, K + 1), per_cache), (K, L, w)
+                assert K * Fraction(per_cache, len(sets)) == w, (K, L, w)
 
-    plan = placement_map(CcdnConfig(3, 10, 2), 3)
-    assert plan.subfile_size == Fraction(1, 50)
-    assert plan.per_cache_load() == Fraction(9, 10)
+    sets = placement_map(CcdnConfig(5, 8, 2), 2).sets
+    assert len(sets) == 20
+    assert Counter(c for s in sets for c in s) == dict.fromkeys(range(1, 9), 5)
+    assert 5 * Fraction(5, len(sets)) == Fraction(2 * 5, 8)
+
+    sets = placement_map(CcdnConfig(3, 10, 2), 3).sets
+    assert len(sets) == 50
+    assert Counter(c for s in sets for c in s) == dict.fromkeys(range(1, 11), 15)
+    assert 3 * Fraction(15, len(sets)) == Fraction(9, 10)
 
 
 def test_placement_full_coverage_at_max_memory():
@@ -102,17 +119,17 @@ def test_placement_full_coverage_at_max_memory():
     plan = placement_map(cfg, 4)  # w = K/L
     assert len(plan.sets) == 2
     for user in range(1, 9):
-        assert plan.missing_sets(user) == []
+        assert missing_sets(8, 2, plan.sets, user) == []
 
 
 def test_placement_user_cache_window():
-    plan = placement_map(CcdnConfig(2, 8, 2), 2)
-    assert plan.user_caches(1) == (1, 2)
-    assert plan.user_caches(8) == (8, 1)
+    assert user_caches(8, 2, 1) == (1, 2)
+    assert user_caches(8, 2, 8) == (8, 1)
     # subfile on caches {3,5} serves users 2,3,4,5
-    assert plan.available_to_user((3, 5), 2)
-    assert not plan.available_to_user((3, 5), 1)
-    assert not plan.available_to_user((3, 5), 6)
+    assert (3, 5) in placement_map(CcdnConfig(2, 8, 2), 2).sets
+    assert available_to_user(8, 2, (3, 5), 2)
+    assert not available_to_user(8, 2, (3, 5), 1)
+    assert not available_to_user(8, 2, (3, 5), 6)
 
 
 def test_weak_compositions_examples():
@@ -310,6 +327,24 @@ def test_corner_dominance_on_large_sweep_config():
         assert new <= rate_rk(N, K, L, Fraction(w * N, K))
 
 
+@st.composite
+def ccdn_configs(draw, max_K: int) -> CcdnConfig:
+    K = draw(st.integers(1, max_K))
+    return CcdnConfig(draw(st.integers(1, 10**6)), K, draw(st.integers(1, K)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=ccdn_configs(max_K=2000))
+@example(cfg=CcdnConfig(100, 2000, 1))  # the most corners
+@example(cfg=CcdnConfig(8, 8, 2))  # K/L whole: the top corner is the w = K/L point
+@example(cfg=CcdnConfig(9, 9, 2))  # K/L fractional: the top corner is appended
+def test_corner_memories_are_distinct(cfg):
+    # The envelope takes corners as given; a repeated memory would be hidden by
+    # tradeoff_curve's dict keyed by M, so check the corners directly.
+    memories = [p.M for p in macc._corner_points(cfg)]
+    assert memories == sorted(set(memories))
+
+
 def test_tradeoff_curve_endpoints_and_midpoint():
     cfg = CcdnConfig(8, 8, 2)
     points = tradeoff_curve(cfg)
@@ -392,7 +427,7 @@ def test_delivery_table_rows_are_missing_subfiles():
     table = build_delivery_icp(cfg, 2, list(range(1, 9)))
     for user in range(1, 9):
         row_sets = {col.cells[user - 1][1] for col in table.columns}
-        assert row_sets == set(table.plan.missing_sets(user))
+        assert row_sets == set(missing_sets(8, 2, table.plan.sets, user))
 
 
 def test_delivery_column_side_information_matches_label():
@@ -405,7 +440,7 @@ def test_delivery_column_side_information_matches_label():
             si_rows = {
                 row
                 for row in range(1, 11)
-                if table.plan.available_to_user(col.cells[row - 1][1], user)
+                if available_to_user(cfg.K, cfg.L, col.cells[row - 1][1], user)
             }
             assert si_rows == single_known_files(col.label, cfg.L, cfg.K, user)
 
@@ -425,7 +460,7 @@ def test_column_labels_match_side_information_rows(w, L, n):
         si_rows = {
             row
             for row in range(1, K + 1)
-            if table.plan.available_to_user(col.cells[row - 1][1], 1)
+            if available_to_user(K, L, col.cells[row - 1][1], 1)
         }
         assert si_rows == single_known_files(col.label, L, K, 1), (K, col.anchor)
     labels = sorted(col.label for col in table.columns)
@@ -487,10 +522,8 @@ def test_class_graph_matches_physical_availability():
                     (m, p)
                     for p in range(1, bar.i + 1)
                     for m in range(1, K + 1)
-                    if table.plan.available_to_user(
-                        by_label[rotate_gaps(rep, p - 1)]
-                        .cells[m - 1][1],
-                        k,
+                    if available_to_user(
+                        K, L, by_label[rotate_gaps(rep, p - 1)].cells[m - 1][1], k
                     )
                 }
                 assert physical == bar.side_info((k, 1)), (K, L, w, rep, k)
