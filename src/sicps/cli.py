@@ -24,7 +24,7 @@ from .macc import (
     rate_rk,
     tradeoff_curve,
 )
-from .scheme import DecodeError, build_mds_scheme, scheme_to_json, simulate_decode
+from .scheme import DecodeError, TransmissionScheme, build_mds_scheme, simulate_decode
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
@@ -106,6 +106,17 @@ def cmd_icp_analyze(args) -> int:
     return 0
 
 
+def _scheme_json(scheme: TransmissionScheme) -> dict:
+    return {
+        "colors": scheme.num_colors,
+        "chi": scheme.chi,
+        "field": scheme.field_order,
+        "assignment": [
+            [u, t, c] for (u, t), c in sorted(scheme.coloring.assignment.items())
+        ],
+    }
+
+
 def cmd_icp_decode_test(args) -> int:
     import random
 
@@ -126,7 +137,7 @@ def cmd_icp_decode_test(args) -> int:
         "K": spec.K,
         "trials": args.trials,
         "failures": failures,
-        "scheme": scheme_to_json(scheme),
+        "scheme": _scheme_json(scheme),
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))

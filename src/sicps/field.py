@@ -75,9 +75,9 @@ def vandermonde_rows(points: list[int], rows: int, q: int) -> tuple[tuple[int, .
 def solve_mod(matrix: list[list[int]], rhs: list[int], q: int) -> list[int]:
     """Solve the square system matrix * x = rhs over GF(q) by Gaussian elimination.
 
-    No library code calls this: decoding uses the O(m^2) transposed
-    Vandermonde solve in `scheme`.  It stays as the general O(m^3) reference
-    the tests check that solve against.  Raises ValueError on a singular matrix.
+    No library code calls this: decoding uses the transposed Vandermonde
+    solve in `scheme`.  It stays as the general O(m^3) reference the tests
+    check that solve against.  Raises ValueError on a singular matrix.
     """
     n = len(rhs)
     a = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]

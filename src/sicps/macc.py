@@ -31,14 +31,13 @@ RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 # building anything.
 MAX_SAMPLES = 100_000
 
-# Most placement sets, and most delivery-table cells (columns times users),
-# that `build_delivery_icp` materialises; it refuses more before enumerating.
-# `end_to_end_simulate` costs about 2-3 us per user-node pair of its classes'
-# unions (Intel Xeon, Python 3.11), and a class's union holds about K pairs per
-# cell, more when its representative is periodic: 50 us a cell at (20,2,4),
-# 190 us at (60,1,2).  `icp.MAX_UNION_PAIRS` bounds each class; (120,1,119)
-# has 120 cells but one 1.7-million-pair class, 3.6 s.
-MAX_SIMULATION_SIZE = 1_000_000
+# Most placement sets, and most user-node pairs K * cells over the delivery
+# table's cells, that `build_delivery_icp` accepts; it refuses more before
+# enumerating.  A class's union has about K pairs per cell (more when its
+# representative is periodic), at 0.7-0.9 us each in `end_to_end_simulate`
+# (Intel Xeon, Python 3.11): (20,2,4) 546,000 pairs, 0.4 s; (80,1,2) 19.7
+# million, 18 s and 51 MB.  `icp.MAX_UNION_PAIRS` bounds each class alone.
+MAX_SIMULATION_SIZE = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,8 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
     c_j + m-1 lands in its caches 1..L, i.e. in a chunk of L rows starting at
     row K-c_j+2.  The gaps between those chunks, from row 2 on, make the label
     (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).  A family with more
-    than MAX_SIMULATION_SIZE placement sets or table cells is refused first.
+    than MAX_SIMULATION_SIZE placement sets or K * cells user-node pairs is
+    refused first.
     """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
@@ -289,9 +289,10 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
     K, L = cfg.K, cfg.L
     sets = placement_set_count(K, L, w)
     num_cells = K * math.comb(K - w * L + w - 1, w)
-    if max(sets, num_cells) > MAX_SIMULATION_SIZE:
+    if max(sets, K * num_cells) > MAX_SIMULATION_SIZE:
         raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {sets} placement sets and "
-                         f"{num_cells} delivery cells, above the limit {MAX_SIMULATION_SIZE}")
+                         f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
+                         f"above the limit {MAX_SIMULATION_SIZE}")
     plan = placement_map(cfg, w)
     columns = []
     for anchor in (s for s in plan.sets if s[0] > L):

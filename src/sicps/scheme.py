@@ -5,14 +5,15 @@ combinations of the n per-color aggregates, where chi is the coloring's local
 chromatic value.  A user subtracts everything it already knows and is left
 with the m <= chi aggregates of the colors in its closed anti-outneighborhood.
 The first m rows restricted to those colors form a transposed Vandermonde
-system, solved once per user from its master polynomial in O(m^2) time;
-properness guarantees that each of the user's own colors then carries nothing
+system, solved once per user from its master polynomial: the scheme's master
+over all n colors divided by the n-m colors the user knows, O(n*(n-m)) time.
+Properness guarantees that each of the user's own colors then carries nothing
 but that node's message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .coloring import Coloring, local_chromatic_value
@@ -39,34 +40,50 @@ class DecodeError(Exception):
 
 @dataclass(frozen=True)
 class TransmissionScheme:
-    """chi x n generator over GF(field_order) applied to per-color message sums."""
+    """chi x n generator over GF(field_order) applied to per-color message sums.
+
+    Column c-1 of the generator sits on the point c mod field_order; `master`
+    is prod_c (X - c mod field_order) over all n colors, highest degree first.
+    """
 
     coloring: Coloring
     chi: int
     field_order: int
     generator: tuple[tuple[int, ...], ...]
+    master: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        q, master = self.field_order, [1]
+        for c in range(1, self.num_colors + 1):
+            master = [(hi - c * lo) % q for hi, lo in zip(master + [0], [0] + master)]
+        object.__setattr__(self, "master", tuple(master))
 
     @property
     def num_colors(self) -> int:
         return self.coloring.num_colors
 
+    def master_over(self, colors: list[int]) -> list[int]:
+        """prod (X - c mod q) over the distinct `colors`, highest degree first.
+
+        `master` divided by (X - c mod q) for every other color c, by synthetic
+        division in O(n) each; exact even where points repeat.
+        """
+        q, poly = self.field_order, list(self.master)
+        for c in set(range(1, self.num_colors + 1)).difference(colors):
+            b, quotient = 0, []
+            for a in poly[:-1]:
+                b = (a + c * b) % q
+                quotient.append(b)
+            poly = quotient
+        return poly
+
     def transmit(self, messages: dict[Node, int]) -> list[int]:
         """The chi broadcast symbols for one symbol of payload per node."""
         q = self.field_order
-        aggregates = self._aggregates(messages)
-        return [
-            sum(row[c] * aggregates[c] for c in range(self.num_colors)) % q
-            for row in self.generator
-        ]
-
-    def _aggregates(self, messages: dict[Node, int]) -> list[int]:
-        q = self.field_order
-        sums = [0] * self.num_colors
+        aggregates = [0] * self.num_colors
         for node, value in messages.items():
-            sums[self.coloring.color(node) - 1] = (
-                sums[self.coloring.color(node) - 1] + value
-            ) % q
-        return sums
+            aggregates[self.coloring.color(node) - 1] += value
+        return [sum(map(mul, row, aggregates)) % q for row in self.generator]
 
 
 def build_mds_scheme(
@@ -98,30 +115,27 @@ def build_mds_scheme(
 
 
 def solve_transposed_vandermonde(
-    points: list[int], rhs: list[int], wanted: list[int], q: int
+    master: list[int], rhs: list[int], roots: list[int], q: int
 ) -> list[int]:
-    """Components `wanted` of y solving sum_j points[j]**r * y[j] = rhs[r], r < m.
+    """Components at `roots` of y solving sum_j points[j]**r * y[j] = rhs[r], r < m.
 
-    With P(X) = prod_j (X - points[j]) and b(X) = P(X) / (X - points[x]),
-    b vanishes on every point but points[x], so y[x] = (b . rhs) / b(points[x])
-    (Bjorck & Pereyra 1970).  P costs O(m^2) once; each wanted component costs
-    O(m) more.  Raises ZeroDivisionError when points[x] repeats another point.
+    `master` is P(X) = prod_j (X - points[j]) over the m points, highest
+    degree first, and each root is one of the points.  With
+    b(X) = P(X) / (X - root), b vanishes on every point but the root, so
+    y at the root is (b . rhs) / b(root) (Bjorck & Pereyra 1970), O(m) per
+    root.  Raises ZeroDivisionError when the root repeats another point.
     """
-    master = [1]  # coefficients, lowest degree first
-    for p in points:
-        master = [(lo - p * hi) % q for lo, hi in zip([0] + master, master + [0])]
-    m = len(points)
+    m = len(rhs)
     solved = []
-    for x in wanted:
-        root = points[x]
+    for root in roots:
         # Synthetic division, highest coefficient first; Horner evaluates the
         # quotient at the root and the dot product with rhs in the same pass.
-        b = master[m]
+        b = master[0]
         numerator = b * rhs[m - 1]
         denominator = b
-        for r in range(m - 1, 0, -1):
+        for r in range(1, m):
             b = (master[r] + root * b) % q
-            numerator += b * rhs[r - 1]
+            numerator += b * rhs[m - 1 - r]
             denominator = (denominator * root + b) % q
         if denominator == 0:
             raise ZeroDivisionError(f"point {root} is repeated")
@@ -142,8 +156,9 @@ def decode_node(
     anti-outneighborhood, so a single solve serves all of them: subtract the
     known aggregates, keep the first m rows for the m colors U still unknown,
     and solve that m x m transposed Vandermonde system on the points of U
-    for the user's own colors only, in O(m^2) overall.  Properness leaves
-    nothing but a node's own message in its color's aggregate.
+    for the user's own colors only, in O(n*(n-m)) for its master polynomial
+    and O(m*n) for the residual.  Properness leaves nothing but a node's own
+    message in its color's aggregate.
     """
     q = scheme.field_order
     n = scheme.num_colors
@@ -165,10 +180,9 @@ def decode_node(
     ]
 
     own = [(user, t) for t in range(1, graph.num_columns + 1)]
-    points = [c % q for c in unknown]
-    wanted = [unknown.index(color[nd]) for nd in own]
+    roots = [color[nd] % q for nd in own]
     try:
-        solved = solve_transposed_vandermonde(points, residual, wanted, q)
+        solved = solve_transposed_vandermonde(scheme.master_over(unknown), residual, roots, q)
     except ZeroDivisionError:
         raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
     return dict(zip(own, solved))
@@ -187,17 +201,6 @@ def simulate_decode(
     return decoded
 
 
-def scheme_to_json(scheme: TransmissionScheme) -> dict:
-    return {
-        "colors": scheme.num_colors,
-        "chi": scheme.chi,
-        "field": scheme.field_order,
-        "assignment": [
-            [u, t, c] for (u, t), c in sorted(scheme.coloring.assignment.items())
-        ],
-    }
-
-
 __all__ = [
     "DecodeError",
     "TransmissionScheme",
@@ -205,5 +208,4 @@ __all__ = [
     "solve_transposed_vandermonde",
     "decode_node",
     "simulate_decode",
-    "scheme_to_json",
 ]

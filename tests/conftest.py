@@ -98,6 +98,18 @@ def missing_sets(K: int, L: int, sets, user: int) -> list[tuple[int, ...]]:
     return [s for s in sets if not available_to_user(K, L, s, user)]
 
 
+def single_known_files(gaps: tuple[int, ...], L: int, K: int, user: int) -> frozenset[int]:
+    """Files known by `user` in the single-column instance with the given gaps."""
+    i = len(gaps)
+    known = set()
+    offset = 0
+    for v in range(1, i):
+        offset += gaps[v - 1]
+        base = user + offset + (v - 1) * L
+        known.update(wrap(base + r, K) for r in range(1, L + 1))
+    return frozenset(known)
+
+
 def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
     """Side information of `user` computed directly from the union definition.
 
@@ -112,6 +124,17 @@ def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
             for r in range(1, L + 1):
                 out.add((wrap(user + s + (v - 1) * L + r, K), t))
     return frozenset(out)
+
+
+def master_product(points: list[int], q: int) -> list[int]:
+    """prod_j (X - points[j]) over GF(q), highest degree first, multiplied out directly.
+
+    The per-user product that `TransmissionScheme.master_over` must equal.
+    """
+    master = [1]  # lowest degree first
+    for p in points:
+        master = [(lo - p * hi) % q for lo, hi in zip([0] + master, master + [0])]
+    return master[::-1]
 
 
 def composition_count_max_below(n: int, m: int, t: int) -> int:

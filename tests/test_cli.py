@@ -458,6 +458,20 @@ def test_macc_simulate_refuses_oversized_family(capsys):
     assert err.startswith("error:") and "137846528820 placement sets" in err
 
 
+def test_macc_simulate_refuses_too_many_user_node_pairs(capsys):
+    # 842,520 cells, about K = 120 pairs each: minutes of work, refused at once
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        ["macc", "simulate", "--K", "120", "--L", "1", "--w", "2",
+         "--demands", ",".join(["1"] * 120), "--seed", "1"],
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "101102400 user-node pairs" in err
+
+
 @pytest.mark.parametrize("argv", [
     # one class of i = 500 columns: 500 * 500 * 500 user-node pairs
     ["macc", "simulate", "--K", "500", "--L", "1", "--w", "499",
@@ -513,6 +527,30 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+# Exact stdout of a few runs, pinned byte for byte in tests/golden/<name>.<format>:
+# colorings, row counts, rates and decode results may not drift under a
+# change that is meant to compute the same thing faster.
+GOLDEN_RUNS = {
+    "simulate_8_2_2": ["macc", "simulate", "--N", "6", "--K", "8", "--L", "2", "--w", "2",
+                       "--demands", "3,1,4,1,5,2,6,5", "--seed", "3"],
+    "simulate_12_2_3": ["macc", "simulate", "--K", "12", "--L", "2", "--w", "3",
+                        "--demands", "12,11,10,9,8,7,6,5,4,3,2,1", "--seed", "5"],
+    "simulate_13_3_2": ["macc", "simulate", "--N", "5", "--K", "13", "--L", "3", "--w", "2",
+                        "--demands", "1,2,3,4,5,1,2,3,4,5,1,2,3", "--seed", "9"],
+    "decode_test": ["icp", "decode-test", "--gaps", "9,7,5,3,1", "--L", "3",
+                    "--trials", "2", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_stdout_matches_golden(capsys, name, fmt):
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.{fmt}"
+    code, out, err = run(capsys, GOLDEN_RUNS[name] + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):

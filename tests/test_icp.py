@@ -7,11 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     canonical_gap_vectors,
     eq2_known_set,
+    gap_vectors,
     random_canonical_gap_vector,
+    single_known_files,
     tilde_icp_bounds,
 )
 from sicps.bounds import mais_lower
@@ -22,7 +25,6 @@ from sicps.icp import (
     canonical_rotation,
     minimal_period,
     rotate_gaps,
-    single_known_files,
     wrap,
 )
 
@@ -142,6 +144,15 @@ def test_union_icp_matches_direct_formula():
         icp = build_union_icp(spec)
         for k in range(1, spec.K + 1):
             assert icp.side_info((k, 1)) == eq2_known_set(spec, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=120))
+def test_user_side_is_user_one_shifted(spec):
+    icp = build_union_icp(spec)
+    for k in range(1, spec.K + 1):
+        shifted = frozenset((wrap(b + k - 1, spec.K), t) for b, t in icp.user_side[0])
+        assert icp.user_side[k - 1] == shifted == eq2_known_set(spec, k)
 
 
 def test_union_columns_are_rotated_single_instances():

@@ -18,12 +18,13 @@ from conftest import (
     iter_weak_compositions,
     missing_sets,
     rate_closed_form_large_L,
+    single_known_files,
     user_caches,
 )
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.icp import (
-    canonical_rotation, minimal_period, rotate_gaps, single_known_files, wrap,
+    canonical_rotation, minimal_period, rotate_gaps, wrap,
 )
 from sicps.macc import (
     CcdnConfig,
@@ -473,6 +474,16 @@ def test_delivery_table_validates_demands():
         build_delivery_icp(cfg, 2, [1, 2, 3])
     with pytest.raises(ValueError):
         build_delivery_icp(cfg, 2, [9] * 8)
+
+
+def test_delivery_table_refuses_too_many_user_node_pairs(monkeypatch):
+    # (8,2,2): 20 placement sets and 80 cells, 8 * 80 = 640 user-node pairs.
+    cfg = CcdnConfig(8, 8, 2)
+    monkeypatch.setattr(macc, "MAX_SIMULATION_SIZE", 640)
+    assert len(build_delivery_icp(cfg, 2, [1] * 8).columns) * 8 == 80
+    monkeypatch.setattr(macc, "MAX_SIMULATION_SIZE", 639)
+    with pytest.raises(ValueError, match="80 delivery cells of 640 user-node pairs"):
+        build_delivery_icp(cfg, 2, [1] * 8)
 
 
 def test_simulation_eight_user_example():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import master_product
+from sicps.cli import _scheme_json
 from sicps.coloring import theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from sicps.field import (
     PRIME_CHECK_BOUND,
@@ -24,7 +26,6 @@ from sicps.scheme import (
     TransmissionScheme,
     build_mds_scheme,
     decode_node,
-    scheme_to_json,
     simulate_decode,
     solve_transposed_vandermonde,
 )
@@ -298,10 +299,11 @@ def test_transposed_vandermonde_matches_gaussian_elimination(system):
     m = len(points)
     matrix = [[pow(p, r, q) for p in points] for r in range(m)]
     expected = solve_mod(matrix, rhs, q)
-    assert solve_transposed_vandermonde(points, rhs, list(range(m)), q) == expected
+    master = master_product(points, q)
+    assert solve_transposed_vandermonde(master, rhs, points, q) == expected
     # Any subset of components, in any order, matches the same solution.
     wanted = list(reversed(range(0, m, 2)))
-    assert solve_transposed_vandermonde(points, rhs, wanted, q) == [
+    assert solve_transposed_vandermonde(master, rhs, [points[j] for j in wanted], q) == [
         expected[j] for j in wanted
     ]
 
@@ -333,10 +335,32 @@ def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, 
     assert simulate_decode(scheme, icp, messages) == messages
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=small_gap_vectors(), small_field=st.booleans(), data=st.data())
+def test_divided_master_equals_product_over_unknown_colors(spec, small_field, data):
+    icp = build_union_icp(spec)
+    coloring = theorem1_coloring(icp)
+    q = next_prime_at_least(spec.K) if small_field else None
+    scheme = build_mds_scheme(icp, coloring, q)
+    q = scheme.field_order
+    # Every user's unknown colors, as decoding divides them out ...
+    for k in range(1, spec.K + 1):
+        unknown = _unknown_colors(icp, coloring, k)
+        assert scheme.master_over(unknown) == master_product([c % q for c in unknown], q)
+    # ... and any color subset, also over a field below the color count,
+    # where points repeat and the division must still be exact.
+    colors = data.draw(st.sets(st.integers(1, spec.K)))
+    tiny = data.draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 7]))
+    cramped = TransmissionScheme(coloring, 1, tiny, vandermonde_rows([1] * spec.K, 1, tiny))
+    for s in (scheme, cramped):
+        expected = master_product([c % s.field_order for c in sorted(colors)], s.field_order)
+        assert s.master_over(colors) == expected
+
+
 def test_scheme_json_shape():
     icp = setup((2, 1), 1)
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), 11)
-    payload = scheme_to_json(scheme)
+    payload = _scheme_json(scheme)
     assert list(payload) == ["colors", "chi", "field", "assignment"]
     assert payload["colors"] == 5
     assert payload["field"] == 11
