@@ -97,13 +97,11 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     """
     if verify_proper(graph, coloring):
         raise ValueError("coloring is not proper")
-    best = 0
-    for k in range(1, graph.K + 1):
-        colors = {
-            coloring.assignment[nd] for nd in graph.user_interferers[k - 1]
-        }
-        best = max(best, len(colors))
-    return best
+    all_nodes, color = frozenset(graph.nodes), coloring.assignment
+    return max(
+        (len({color[nd] for nd in all_nodes - side}) for side in graph.user_side),
+        default=0,
+    )
 
 
 def ru_cap(K: int, i: int, L: int) -> int:

@@ -11,14 +11,15 @@ bound engines operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Node = tuple[int, int]  # (user, column), both 1-based
 
-# Most user-node pairs, K * (K*i), that `build_union_icp` stores across the
-# side-information and interferer sets; it refuses more before building.
-# 1.7 million pairs ((120,1,119) in `macc simulate`) take about 1.3 s and 193 MB
-# (Intel Xeon, Python 3.11).
+# Most user-node pairs, K * (K*i), that `build_union_icp` accepts: the pairs
+# that the local chromatic value and decode scan.  Larger instances are
+# refused before anything is built.
+# 1.7 million pairs ((120,1,119) in `macc simulate`) take 2.8-3.6 s and 191 MB
+# (Intel Xeon, Python 3.11, on a CPU whose speed varies by up to 2x).
 MAX_UNION_PAIRS = 2_000_000
 
 
@@ -115,21 +116,13 @@ class SuicpGraph:
 
     There is an edge u -> v exactly when v's requested file is side
     information for u; all nodes of one user share the same side-information
-    set.  Interferer sets (the complement) are derived per user.
+    set, and only those sets are stored.  A user's closed anti-outneighborhood
+    is every node outside its set.
     """
 
     K: int
     num_columns: int
     user_side: tuple[frozenset[Node], ...]
-    user_interferers: tuple[frozenset[Node], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        all_nodes = frozenset(self.nodes)
-        object.__setattr__(
-            self, "user_interferers", tuple(all_nodes - ks for ks in self.user_side)
-        )
 
     @property
     def nodes(self) -> tuple[Node, ...]:

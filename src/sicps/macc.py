@@ -260,7 +260,6 @@ class DeliveryColumn:
     user 1; the cells hold (file, cache set) subfile ids for users 1..K.
     """
 
-    anchor: tuple[int, ...]
     label: tuple[int, ...]
     cells: tuple[Subfile, ...]
 
@@ -303,7 +302,7 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
         inner = [b - a - L for a, b in zip(anchor, anchor[1:])]
         label = (K - anchor[-1], *reversed(inner), anchor[0] - L - 1)
         assert sum(label) == K - w * L - 1
-        columns.append(DeliveryColumn(anchor=anchor, label=label, cells=cells))
+        columns.append(DeliveryColumn(label=label, cells=cells))
     assert len(columns) * K == num_cells
     return DeliveryTable(plan=plan, columns=tuple(columns))
 

@@ -146,11 +146,11 @@ def solve_transposed_vandermonde(
 def decode_node(
     scheme: TransmissionScheme,
     graph: SuicpGraph,
-    node: Node,
+    user: int,
     messages: dict[Node, int],
     broadcast: list[int],
 ) -> dict[Node, int]:
-    """Recover the messages of every virtual node of `node`'s user.
+    """Recover the messages of every virtual node of `user`.
 
     The user's nodes share one side-information set and one closed
     anti-outneighborhood, so a single solve serves all of them: subtract the
@@ -161,16 +161,18 @@ def decode_node(
     message in its color's aggregate.
     """
     q = scheme.field_order
-    n = scheme.num_colors
     color = scheme.coloring.assignment
-    user = node[0]
+    side = graph.user_side[user - 1]
 
-    # Aggregate contributions the user can compute itself.
-    known_part = [0] * n
-    for other in graph.user_side[user - 1]:
-        known_part[color[other] - 1] += messages[other]
-
-    unknown = sorted({color[nd] for nd in graph.user_interferers[user - 1]})
+    # One pass: aggregate what the user knows, collect the colors it does not.
+    known_part = [0] * scheme.num_colors
+    unknown_colors = set()
+    for nd, value in messages.items():
+        if nd in side:
+            known_part[color[nd] - 1] += value
+        else:
+            unknown_colors.add(color[nd])
+    unknown = sorted(unknown_colors)
     m = len(unknown)
     if m > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
@@ -197,7 +199,7 @@ def simulate_decode(
     broadcast = scheme.transmit(messages)
     decoded: dict[Node, int] = {}
     for k in range(1, graph.K + 1):
-        decoded.update(decode_node(scheme, graph, (k, 1), messages, broadcast))
+        decoded.update(decode_node(scheme, graph, k, messages, broadcast))
     return decoded
 
 

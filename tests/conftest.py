@@ -126,6 +126,14 @@ def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
     return frozenset(out)
 
 
+def naive_local_chromatic(graph, coloring) -> int:
+    """Per-node oracle for the per-user chromatic value computation."""
+    return max(
+        len({coloring.color(v) for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1]})
+        for u in graph.nodes
+    )
+
+
 def master_product(points: list[int], q: int) -> list[int]:
     """prod_j (X - points[j]) over GF(q), highest degree first, multiplied out directly.
 

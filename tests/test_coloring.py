@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import gap_vectors, random_canonical_gap_vector
+from conftest import gap_vectors, naive_local_chromatic, random_canonical_gap_vector
 from sicps.coloring import (
     Coloring,
     local_chromatic_value,
@@ -138,7 +138,7 @@ def test_verify_proper_flags_conflicts():
     all_one = Coloring(assignment={node: 1 for node in icp.nodes}, num_colors=1)
     violations = verify_proper(icp, all_one)
     assert violations
-    assert all(v != u and v in icp.user_interferers[u[0] - 1] for u, v in violations)
+    assert all(v != u and v not in icp.user_side[u[0] - 1] for u, v in violations)
 
 
 def test_verify_proper_requires_full_cover():
@@ -191,18 +191,10 @@ def naive_violations(graph, coloring):
     """All-pairs oracle for the class-based properness check."""
     out = []
     for u in graph.nodes:
-        for v in graph.user_interferers[u[0] - 1] - {u}:
+        for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1] - {u}:
             if coloring.color(u) == coloring.color(v):
                 out.append((u, v))
     return sorted(out)
-
-
-def naive_local_chromatic(graph, coloring):
-    """Per-node oracle for the per-user chromatic value computation."""
-    return max(
-        len({coloring.color(v) for v in graph.user_interferers[u[0] - 1]})
-        for u in graph.nodes
-    )
 
 
 def test_properness_and_value_against_naive_oracles():

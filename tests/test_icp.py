@@ -231,12 +231,10 @@ def test_suicp_rows_share_side_information():
     for k in range(1, graph.K + 1):
         sets = {graph.side_info((k, t)) for t in range(1, graph.num_columns + 1)}
         assert len(sets) == 1
-    # A user's closed anti-outneighborhood: its own nodes plus every node it
-    # does not know.
+    # A user's closed anti-outneighborhood, every node it does not know,
+    # holds its own nodes.
     for k in range(1, graph.K + 1):
-        closed = graph.user_interferers[k - 1]
-        assert {(k, t) for t in range(1, graph.num_columns + 1)} <= closed
-        assert closed == frozenset(graph.nodes) - graph.side_info((k, 1))
+        assert not {(k, t) for t in range(1, graph.num_columns + 1)} & graph.user_side[k - 1]
 
 
 def test_tilde_icp_examples():

@@ -463,7 +463,7 @@ def test_column_labels_match_side_information_rows(w, L, n):
             for row in range(1, K + 1)
             if available_to_user(K, L, col.cells[row - 1][1], 1)
         }
-        assert si_rows == single_known_files(col.label, L, K, 1), (K, col.anchor)
+        assert si_rows == single_known_files(col.label, L, K, 1), (K, col.label)
     labels = sorted(col.label for col in table.columns)
     assert labels == list(iter_weak_compositions(n, w + 1))
 

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import master_product
+from conftest import master_product, naive_local_chromatic
 from sicps.cli import _scheme_json
-from sicps.coloring import theorem1_coloring, theorem5_coloring, upper_bound_Ru
+from sicps.coloring import (
+    Coloring,
+    local_chromatic_value,
+    theorem1_coloring,
+    theorem5_coloring,
+    upper_bound_Ru,
+)
 from sicps.field import (
     PRIME_CHECK_BOUND,
     default_field_order,
@@ -20,7 +26,7 @@ from sicps.field import (
     solve_mod,
     vandermonde_rows,
 )
-from sicps.icp import GapVector, build_union_icp
+from sicps.icp import GapVector, SuicpGraph, build_union_icp
 from sicps.scheme import (
     DecodeError,
     TransmissionScheme,
@@ -231,12 +237,13 @@ def test_decode_node_returns_every_node_of_the_user():
     rng = random.Random(3)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     broadcast = scheme.transmit(messages)
-    decoded = decode_node(scheme, icp, (4, 2), messages, broadcast)
+    decoded = decode_node(scheme, icp, 4, messages, broadcast)
     assert decoded == {(4, t): messages[(4, t)] for t in (1, 2, 3)}
 
 
 def _unknown_colors(graph, coloring, user):
-    return tuple(sorted({coloring.color(nd) for nd in graph.user_interferers[user - 1]}))
+    unknown = frozenset(graph.nodes) - graph.user_side[user - 1]
+    return tuple(sorted({coloring.color(nd) for nd in unknown}))
 
 
 def test_decode_error_when_rows_below_local_chromatic_value():
@@ -333,6 +340,35 @@ def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, 
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
     assert simulate_decode(scheme, icp, messages) == messages
+
+
+@st.composite
+def side_info_graphs(draw, max_users=6, max_columns=3):
+    """Arbitrary side information in which no user knows its own nodes."""
+    K = draw(st.integers(1, max_users))
+    columns = draw(st.integers(1, max_columns))
+    nodes = [(k, t) for k in range(1, K + 1) for t in range(1, columns + 1)]
+    side = []
+    for k in range(1, K + 1):
+        others = [nd for nd in nodes if nd[0] != k]
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        side.append(frozenset(nd for nd, kept in zip(others, keep) if kept))
+    return SuicpGraph(K=K, num_columns=columns, user_side=tuple(side))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=side_info_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, seed):
+    # Not union instances: no user shift, and users differ in how much they know.
+    nodes = graph.nodes
+    coloring = Coloring({nd: c for c, nd in enumerate(nodes, start=1)}, len(nodes))
+    chi = local_chromatic_value(graph, coloring)
+    assert chi == naive_local_chromatic(graph, coloring)
+    scheme = build_mds_scheme(graph, coloring)
+    assert scheme.chi == chi
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(scheme.field_order) for node in nodes}
+    assert simulate_decode(scheme, graph, messages) == messages
 
 
 @settings(max_examples=100, deadline=None)
