@@ -2,13 +2,14 @@
 
 The server sums the messages inside each color class and transmits chi MDS
 combinations of the n per-color aggregates, where chi is the coloring's local
-chromatic value.  A user subtracts everything it already knows and is left
-with the m <= chi aggregates of the colors in its closed anti-outneighborhood.
-The first m rows restricted to those colors form a transposed Vandermonde
-system, solved once per user from its master polynomial: the scheme's master
-over all n colors divided by the n-m colors the user knows, O(n*(n-m)) time.
-Properness guarantees that each of the user's own colors then carries nothing
-but that node's message.
+chromatic value.  A user subtracts the aggregates of the n-m colors it fully
+knows and is left with the m <= chi colors of its closed
+anti-outneighborhood.  The first m rows restricted to those colors form a
+transposed Vandermonde system, solved once per user from its master
+polynomial: the scheme's master over all n colors divided by the n-m known
+colors, O(n*(n-m)) time.  The solve at an own color ignores every other
+unknown color, so only the own color keeps the known part of its aggregate;
+properness makes that part the rest of the node's class, subtracted last.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class TransmissionScheme:
     """chi x n generator over GF(field_order) applied to per-color message sums.
 
     Column c-1 of the generator sits on the point c mod field_order; `master`
-    is prod_c (X - c mod field_order) over all n colors, highest degree first.
+    is prod_c (X - c mod field_order) over all n colors, highest degree first;
+    `classes[c-1]` holds the nodes of color c, sorted.
     """
 
     coloring: Coloring
@@ -51,12 +53,16 @@ class TransmissionScheme:
     field_order: int
     generator: tuple[tuple[int, ...], ...]
     master: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    classes: tuple[tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q, master = self.field_order, [1]
         for c in range(1, self.num_colors + 1):
             master = [(hi - c * lo) % q for hi, lo in zip(master + [0], [0] + master)]
         object.__setattr__(self, "master", tuple(master))
+        by_color = self.coloring.color_classes()
+        colors = range(1, self.num_colors + 1)
+        object.__setattr__(self, "classes", tuple(tuple(by_color.get(c, ())) for c in colors))
 
     @property
     def num_colors(self) -> int:
@@ -152,42 +158,49 @@ def decode_node(
 ) -> dict[Node, int]:
     """Recover the messages of every virtual node of `user`.
 
-    The user's nodes share one side-information set and one closed
-    anti-outneighborhood, so a single solve serves all of them: subtract the
-    known aggregates, keep the first m rows for the m colors U still unknown,
-    and solve that m x m transposed Vandermonde system on the points of U
-    for the user's own colors only, in O(n*(n-m)) for its master polynomial
-    and O(m*n) for the residual.  Properness leaves nothing but a node's own
-    message in its color's aggregate.
+    The user's nodes share one side-information set, so a single solve
+    serves all of them.  A color is unknown when some member of its class is
+    outside that set.  The first m rows, less the n-m fully known aggregates,
+    are solved at the user's own colors only; each solution is the whole
+    aggregate of the node's class, since its quotient polynomial vanishes on
+    every other unknown color, so subtracting the members the user knows
+    leaves the node's message.  Reads only messages the user knows.  Per
+    user: O(|side|+n) membership tests, O(m*(n-m)) for the residual,
+    O(n*(n-m)) for the master polynomial and O(m*i) for the solve.
     """
-    q = scheme.field_order
-    color = scheme.coloring.assignment
+    q, classes = scheme.field_order, scheme.classes
     side = graph.user_side[user - 1]
+    known = side.__contains__
 
-    # One pass: aggregate what the user knows, collect the colors it does not.
-    known_part = [0] * scheme.num_colors
-    unknown_colors = set()
-    for nd, value in messages.items():
-        if nd in side:
-            known_part[color[nd] - 1] += value
-        else:
-            unknown_colors.add(color[nd])
-    unknown = sorted(unknown_colors)
+    own = [(user, t) for t in range(1, graph.num_columns + 1)]
+    own_colors = [scheme.coloring.assignment[nd] for nd in own]
+    # One lookup settles the color of an own node outside the side information.
+    own_unknown = {c for nd, c in zip(own, own_colors) if nd not in side}
+    unknown, full = [], []
+    for c, members in enumerate(classes, start=1):
+        (unknown if c in own_unknown or not all(map(known, members)) else full).append(c)
     m = len(unknown)
     if m > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
-    residual = [
-        (symbol - sum(map(mul, row, known_part))) % q
-        for symbol, row in zip(broadcast, scheme.generator[:m])
-    ]
+    # Subtract each fully known color's aggregate times its column (1, p, ..., p^(m-1)).
+    residual = list(broadcast[:m])
+    for c in full:
+        term, point = sum(map(messages.__getitem__, classes[c - 1])), c % q
+        for r in range(m):
+            residual[r] -= term
+            term = term * point % q
 
-    own = [(user, t) for t in range(1, graph.num_columns + 1)]
-    roots = [color[nd] % q for nd in own]
     try:
-        solved = solve_transposed_vandermonde(scheme.master_over(unknown), residual, roots, q)
+        solved = solve_transposed_vandermonde(
+            scheme.master_over(unknown), residual, [c % q for c in own_colors], q
+        )
     except ZeroDivisionError:
         raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
-    return dict(zip(own, solved))
+    # Each solved aggregate still holds the known members of the node's class.
+    return {
+        nd: (value - sum(map(messages.__getitem__, filter(known, classes[c - 1])))) % q
+        for nd, c, value in zip(own, own_colors, solved)
+    }
 
 
 def simulate_decode(

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from sicps.bounds import mais_lower
-from sicps.coloring import upper_bound_Ru
+from sicps.coloring import Coloring, upper_bound_Ru
 from sicps.icp import GapVector, Node, canonical_rotation, require_leading_max, wrap
 
 
@@ -132,6 +132,25 @@ def naive_local_chromatic(graph, coloring) -> int:
         len({coloring.color(v) for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1]})
         for u in graph.nodes
     )
+
+
+def greedy_coloring(graph, order) -> Coloring:
+    """First-fit proper coloring of the nodes in `order`.
+
+    A node joins the first class whose every member it knows and is known by,
+    so classes with several members arise wherever side information is mutual.
+    """
+    classes: list[list[Node]] = []
+    for u in order:
+        side = graph.side_info(u)
+        for members in classes:
+            if all(v in side and u in graph.side_info(v) for v in members):
+                members.append(u)
+                break
+        else:
+            classes.append([u])
+    assignment = {v: c for c, members in enumerate(classes, start=1) for v in members}
+    return Coloring(assignment, len(classes))
 
 
 def master_product(points: list[int], q: int) -> list[int]:

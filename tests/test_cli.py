@@ -161,6 +161,18 @@ def test_decode_test_rejects_negative_trials(capsys):
     assert err.startswith("error: --trials")
 
 
+def test_decode_test_sparse_side_information_within_budget(capsys):
+    # 602 users, each knowing 2 of 1,204 nodes: decode must not scale with
+    # the whole graph per user, under a 5 s budget.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["icp", "decode-test", "--gaps", "600,0", "--L", "1",
+                                "--seed", "1", "--trials", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "failures: 0" in out
+    assert elapsed < 5, f"decode-test --gaps 600,0 took {elapsed:.1f}s"
+
+
 def test_decode_test_large_prime_field(capsys):
     argv = ["icp", "decode-test", "--gaps", "2,1", "--L", "1", "--seed", "1", "--trials", "1"]
     start = time.perf_counter()

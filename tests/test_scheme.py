@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import master_product, naive_local_chromatic
+from conftest import greedy_coloring, master_product, naive_local_chromatic
 from sicps.cli import _scheme_json
 from sicps.coloring import (
     Coloring,
@@ -17,6 +17,7 @@ from sicps.coloring import (
     theorem1_coloring,
     theorem5_coloring,
     upper_bound_Ru,
+    verify_proper,
 )
 from sicps.field import (
     PRIME_CHECK_BOUND,
@@ -369,6 +370,84 @@ def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, s
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in nodes}
     assert simulate_decode(scheme, graph, messages) == messages
+
+
+@st.composite
+def greedy_colored_graphs(draw):
+    """Arbitrary side information under a greedy coloring in a drawn node order."""
+    graph = draw(side_info_graphs())
+    return graph, greedy_coloring(graph, draw(st.permutations(graph.nodes)))
+
+
+MUTUAL_PAIR = SuicpGraph(K=2, num_columns=2, user_side=(
+    frozenset({(2, 1), (2, 2)}), frozenset({(1, 1), (1, 2)})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored=greedy_colored_graphs(), small_field=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(colored=(MUTUAL_PAIR, greedy_coloring(MUTUAL_PAIR, MUTUAL_PAIR.nodes)),
+         small_field=True, seed=0)  # two two-member classes, q = n = 2
+def test_decode_round_trips_under_greedy_coloring_on_arbitrary_side_information(
+    colored, small_field, seed
+):
+    # Multi-member classes outside union instances: users with partially
+    # known colors, and own colors whose aggregates hold known messages.
+    graph, coloring = colored
+    assert verify_proper(graph, coloring) == []
+    # The smallest admissible prime puts color n at point 0 whenever n is prime.
+    q = next_prime_at_least(coloring.num_colors) if small_field else None
+    scheme = build_mds_scheme(graph, coloring, q)
+    assert scheme.chi == naive_local_chromatic(graph, coloring)
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+    assert simulate_decode(scheme, graph, messages) == messages
+
+
+class RecordingMessages(dict):
+    """Messages that record every node whose message is read."""
+
+    def __init__(self, messages):
+        super().__init__(messages)
+        self.read = set()
+
+    def __getitem__(self, node):
+        self.read.add(node)
+        return super().__getitem__(node)
+
+    def get(self, node, default=None):
+        self.read.add(node)
+        return super().get(node, default)
+
+    def items(self):
+        self.read.update(self)
+        return super().items()
+
+    def values(self):
+        self.read.update(self)
+        return super().values()
+
+
+def theorem1_colored_unions(spec):
+    icp = build_union_icp(spec)
+    return icp, theorem1_coloring(icp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored=st.one_of(small_gap_vectors().map(theorem1_colored_unions),
+                         greedy_colored_graphs()),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_reads_only_the_users_side_information(colored, seed):
+    graph, coloring = colored
+    scheme = build_mds_scheme(graph, coloring)
+    rng = random.Random(seed)
+    plain = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+    broadcast = scheme.transmit(plain)
+    for k in range(1, graph.K + 1):
+        messages = RecordingMessages(plain)
+        decoded = decode_node(scheme, graph, k, messages, broadcast)
+        assert decoded == {(k, t): plain[(k, t)] for t in range(1, graph.num_columns + 1)}
+        assert messages.read <= graph.user_side[k - 1], k
 
 
 @settings(max_examples=100, deadline=None)
