@@ -96,7 +96,11 @@ def lower_bound_mais_constructive(spec: GapVector) -> tuple[int, frozenset[Node]
 
 
 def is_acyclic_induced(graph: SuicpGraph, nodes: frozenset[Node] | set[Node]) -> bool:
-    """Kahn check on the subgraph induced by `nodes` (edge u -> v iff u knows v)."""
+    """Kahn check on the subgraph induced by `nodes` (edge u -> v iff u knows v).
+
+    No library code calls this.  It stays as the reference the tests check
+    acyclic witnesses against, and as the benchmark's `bounds.acyclic` stage.
+    """
     nodes = set(nodes)
     indegree = {v: 0 for v in nodes}
     out: dict[Node, list[Node]] = {u: [] for u in nodes}

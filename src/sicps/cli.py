@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -118,8 +119,6 @@ def _scheme_json(scheme: TransmissionScheme) -> dict:
 
 
 def cmd_icp_decode_test(args) -> int:
-    import random
-
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()

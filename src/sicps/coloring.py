@@ -10,31 +10,31 @@ broadcast rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, wrap
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Assignment of colors 1..num_colors to every virtual node."""
+    """Assignment of colors 1..num_colors to every virtual node.
+
+    `classes[c-1]` holds the nodes of color c, sorted (empty for an unused
+    color), built once here.
+    """
 
     assignment: dict[Node, int]
     num_colors: int
+    classes: tuple[tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bad = [c for c in self.assignment.values() if not 1 <= c <= self.num_colors]
         if bad:
             raise ValueError(f"colors out of range [1, {self.num_colors}]: {sorted(set(bad))}")
-
-    def color(self, node: Node) -> int:
-        return self.assignment[node]
-
-    def color_classes(self) -> dict[int, list[Node]]:
-        classes: dict[int, list[Node]] = {}
+        classes: list[list[Node]] = [[] for _ in range(self.num_colors)]
         for node in sorted(self.assignment):
-            classes.setdefault(self.assignment[node], []).append(node)
-        return classes
+            classes[self.assignment[node] - 1].append(node)
+        object.__setattr__(self, "classes", tuple(map(tuple, classes)))
 
 
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
@@ -80,7 +80,7 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
     if missing:
         raise ValueError(f"coloring leaves nodes uncovered: {missing[:5]}")
     violations: list[tuple[Node, Node]] = []
-    for _, members in sorted(coloring.color_classes().items()):
+    for members in coloring.classes:
         for u in members:
             side = graph.side_info(u)
             for v in members:

@@ -62,16 +62,6 @@ def validate_field(q: int, num_colors: int) -> None:
         raise ValueError(f"field order {q} too small for {num_colors} colors")
 
 
-def vandermonde_rows(points: list[int], rows: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """rows x len(points) matrix with entry [r][j] = points[j]**r mod q."""
-    matrix = []
-    row = [1] * len(points)
-    for _ in range(rows):
-        matrix.append(tuple(row))
-        row = [(row[j] * points[j]) % q for j in range(len(points))]
-    return tuple(matrix)
-
-
 def solve_mod(matrix: list[list[int]], rhs: list[int], q: int) -> list[int]:
     """Solve the square system matrix * x = rhs over GF(q) by Gaussian elimination.
 
@@ -101,6 +91,5 @@ __all__ = [
     "next_prime_at_least",
     "default_field_order",
     "validate_field",
-    "vandermonde_rows",
     "solve_mod",
 ]

@@ -18,7 +18,7 @@ Node = tuple[int, int]  # (user, column), both 1-based
 # Most user-node pairs, K * (K*i), that `build_union_icp` accepts: the pairs
 # that the local chromatic value and decode scan.  Larger instances are
 # refused before anything is built.
-# 1.7 million pairs ((120,1,119) in `macc simulate`) take 2.8-3.6 s and 191 MB
+# 1.7 million pairs ((120,1,119) in `macc simulate`) take 3.6-5.4 s and 190 MB
 # (Intel Xeon, Python 3.11, on a CPU whose speed varies by up to 2x).
 MAX_UNION_PAIRS = 2_000_000
 

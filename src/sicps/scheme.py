@@ -2,8 +2,10 @@
 
 The server sums the messages inside each color class and transmits chi MDS
 combinations of the n per-color aggregates, where chi is the coloring's local
-chromatic value.  A user subtracts the aggregates of the n-m colors it fully
-knows and is left with the m <= chi colors of its closed
+chromatic value.  Color c sits on the point c mod q, so symbol r is the sum
+over colors of aggregate times point**r, written once in
+`TransmissionScheme._sent_by`.  A user subtracts what the n-m colors it fully
+knows send and is left with the m <= chi colors of its closed
 anti-outneighborhood.  The first m rows restricted to those colors form a
 transposed Vandermonde system, solved once per user from its master
 polynomial: the scheme's master over all n colors divided by the n-m known
@@ -14,11 +16,12 @@ properness makes that part the rest of the node's class, subtracted last.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import mul
+from operator import sub
 
 from .coloring import Coloring, local_chromatic_value
-from .field import default_field_order, validate_field, vandermonde_rows
+from .field import default_field_order, validate_field
 from .icp import Node, SuicpGraph
 
 
@@ -41,28 +44,23 @@ class DecodeError(Exception):
 
 @dataclass(frozen=True)
 class TransmissionScheme:
-    """chi x n generator over GF(field_order) applied to per-color message sums.
+    """chi MDS combinations over GF(field_order) of the per-color message sums.
 
-    Column c-1 of the generator sits on the point c mod field_order; `master`
-    is prod_c (X - c mod field_order) over all n colors, highest degree first;
-    `classes[c-1]` holds the nodes of color c, sorted.
+    Color c sits on the point c mod field_order, so the scheme is exactly its
+    coloring, row count and field.  `master` is prod_c (X - c mod field_order)
+    over all n colors, highest degree first.
     """
 
     coloring: Coloring
     chi: int
     field_order: int
-    generator: tuple[tuple[int, ...], ...]
     master: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    classes: tuple[tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q, master = self.field_order, [1]
         for c in range(1, self.num_colors + 1):
             master = [(hi - c * lo) % q for hi, lo in zip(master + [0], [0] + master)]
         object.__setattr__(self, "master", tuple(master))
-        by_color = self.coloring.color_classes()
-        colors = range(1, self.num_colors + 1)
-        object.__setattr__(self, "classes", tuple(tuple(by_color.get(c, ())) for c in colors))
 
     @property
     def num_colors(self) -> int:
@@ -86,10 +84,21 @@ class TransmissionScheme:
     def transmit(self, messages: dict[Node, int]) -> list[int]:
         """The chi broadcast symbols for one symbol of payload per node."""
         q = self.field_order
-        aggregates = [0] * self.num_colors
-        for node, value in messages.items():
-            aggregates[self.coloring.color(node) - 1] += value
-        return [sum(map(mul, row, aggregates)) % q for row in self.generator]
+        return [s % q for s in self._sent_by(range(1, self.num_colors + 1), messages, self.chi)]
+
+    def _sent_by(self, colors: Iterable[int], messages: dict[Node, int], rows: int) -> list[int]:
+        """The first `rows` symbols that `colors` alone would send, not reduced mod q.
+
+        Each color's aggregate, the sum of its class's messages, times its
+        column (1, p, ..., p^(rows-1)) on the point p = c mod q, by Horner.
+        """
+        q, classes, sent = self.field_order, self.coloring.classes, [0] * rows
+        for c in colors:
+            term, point = sum(map(messages.__getitem__, classes[c - 1])), c % q
+            for r in range(rows):
+                sent[r] += term
+                term = term * point % q
+        return sent
 
 
 def build_mds_scheme(
@@ -98,7 +107,7 @@ def build_mds_scheme(
     field_order: int | None = None,
     rows: int | None = None,
 ) -> TransmissionScheme:
-    """Vandermonde generator on points 1..n, truncated to chi rows.
+    """The scheme of `coloring` over GF(field_order), sending chi rows.
 
     chi defaults to the coloring's local chromatic value, the fewest symbols
     that still decode.  Callers may budget more rows (up to n), e.g. to
@@ -113,11 +122,7 @@ def build_mds_scheme(
         if not chi <= rows <= n:
             raise ValueError(f"row budget {rows} outside [{chi}, {n}]")
         chi = rows
-    points = [c % field_order for c in range(1, n + 1)]
-    generator = vandermonde_rows(points, chi, field_order)
-    return TransmissionScheme(
-        coloring=coloring, chi=chi, field_order=field_order, generator=generator
-    )
+    return TransmissionScheme(coloring=coloring, chi=chi, field_order=field_order)
 
 
 def solve_transposed_vandermonde(
@@ -160,7 +165,7 @@ def decode_node(
 
     The user's nodes share one side-information set, so a single solve
     serves all of them.  A color is unknown when some member of its class is
-    outside that set.  The first m rows, less the n-m fully known aggregates,
+    outside that set.  The first m rows, less what the n-m fully known colors send,
     are solved at the user's own colors only; each solution is the whole
     aggregate of the node's class, since its quotient polynomial vanishes on
     every other unknown color, so subtracting the members the user knows
@@ -168,7 +173,7 @@ def decode_node(
     user: O(|side|+n) membership tests, O(m*(n-m)) for the residual,
     O(n*(n-m)) for the master polynomial and O(m*i) for the solve.
     """
-    q, classes = scheme.field_order, scheme.classes
+    q, classes = scheme.field_order, scheme.coloring.classes
     side = graph.user_side[user - 1]
     known = side.__contains__
 
@@ -182,13 +187,7 @@ def decode_node(
     m = len(unknown)
     if m > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
-    # Subtract each fully known color's aggregate times its column (1, p, ..., p^(m-1)).
-    residual = list(broadcast[:m])
-    for c in full:
-        term, point = sum(map(messages.__getitem__, classes[c - 1])), c % q
-        for r in range(m):
-            residual[r] -= term
-            term = term * point % q
+    residual = list(map(sub, broadcast, scheme._sent_by(full, messages, m)))
 
     try:
         solved = solve_transposed_vandermonde(

@@ -10,8 +10,16 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from sicps.bounds import mais_lower
-from sicps.coloring import Coloring, upper_bound_Ru
-from sicps.icp import GapVector, Node, canonical_rotation, require_leading_max, wrap
+from sicps.coloring import Coloring, theorem1_coloring, upper_bound_Ru
+from sicps.icp import (
+    GapVector,
+    Node,
+    SuicpGraph,
+    build_union_icp,
+    canonical_rotation,
+    require_leading_max,
+    wrap,
+)
 
 
 def iter_weak_compositions(n: int, m: int):
@@ -129,7 +137,7 @@ def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
 def naive_local_chromatic(graph, coloring) -> int:
     """Per-node oracle for the per-user chromatic value computation."""
     return max(
-        len({coloring.color(v) for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1]})
+        len({coloring.assignment[v] for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1]})
         for u in graph.nodes
     )
 
@@ -151,6 +159,53 @@ def greedy_coloring(graph, order) -> Coloring:
             classes.append([u])
     assignment = {v: c for c, members in enumerate(classes, start=1) for v in members}
     return Coloring(assignment, len(classes))
+
+
+@st.composite
+def small_gap_vectors(draw, max_nodes=60):
+    """Canonical gap vectors with i <= 4 columns, L <= 3 and at most max_nodes nodes."""
+    i = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 3))
+    total = draw(st.integers(0, max_nodes // i - (i - 1) * L - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=i - 1, max_size=i - 1)))
+    gaps = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    spec, _ = GapVector(gaps, L).canonicalize()
+    return spec
+
+
+@st.composite
+def side_info_graphs(draw, max_users=6, max_columns=3):
+    """Arbitrary side information in which no user knows its own nodes."""
+    K = draw(st.integers(1, max_users))
+    columns = draw(st.integers(1, max_columns))
+    nodes = [(k, t) for k in range(1, K + 1) for t in range(1, columns + 1)]
+    side = []
+    for k in range(1, K + 1):
+        others = [nd for nd in nodes if nd[0] != k]
+        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+        side.append(frozenset(nd for nd, kept in zip(others, keep) if kept))
+    return SuicpGraph(K=K, num_columns=columns, user_side=tuple(side))
+
+
+@st.composite
+def greedy_colored_graphs(draw):
+    """Arbitrary side information under a greedy coloring in a drawn node order."""
+    graph = draw(side_info_graphs())
+    return graph, greedy_coloring(graph, draw(st.permutations(graph.nodes)))
+
+
+def theorem1_colored_unions(spec):
+    """The union instance of `spec` under its Theorem-1 coloring."""
+    icp = build_union_icp(spec)
+    return icp, theorem1_coloring(icp)
+
+
+def vandermonde_matrix(n: int, rows: int, q: int) -> list[list[int]]:
+    """rows x n matrix over GF(q) with entry [r][c-1] = c**r mod q.
+
+    The generator a scheme over n colors must apply to its per-color aggregates.
+    """
+    return [[pow(c, r, q) for c in range(1, n + 1)] for r in range(rows)]
 
 
 def master_product(points: list[int], q: int) -> list[int]:

@@ -217,7 +217,6 @@ def test_decode_failure_exits_three(capsys, monkeypatch):
 
 
 def test_decode_error_exits_three(capsys, monkeypatch):
-    from sicps.field import vandermonde_rows
     from sicps.scheme import TransmissionScheme
 
     real_build = cli.build_mds_scheme
@@ -225,8 +224,7 @@ def test_decode_error_exits_three(capsys, monkeypatch):
     def short_of_rows(graph, coloring, field_order=None):
         # One row below the local chromatic value: some user cannot decode.
         chi = real_build(graph, coloring, field_order).chi - 1
-        points = list(range(1, coloring.num_colors + 1))
-        return TransmissionScheme(coloring, chi, 257, vandermonde_rows(points, chi, 257))
+        return TransmissionScheme(coloring, chi, 257)
 
     monkeypatch.setattr(cli, "build_mds_scheme", short_of_rows)
     code, out, err = run(

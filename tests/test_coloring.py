@@ -6,8 +6,16 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gap_vectors, naive_local_chromatic, random_canonical_gap_vector
+from conftest import (
+    gap_vectors,
+    greedy_colored_graphs,
+    naive_local_chromatic,
+    random_canonical_gap_vector,
+    small_gap_vectors,
+    theorem1_colored_unions,
+)
 from sicps.coloring import (
     Coloring,
     local_chromatic_value,
@@ -28,9 +36,9 @@ def test_general_coloring_reproduces_eight_user_table():
     # Frozen from the worked 8-user example's coloring table.
     _, icp = make((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    assert [coloring.color((k, 1)) for k in range(1, 9)] == [1, 2, 3, 4, 5, 6, 7, 8]
-    assert [coloring.color((k, 2)) for k in range(1, 9)] == [7, 8, 1, 2, 3, 4, 5, 6]
-    assert [coloring.color((k, 3)) for k in range(1, 9)] == [4, 5, 6, 7, 8, 1, 2, 3]
+    assert [coloring.assignment[(k, 1)] for k in range(1, 9)] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert [coloring.assignment[(k, 2)] for k in range(1, 9)] == [7, 8, 1, 2, 3, 4, 5, 6]
+    assert [coloring.assignment[(k, 3)] for k in range(1, 9)] == [4, 5, 6, 7, 8, 1, 2, 3]
     assert verify_proper(icp, coloring) == []
     assert local_chromatic_value(icp, coloring) == 7
 
@@ -39,8 +47,9 @@ def test_general_coloring_eleven_user_table():
     _, icp = make((3, 2, 1), 2)
     coloring = theorem1_coloring(icp)
     assert coloring.num_colors == 11
-    assert [coloring.color((k, 2)) for k in range(1, 12)] == [9, 10, 11] + list(range(1, 9))
-    assert [coloring.color((k, 3)) for k in range(1, 12)] == [5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4]
+    assert [coloring.assignment[(k, 2)] for k in range(1, 12)] == [9, 10, 11] + list(range(1, 9))
+    assert [coloring.assignment[(k, 3)] for k in range(1, 12)] == [
+        5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4]
     assert not verify_proper(icp, coloring)
     assert local_chromatic_value(icp, coloring) == 11
 
@@ -52,14 +61,14 @@ def test_general_coloring_each_color_once_per_column():
         icp = build_union_icp(spec)
         coloring = theorem1_coloring(icp)
         for t in range(1, spec.i + 1):
-            column = [coloring.color((k, t)) for k in range(1, spec.K + 1)]
+            column = [coloring.assignment[(k, t)] for k in range(1, spec.K + 1)]
             assert sorted(column) == list(range(1, spec.K + 1))
 
 
 def test_general_coloring_degenerate_single_column():
     _, icp = make((4,), 1)
     coloring = theorem1_coloring(icp)
-    assert [coloring.color((k, 1)) for k in range(1, 6)] == [1, 2, 3, 4, 5]
+    assert [coloring.assignment[(k, 1)] for k in range(1, 6)] == [1, 2, 3, 4, 5]
     assert not verify_proper(icp, coloring)
 
 
@@ -92,7 +101,7 @@ def test_two_column_coloring_examples():
         assert local_chromatic_value(icp, coloring) == 5
         # each color appears K/5 times per column
         for t in (1, 2):
-            column = [coloring.color((k, t)) for k in range(1, K + 1)]
+            column = [coloring.assignment[(k, t)] for k in range(1, K + 1)]
             assert all(column.count(c) == K // 5 for c in range(1, 6))
 
 
@@ -187,12 +196,29 @@ def test_coloring_rejects_out_of_range_colors():
         Coloring(assignment={(1, 1): 3}, num_colors=2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(colored=st.one_of(small_gap_vectors().map(theorem1_colored_unions),
+                         greedy_colored_graphs()))
+def test_color_classes_partition_the_nodes_by_color(colored):
+    _, coloring = colored
+    classes = coloring.classes
+    assert len(classes) == coloring.num_colors
+    assert sorted(nd for members in classes for nd in members) == sorted(coloring.assignment)
+    for c, members in enumerate(classes, start=1):
+        assert list(members) == sorted(members)
+        assert set(members) == {nd for nd, color in coloring.assignment.items() if color == c}
+
+
+def test_color_classes_keep_unused_colors_empty():
+    assert Coloring({(1, 1): 1}, 3).classes == (((1, 1),), (), ())
+
+
 def naive_violations(graph, coloring):
     """All-pairs oracle for the class-based properness check."""
     out = []
     for u in graph.nodes:
         for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1] - {u}:
-            if coloring.color(u) == coloring.color(v):
+            if coloring.assignment[u] == coloring.assignment[v]:
                 out.append((u, v))
     return sorted(out)
 
@@ -207,7 +233,7 @@ def test_properness_and_value_against_naive_oracles():
         assert local_chromatic_value(icp, good) == naive_local_chromatic(icp, good)
         # a deliberately clashing coloring must produce identical violation lists
         squashed = Coloring(
-            assignment={nd: 1 + (good.color(nd) - 1) % max(1, good.num_colors // 2)
+            assignment={nd: 1 + (good.assignment[nd] - 1) % max(1, good.num_colors // 2)
                         for nd in icp.nodes},
             num_colors=max(1, good.num_colors // 2),
         )

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import greedy_coloring, master_product, naive_local_chromatic
+from conftest import (
+    greedy_colored_graphs,
+    greedy_coloring,
+    master_product,
+    naive_local_chromatic,
+    side_info_graphs,
+    small_gap_vectors,
+    theorem1_colored_unions,
+    vandermonde_matrix,
+)
 from sicps.cli import _scheme_json
 from sicps.coloring import (
     Coloring,
@@ -25,7 +34,6 @@ from sicps.field import (
     is_prime,
     next_prime_at_least,
     solve_mod,
-    vandermonde_rows,
 )
 from sicps.icp import GapVector, SuicpGraph, build_union_icp
 from sicps.scheme import (
@@ -78,15 +86,16 @@ def test_scheme_eight_user_example():
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
     assert scheme.chi == 7
     assert scheme.field_order == 251
-    assert len(scheme.generator) == 7
-    assert len(scheme.generator[0]) == 8
+    generator = vandermonde_matrix(scheme.num_colors, scheme.chi, scheme.field_order)
+    assert len(generator) == 7
+    assert len(generator[0]) == 8
 
 
 def test_scheme_single_node():
     icp = setup((0,), 1)
     assert len(icp) == 1
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), 2)
-    assert scheme.generator == ((1,),)
+    assert vandermonde_matrix(scheme.num_colors, scheme.chi, scheme.field_order) == [[1]]
     messages = {(1, 1): 1}
     assert scheme.transmit(messages) == [1]
     assert simulate_decode(scheme, icp, messages) == messages
@@ -143,7 +152,7 @@ def test_generator_is_mds_exhaustive_small():
         icp = setup(gaps, L)
         scheme = build_mds_scheme(icp, theorem1_coloring(icp), q)
         assert scheme.num_colors <= 12
-        assert all_minors_nonsingular(scheme.generator, q)
+        assert all_minors_nonsingular(vandermonde_matrix(scheme.num_colors, scheme.chi, q), q)
 
 
 def test_generator_is_mds_spot_check_large():
@@ -151,9 +160,10 @@ def test_generator_is_mds_spot_check_large():
     scheme = build_mds_scheme(icp, theorem1_coloring(icp))
     rng = random.Random(23)
     q = scheme.field_order
+    generator = vandermonde_matrix(scheme.num_colors, scheme.chi, q)
     for _ in range(200):
         cols = rng.sample(range(scheme.num_colors), scheme.chi)
-        sub = [[row[c] for c in sorted(cols)] for row in scheme.generator]
+        sub = [[row[c] for c in sorted(cols)] for row in generator]
         assert det_mod(sub, q) != 0
 
 
@@ -244,15 +254,14 @@ def test_decode_node_returns_every_node_of_the_user():
 
 def _unknown_colors(graph, coloring, user):
     unknown = frozenset(graph.nodes) - graph.user_side[user - 1]
-    return tuple(sorted({coloring.color(nd) for nd in unknown}))
+    return tuple(sorted({coloring.assignment[nd] for nd in unknown}))
 
 
 def test_decode_error_when_rows_below_local_chromatic_value():
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
     rows = build_mds_scheme(icp, coloring).chi - 1
-    points = list(range(1, coloring.num_colors + 1))
-    scheme = TransmissionScheme(coloring, rows, 257, vandermonde_rows(points, rows, 257))
+    scheme = TransmissionScheme(coloring, rows, 257)
     messages = {node: 1 for node in icp.nodes}
     with pytest.raises(DecodeError) as exc:
         simulate_decode(scheme, icp, messages)
@@ -273,8 +282,7 @@ def test_decode_error_on_zero_denominator():
     # Below the color count, points 1..8 collide mod 5 and the solve breaks.
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    points = [c % 5 for c in range(1, 9)]
-    scheme = TransmissionScheme(coloring, 7, 5, vandermonde_rows(points, 7, 5))
+    scheme = TransmissionScheme(coloring, 7, 5)
     with pytest.raises(DecodeError, match="zero denominator") as exc:
         simulate_decode(scheme, icp, {node: 0 for node in icp.nodes})
     assert exc.value.user == 1
@@ -316,18 +324,6 @@ def test_transposed_vandermonde_matches_gaussian_elimination(system):
     ]
 
 
-@st.composite
-def small_gap_vectors(draw, max_nodes=60):
-    """Canonical gap vectors with i <= 4 columns, L <= 3 and at most max_nodes nodes."""
-    i = draw(st.integers(1, 4))
-    L = draw(st.integers(1, 3))
-    total = draw(st.integers(0, max_nodes // i - (i - 1) * L - 1))
-    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=i - 1, max_size=i - 1)))
-    gaps = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
-    spec, _ = GapVector(gaps, L).canonicalize()
-    return spec
-
-
 @settings(max_examples=60, deadline=None)
 @given(spec=small_gap_vectors(), budget=st.sampled_from(["lcv", "Ru"]),
        small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -343,20 +339,6 @@ def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, 
     assert simulate_decode(scheme, icp, messages) == messages
 
 
-@st.composite
-def side_info_graphs(draw, max_users=6, max_columns=3):
-    """Arbitrary side information in which no user knows its own nodes."""
-    K = draw(st.integers(1, max_users))
-    columns = draw(st.integers(1, max_columns))
-    nodes = [(k, t) for k in range(1, K + 1) for t in range(1, columns + 1)]
-    side = []
-    for k in range(1, K + 1):
-        others = [nd for nd in nodes if nd[0] != k]
-        keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
-        side.append(frozenset(nd for nd, kept in zip(others, keep) if kept))
-    return SuicpGraph(K=K, num_columns=columns, user_side=tuple(side))
-
-
 @settings(max_examples=100, deadline=None)
 @given(graph=side_info_graphs(), seed=st.integers(0, 2**32 - 1))
 def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, seed):
@@ -370,13 +352,6 @@ def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, s
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in nodes}
     assert simulate_decode(scheme, graph, messages) == messages
-
-
-@st.composite
-def greedy_colored_graphs(draw):
-    """Arbitrary side information under a greedy coloring in a drawn node order."""
-    graph = draw(side_info_graphs())
-    return graph, greedy_coloring(graph, draw(st.permutations(graph.nodes)))
 
 
 MUTUAL_PAIR = SuicpGraph(K=2, num_columns=2, user_side=(
@@ -404,6 +379,38 @@ def test_decode_round_trips_under_greedy_coloring_on_arbitrary_side_information(
     assert simulate_decode(scheme, graph, messages) == messages
 
 
+@settings(max_examples=100, deadline=None)
+@given(source=st.one_of(small_gap_vectors(), greedy_colored_graphs()), pad=st.booleans(),
+       small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(source=GapVector((2, 1), 3), pad=True, small_field=True, seed=0)  # q = n = 7
+@example(source=(MUTUAL_PAIR, greedy_coloring(MUTUAL_PAIR, MUTUAL_PAIR.nodes)),
+         pad=False, small_field=True, seed=1)  # q = n = 2
+def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
+    source, pad, small_field, seed
+):
+    # The broadcast symbols themselves, not only the round trip: symbol r is
+    # sum_c (c mod q)**r times the sum of the messages of color c.
+    if isinstance(source, GapVector):
+        graph, coloring = theorem1_colored_unions(source)
+        rows = upper_bound_Ru(source) if pad else None
+    else:
+        graph, coloring = source
+        rows = coloring.num_colors if pad else None
+    n = coloring.num_colors
+    # The smallest admissible prime puts color n at point 0 whenever n is prime.
+    q = next_prime_at_least(n) if small_field else None
+    scheme = build_mds_scheme(graph, coloring, q, rows=rows)
+    q = scheme.field_order
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(q) for node in graph.nodes}
+    aggregates = [0] * n
+    for node, value in messages.items():
+        aggregates[coloring.assignment[node] - 1] += value
+    expected = [sum(g * a for g, a in zip(row, aggregates)) % q
+                for row in vandermonde_matrix(n, scheme.chi, q)]
+    assert scheme.transmit(messages) == expected
+
+
 class RecordingMessages(dict):
     """Messages that record every node whose message is read."""
 
@@ -426,11 +433,6 @@ class RecordingMessages(dict):
     def values(self):
         self.read.update(self)
         return super().values()
-
-
-def theorem1_colored_unions(spec):
-    icp = build_union_icp(spec)
-    return icp, theorem1_coloring(icp)
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,7 +468,7 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
     # where points repeat and the division must still be exact.
     colors = data.draw(st.sets(st.integers(1, spec.K)))
     tiny = data.draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 7]))
-    cramped = TransmissionScheme(coloring, 1, tiny, vandermonde_rows([1] * spec.K, 1, tiny))
+    cramped = TransmissionScheme(coloring, 1, tiny)
     for s in (scheme, cramped):
         expected = master_product([c % s.field_order for c in sorted(colors)], s.field_order)
         assert s.master_over(colors) == expected
