@@ -10,11 +10,13 @@ cross-checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
+from .icp import rotate_mask
 
 DEFAULT_NODE_CAP = 26
 MAX_ORACLE_USERS = 22
@@ -102,13 +104,8 @@ def is_acyclic_induced(graph: SuicpGraph, nodes: frozenset[Node] | set[Node]) ->
     acyclic witnesses against, and as the benchmark's `bounds.acyclic` stage.
     """
     nodes = set(nodes)
-    indegree = {v: 0 for v in nodes}
-    out: dict[Node, list[Node]] = {u: [] for u in nodes}
-    for u in nodes:
-        for v in graph.side_info(u):
-            if v in nodes:
-                out[u].append(v)
-                indegree[v] += 1
+    out = {u: [v for v in graph.nodes_of(graph.user_side[u[0] - 1]) if v in nodes] for u in nodes}
+    indegree = Counter(v for targets in out.values() for v in targets)
     queue = [v for v in nodes if indegree[v] == 0]
     seen = 0
     while queue:
@@ -127,9 +124,9 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
     All nodes of a user share one out-neighbourhood, `user_side[k]`.  So a node
     set is acyclic exactly when some order of the users puts every user that
     knows a kept node after that node's user; a node that its own user knows
-    is never kept.  With `knowers[k][t]` the bitmask of users that know (k, t),
+    is never kept.  With `knowers[j]` the bitmask of users that know node j,
 
-        f[A] = max over k in A of f[A - k] + #{t : knowers[k][t] & A == 0}
+        f[A] = max over k in A of f[A - k] + #{j of k : knowers[j] & A == 0}
 
     is the most nodes the users of A keep when they come first in that order,
     and the answer is f[all users], in O(2^K * K * i) time.  Testing against A,
@@ -152,14 +149,11 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
         return n
     if K > MAX_ORACLE_USERS:
         raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
-    knowers = [[0] * graph.num_columns for _ in range(K)]
-    for k, side in enumerate(graph.user_side):
-        for b, t in side:
-            knowers[b - 1][t - 1] |= 1 << k
-    shifted = tuple(frozenset((b % K + 1, t) for b, t in side) for side in graph.user_side)
-    shift = 1 if shifted == graph.user_side[1:] + graph.user_side[:1] else 0
+    sides, i = graph.user_side, graph.num_columns
+    knowers = [sum(1 << k for k, side in enumerate(sides) if side >> j & 1) for j in range(n)]
+    shift = 1 if tuple(rotate_mask(side, i, n) for side in sides) == sides[1:] + sides[:1] else 0
     full = (1 << K) - 1
-    users = [(1 << k, knowers[k]) for k in range(K)]
+    users = [(1 << k, knowers[k * i:(k + 1) * i]) for k in range(K)]
     f = [-1] * (1 << K)
     f[0] = 0
     for A in range(1, 1 << K):

@@ -20,21 +20,26 @@ class Coloring:
     """Assignment of colors 1..num_colors to every virtual node.
 
     `classes[c-1]` holds the nodes of color c, sorted (empty for an unused
-    color), built once here.
+    color), and `masks[c-1]` their positions in sorted order as bits, built
+    once here: node masks of any graph the coloring covers exactly.
     """
 
     assignment: dict[Node, int]
     num_colors: int
     classes: tuple[tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bad = [c for c in self.assignment.values() if not 1 <= c <= self.num_colors]
         if bad:
             raise ValueError(f"colors out of range [1, {self.num_colors}]: {sorted(set(bad))}")
         classes: list[list[Node]] = [[] for _ in range(self.num_colors)]
-        for node in sorted(self.assignment):
-            classes[self.assignment[node] - 1].append(node)
+        masks = [0] * self.num_colors
+        for j, (node, c) in enumerate(sorted(self.assignment.items())):
+            classes[c - 1].append(node)
+            masks[c - 1] |= 1 << j
         object.__setattr__(self, "classes", tuple(map(tuple, classes)))
+        object.__setattr__(self, "masks", tuple(masks))
 
 
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
@@ -73,19 +78,16 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
 
     An empty list means the coloring is proper.  Within one color class two
     nodes are compatible exactly when each is side information for the other,
-    so only same-color pairs need checking.
+    so only same-color pairs need checking, one mask test per node.  The
+    coloring must cover exactly the graph's nodes.
     """
-    nodes = graph.nodes
-    missing = [nd for nd in nodes if nd not in coloring.assignment]
-    if missing:
-        raise ValueError(f"coloring leaves nodes uncovered: {missing[:5]}")
+    if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
+        raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
     violations: list[tuple[Node, Node]] = []
-    for members in coloring.classes:
+    for members, mask in zip(coloring.classes, coloring.masks):
         for u in members:
-            side = graph.side_info(u)
-            for v in members:
-                if v != u and v not in side:
-                    violations.append((u, v))
+            outside = mask & ~graph.user_side[u[0] - 1]
+            violations += [(u, v) for v in graph.nodes_of(outside) if v != u]
     return sorted(violations)
 
 
@@ -93,15 +95,12 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     """Max number of distinct colors in any node's closed anti-outneighborhood.
 
     All nodes of a user share the same closed anti-outneighborhood (the
-    complement of the user's side information), so the scan is per user.
+    complement of the user's side information): count the classes meeting it.
     """
     if verify_proper(graph, coloring):
         raise ValueError("coloring is not proper")
-    all_nodes, color = frozenset(graph.nodes), coloring.assignment
-    return max(
-        (len({color[nd] for nd in all_nodes - side}) for side in graph.user_side),
-        default=0,
-    )
+    outsides = [~side for side in graph.user_side]
+    return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)
 
 
 def ru_cap(K: int, i: int, L: int) -> int:

@@ -12,14 +12,15 @@ bound engines operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 Node = tuple[int, int]  # (user, column), both 1-based
 
 # Most user-node pairs, K * (K*i), that `build_union_icp` accepts: the pairs
-# that the local chromatic value and decode scan.  Larger instances are
-# refused before anything is built.
-# 1.7 million pairs ((120,1,119) in `macc simulate`) take 3.6-5.4 s and 190 MB
-# (Intel Xeon, Python 3.11, on a CPU whose speed varies by up to 2x).
+# that the local chromatic value and decode scan, as bitmasks.  Larger
+# instances are refused before anything is built.  1.7 million pairs
+# ((120,1,119) in `macc simulate`) take 1.9-2.2 s and 26 MB (Intel Xeon,
+# Python 3.11, on a CPU whose speed varies by up to 2x).
 MAX_UNION_PAIRS = 2_000_000
 
 
@@ -117,26 +118,34 @@ class SuicpGraph:
     There is an edge u -> v exactly when v's requested file is side
     information for u; all nodes of one user share the same side-information
     set, and only those sets are stored.  A user's closed anti-outneighborhood
-    is every node outside its set.
+    is every node outside its set.  Each set is a node mask: node (k, t) is
+    bit (k-1)*num_columns + t-1, its position in `nodes`.
     """
 
     K: int
     num_columns: int
-    user_side: tuple[frozenset[Node], ...]
+    user_side: tuple[int, ...]
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(
-            (k, t)
-            for k in range(1, self.K + 1)
-            for t in range(1, self.num_columns + 1)
-        )
+        return tuple(product(range(1, self.K + 1), range(1, self.num_columns + 1)))
 
     def __len__(self) -> int:
         return self.K * self.num_columns
 
-    def side_info(self, node: Node) -> frozenset[Node]:
-        return self.user_side[node[0] - 1]
+    def nodes_of(self, mask: int) -> list[Node]:
+        """The nodes whose bits are set in `mask`, in order; O(n) per set bit."""
+        out = []
+        while mask:
+            k, t = divmod((mask & -mask).bit_length() - 1, self.num_columns)
+            out.append((k + 1, t + 1))
+            mask &= mask - 1
+        return out
+
+
+def rotate_mask(mask: int, bits: int, width: int) -> int:
+    """`mask` rotated `bits` places up within `width` bits; by num_columns, the user shift."""
+    return (mask << bits | mask >> (width - bits)) & ((1 << width) - 1)
 
 
 @dataclass(frozen=True)
@@ -159,22 +168,22 @@ def build_union_icp(spec: GapVector) -> UnionIcp:
 
     In column t (gaps rotated t-1 times) user 1 knows a chunk of L files after
     each of the first i-1 gaps, at offsets o from file 1; the user shift maps
-    the instance onto itself, so user k knows files (o + k-1 mod K) + 1.  More
-    than MAX_UNION_PAIRS user-node pairs are refused first.
+    the instance onto itself, so user k's mask is user 1's rotated by (k-1)*i
+    bits.  More than MAX_UNION_PAIRS user-node pairs are refused first.
     """
-    K, L = spec.K, spec.L
-    pairs = K * K * spec.i
+    K, L, i = spec.K, spec.L, spec.i
+    pairs = K * K * i
     if pairs > MAX_UNION_PAIRS:
-        raise ValueError(f"union instance with {K} users and {spec.i} columns has {pairs} "
+        raise ValueError(f"union instance with {K} users and {i} columns has {pairs} "
                          f"user-node pairs, above the limit {MAX_UNION_PAIRS}")
-    offsets = []
-    for t in range(1, spec.i + 1):
+    first = 0
+    for t in range(1, i + 1):
         gap_sum = 0
         for v, gap in enumerate(rotate_gaps(spec.gaps, t - 1)[:-1]):
             gap_sum += gap
-            offsets += [(gap_sum + v * L + r, t) for r in range(1, L + 1)]
-    known = tuple(frozenset(((o + k) % K + 1, t) for o, t in offsets) for k in range(K))
-    return UnionIcp(K=K, num_columns=spec.i, user_side=known, spec=spec)
+            first |= sum(1 << ((gap_sum + v * L + r) % K * i + t - 1) for r in range(1, L + 1))
+    known = tuple(rotate_mask(first, k * i, K * i) for k in range(K))
+    return UnionIcp(K=K, num_columns=i, user_side=known, spec=spec)
 
 
 __all__ = [
@@ -187,6 +196,7 @@ __all__ = [
     "rotate_gaps",
     "canonical_rotation",
     "minimal_period",
+    "rotate_mask",
     "build_union_icp",
     "require_leading_max",
 ]

@@ -34,9 +34,9 @@ MAX_SAMPLES = 100_000
 # Most placement sets, and most user-node pairs K * cells over the delivery
 # table's cells, that `build_delivery_icp` accepts; it refuses more before
 # enumerating.  A class's union has about K pairs per cell (more when its
-# representative is periodic), about 1 us each in `end_to_end_simulate` (Intel
-# Xeon, Python 3.11; 2.5 us on small ones): (20,2,4) 546,000 pairs, 1.0-1.4 s;
-# (80,1,2) 19.7 million, 19-21 s, 49 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
+# representative is periodic), about 0.8 us each in `end_to_end_simulate` (Intel
+# Xeon, Python 3.11; 1.8 us on small ones): (20,2,4) 546,000 pairs, 0.8-1.0 s;
+# (80,1,2) 19.7 million, 14-16 s, 50 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
 

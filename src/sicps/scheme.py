@@ -164,26 +164,22 @@ def decode_node(
     """Recover the messages of every virtual node of `user`.
 
     The user's nodes share one side-information set, so a single solve
-    serves all of them.  A color is unknown when some member of its class is
-    outside that set.  The first m rows, less what the n-m fully known colors send,
+    serves all of them.  A color is unknown when its class mask meets the
+    complement of that set.  The first m rows, less what the n-m fully known colors send,
     are solved at the user's own colors only; each solution is the whole
     aggregate of the node's class, since its quotient polynomial vanishes on
     every other unknown color, so subtracting the members the user knows
     leaves the node's message.  Reads only messages the user knows.  Per
-    user: O(|side|+n) membership tests, O(m*(n-m)) for the residual,
+    user: n class-mask tests, O(m*(n-m)) for the residual,
     O(n*(n-m)) for the master polynomial and O(m*i) for the solve.
     """
-    q, classes = scheme.field_order, scheme.coloring.classes
-    side = graph.user_side[user - 1]
-    known = side.__contains__
-
+    q, coloring = scheme.field_order, scheme.coloring
+    outside = ~graph.user_side[user - 1]
     own = [(user, t) for t in range(1, graph.num_columns + 1)]
-    own_colors = [scheme.coloring.assignment[nd] for nd in own]
-    # One lookup settles the color of an own node outside the side information.
-    own_unknown = {c for nd, c in zip(own, own_colors) if nd not in side}
+    own_colors = [coloring.assignment[nd] for nd in own]
     unknown, full = [], []
-    for c, members in enumerate(classes, start=1):
-        (unknown if c in own_unknown or not all(map(known, members)) else full).append(c)
+    for c, mask in enumerate(coloring.masks, start=1):
+        (unknown if mask & outside else full).append(c)
     m = len(unknown)
     if m > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
@@ -195,10 +191,11 @@ def decode_node(
         )
     except ZeroDivisionError:
         raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
-    # Each solved aggregate still holds the known members of the node's class.
+    # Each solved aggregate still holds the class members the user knows.
+    unseen = [graph.nodes_of(coloring.masks[c - 1] & outside) for c in own_colors]
     return {
-        nd: (value - sum(map(messages.__getitem__, filter(known, classes[c - 1])))) % q
-        for nd, c, value in zip(own, own_colors, solved)
+        nd: (value - sum(messages[v] for v in coloring.classes[c - 1] if v not in gone)) % q
+        for nd, c, value, gone in zip(own, own_colors, solved, unseen)
     }
 
 

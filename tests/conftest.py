@@ -134,10 +134,26 @@ def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
     return frozenset(out)
 
 
+def graph_from_sides(K: int, num_columns: int, sides) -> SuicpGraph:
+    """The graph in which user k knows the nodes of `sides[k-1]`.
+
+    Each set becomes a mask with bit j for the j-th node in (user, column) order.
+    """
+    nodes = [(k, t) for k in range(1, K + 1) for t in range(1, num_columns + 1)]
+    masks = tuple(sum(1 << j for j, nd in enumerate(nodes) if nd in side) for side in sides)
+    return SuicpGraph(K=K, num_columns=num_columns, user_side=masks)
+
+
+def side_nodes(graph, user: int) -> frozenset[Node]:
+    """The side information of `user` as nodes: bit j of its mask is `graph.nodes[j]`."""
+    side = graph.user_side[user - 1]
+    return frozenset(nd for j, nd in enumerate(graph.nodes) if side >> j & 1)
+
+
 def naive_local_chromatic(graph, coloring) -> int:
     """Per-node oracle for the per-user chromatic value computation."""
     return max(
-        len({coloring.assignment[v] for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1]})
+        len({coloring.assignment[v] for v in frozenset(graph.nodes) - side_nodes(graph, u[0])})
         for u in graph.nodes
     )
 
@@ -148,11 +164,11 @@ def greedy_coloring(graph, order) -> Coloring:
     A node joins the first class whose every member it knows and is known by,
     so classes with several members arise wherever side information is mutual.
     """
+    sides = {k: side_nodes(graph, k) for k in range(1, graph.K + 1)}
     classes: list[list[Node]] = []
     for u in order:
-        side = graph.side_info(u)
         for members in classes:
-            if all(v in side and u in graph.side_info(v) for v in members):
+            if all(v in sides[u[0]] and u in sides[v[0]] for v in members):
                 members.append(u)
                 break
         else:
@@ -184,7 +200,7 @@ def side_info_graphs(draw, max_users=6, max_columns=3):
         others = [nd for nd in nodes if nd[0] != k]
         keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
         side.append(frozenset(nd for nd, kept in zip(others, keep) if kept))
-    return SuicpGraph(K=K, num_columns=columns, user_side=tuple(side))
+    return graph_from_sides(K, columns, side)
 
 
 @st.composite

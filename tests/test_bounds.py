@@ -15,7 +15,9 @@ from conftest import (
     canonical_gap_vectors,
     exact_rate_special,
     gap_vectors,
+    graph_from_sides,
     random_canonical_gap_vector,
+    side_nodes,
     tilde_icp_bounds,
 )
 import sicps.cli as cli
@@ -29,7 +31,7 @@ from sicps.bounds import (
     mais_lower,
 )
 from sicps.coloring import upper_bound_Ru
-from sicps.icp import GapVector, SuicpGraph, build_union_icp
+from sicps.icp import GapVector, build_union_icp
 
 
 def graph_of(gaps, L):
@@ -40,7 +42,7 @@ def complete_side_info_graph(n):
     """Every user knows every other requested file: all 2-cycles."""
     all_nodes = frozenset((k, 1) for k in range(1, n + 1))
     known = tuple(all_nodes - {(k, 1)} for k in range(1, n + 1))
-    return SuicpGraph(K=n, num_columns=1, user_side=known)
+    return graph_from_sides(n, 1, known)
 
 
 def test_constructive_fifteen_user_witness():
@@ -85,8 +87,8 @@ def test_is_acyclic_induced_basics():
     mutual = [
         (u, v)
         for u in graph.nodes
-        for v in graph.side_info(u)
-        if u in graph.side_info(v)
+        for v in side_nodes(graph, u[0])
+        if u in side_nodes(graph, v[0])
     ]
     assert mutual
     assert all(not is_acyclic_induced(graph, set(pair)) for pair in mutual[:5])
@@ -155,7 +157,7 @@ def random_side_info_graph(rng, users, columns, density, self_knowledge=False):
         own = set() if self_knowledge else {(k, t) for t in range(1, columns + 1)}
         pool = sorted(all_nodes - own)
         known.append(frozenset(nd for nd in pool if rng.random() < density))
-    return SuicpGraph(K=users, num_columns=columns, user_side=tuple(known))
+    return graph_from_sides(users, columns, known)
 
 
 def random_circulant_graph(rng, users, columns):
@@ -170,7 +172,7 @@ def random_circulant_graph(rng, users, columns):
         )
         for k in range(users)
     )
-    return SuicpGraph(K=users, num_columns=columns, user_side=known)
+    return graph_from_sides(users, columns, known)
 
 
 def test_bruteforce_matches_subset_enumeration():
@@ -208,9 +210,9 @@ def test_bruteforce_matches_subset_enumeration():
 def relabel_users(graph, perm):
     """The same graph with user k renamed perm[k - 1]."""
     side = [frozenset()] * graph.K
-    for k, known in enumerate(graph.user_side, start=1):
-        side[perm[k - 1] - 1] = frozenset((perm[b - 1], t) for b, t in known)
-    return SuicpGraph(K=graph.K, num_columns=graph.num_columns, user_side=tuple(side))
+    for k in range(1, graph.K + 1):
+        side[perm[k - 1] - 1] = frozenset((perm[b - 1], t) for b, t in side_nodes(graph, k))
+    return graph_from_sides(graph.K, graph.num_columns, side)
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,6 +223,22 @@ def test_bruteforce_symmetric_path_matches_plain_dp(spec, data):
     graph = build_union_icp(spec)
     perm = data.draw(st.permutations(range(1, spec.K + 1)))
     assert mais_bruteforce(relabel_users(graph, perm)) == mais_bruteforce(graph)
+
+
+def test_bruteforce_finds_the_user_shift_of_a_union():
+    # Rotating each mask by one user's bits finds the shift, so the union
+    # runs about K times fewer recurrences than a relabelled copy (K = 16).
+    graph = graph_of((7, 7), 1)
+    plain = relabel_users(graph, [1, 3, 2] + list(range(4, 17)))
+    seconds = {}
+    for name, g in (("orbit", graph), ("plain", plain)):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert mais_bruteforce(g, node_cap=32) == 16
+            runs.append(time.perf_counter() - start)
+        seconds[name] = min(runs)
+    assert seconds["orbit"] * 3 < seconds["plain"], seconds
 
 
 def test_bruteforce_raised_cap_values():

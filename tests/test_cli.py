@@ -551,6 +551,11 @@ GOLDEN_RUNS = {
                         "--demands", "1,2,3,4,5,1,2,3,4,5,1,2,3", "--seed", "9"],
     "decode_test": ["icp", "decode-test", "--gaps", "9,7,5,3,1", "--L", "3",
                     "--trials", "2", "--seed", "4"],
+    # The oracle runs and `exact` is unknown; Theorem 5 applies and `exact`
+    # is 5; the oracle is skipped.
+    "analyze_2_1_0_L2": ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"],
+    "analyze_2_1_L1": ["icp", "analyze", "--gaps", "2,1", "--L", "1"],
+    "analyze_9_7_5_3_1_L3": ["icp", "analyze", "--gaps", "9,7,5,3,1", "--L", "3"],
 }
 
 

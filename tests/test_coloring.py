@@ -13,6 +13,7 @@ from conftest import (
     greedy_colored_graphs,
     naive_local_chromatic,
     random_canonical_gap_vector,
+    side_nodes,
     small_gap_vectors,
     theorem1_colored_unions,
 )
@@ -25,6 +26,7 @@ from sicps.coloring import (
     verify_proper,
 )
 from sicps.icp import GapVector, build_union_icp
+from sicps.scheme import build_mds_scheme
 
 
 def make(gaps, L):
@@ -147,7 +149,7 @@ def test_verify_proper_flags_conflicts():
     all_one = Coloring(assignment={node: 1 for node in icp.nodes}, num_colors=1)
     violations = verify_proper(icp, all_one)
     assert violations
-    assert all(v != u and v not in icp.user_side[u[0] - 1] for u, v in violations)
+    assert all(v != u and v not in side_nodes(icp, u[0]) for u, v in violations)
 
 
 def test_verify_proper_requires_full_cover():
@@ -155,6 +157,19 @@ def test_verify_proper_requires_full_cover():
     partial = dict.fromkeys(list(icp.nodes)[:-1], 1)
     with pytest.raises(ValueError):
         verify_proper(icp, Coloring(assignment=partial, num_colors=1))
+
+
+@pytest.mark.parametrize("extra", [(1, 99), (99, 1)])
+def test_verify_proper_refuses_nodes_outside_the_graph(extra):
+    # The class masks follow the graph's node order only under exact coverage.
+    _, icp = make((2, 1, 0), 2)
+    assignment = dict(theorem1_coloring(icp).assignment)
+    assignment[extra] = 1
+    coloring = Coloring(assignment=assignment, num_colors=icp.K)
+    with pytest.raises(ValueError, match="outside"):
+        verify_proper(icp, coloring)
+    with pytest.raises(ValueError, match="outside"):
+        build_mds_scheme(icp, coloring)
 
 
 def test_local_chromatic_value_naive_coloring():
@@ -200,24 +215,29 @@ def test_coloring_rejects_out_of_range_colors():
 @given(colored=st.one_of(small_gap_vectors().map(theorem1_colored_unions),
                          greedy_colored_graphs()))
 def test_color_classes_partition_the_nodes_by_color(colored):
-    _, coloring = colored
+    graph, coloring = colored
     classes = coloring.classes
     assert len(classes) == coloring.num_colors
     assert sorted(nd for members in classes for nd in members) == sorted(coloring.assignment)
     for c, members in enumerate(classes, start=1):
         assert list(members) == sorted(members)
         assert set(members) == {nd for nd, color in coloring.assignment.items() if color == c}
+        mask = coloring.masks[c - 1]
+        assert {nd for j, nd in enumerate(graph.nodes) if mask >> j & 1} == set(members)
+        assert mask.bit_length() <= len(graph)
 
 
 def test_color_classes_keep_unused_colors_empty():
-    assert Coloring({(1, 1): 1}, 3).classes == (((1, 1),), (), ())
+    coloring = Coloring({(1, 1): 1}, 3)
+    assert coloring.classes == (((1, 1),), (), ())
+    assert coloring.masks == (1, 0, 0)
 
 
 def naive_violations(graph, coloring):
     """All-pairs oracle for the class-based properness check."""
     out = []
     for u in graph.nodes:
-        for v in frozenset(graph.nodes) - graph.user_side[u[0] - 1] - {u}:
+        for v in frozenset(graph.nodes) - side_nodes(graph, u[0]) - {u}:
             if coloring.assignment[u] == coloring.assignment[v]:
                 out.append((u, v))
     return sorted(out)

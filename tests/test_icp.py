@@ -14,11 +14,12 @@ from conftest import (
     eq2_known_set,
     gap_vectors,
     random_canonical_gap_vector,
+    side_nodes,
     single_known_files,
     tilde_icp_bounds,
 )
 from sicps.bounds import mais_lower
-from sicps.coloring import upper_bound_Ru
+from sicps.coloring import local_chromatic_value, theorem1_coloring, upper_bound_Ru
 from sicps.icp import (
     GapVector,
     build_union_icp,
@@ -107,7 +108,7 @@ def test_union_icp_user3_side_information_table():
     # Shaded cells of the worked 8-user example: per-column side information
     # of user 3 in the three-column table.
     icp = build_union_icp(GapVector((2, 1, 0), 2))
-    known = icp.side_info((3, 1))
+    known = side_nodes(icp, 3)
     by_column = {
         t: {b for (b, col) in known if col == t} for t in (1, 2, 3)
     }
@@ -119,10 +120,10 @@ def test_union_icp_user3_side_information_table():
 def test_union_icp_sizes():
     icp = build_union_icp(GapVector((2, 1), 6))
     assert icp.K == 10
-    assert all(len(icp.side_info((k, 1))) == 2 * 1 * 6 for k in range(1, 11))
+    assert all(len(side_nodes(icp, k)) == 2 * 1 * 6 for k in range(1, 11))
 
     trivial = build_union_icp(GapVector((7,), 4))
-    assert all(ks == frozenset() for ks in trivial.user_side)
+    assert trivial.user_side == (0,) * trivial.K
 
 
 def test_union_icp_refuses_too_many_user_node_pairs(monkeypatch):
@@ -137,13 +138,37 @@ def test_union_icp_refuses_too_many_user_node_pairs(monkeypatch):
         build_union_icp(GapVector((1000, 0), 1))  # K = 1002
 
 
+def test_largest_union_under_the_guard_is_user_one_rotated():
+    # (0,)*120 with L = 1: K = i = 120, 1,728,000 pairs, just under the limit.
+    icp = build_union_icp(GapVector((0,) * 120, 1))
+    K, i, n = icp.K, icp.i, len(icp)
+    assert (K, i, K * n) == (120, 120, 1_728_000)
+    first = icp.user_side[0]
+    for k in range(1, K + 1):
+        s = (k - 1) * i
+        assert icp.user_side[k - 1] == (first << s | first >> (n - s)) & ((1 << n) - 1)
+        assert icp.user_side[k - 1].bit_count() == (i - 1) * 1 * i
+    assert local_chromatic_value(icp, theorem1_coloring(icp)) == 120
+
+
+def test_node_masks_follow_node_order():
+    graph = build_union_icp(GapVector((3, 0, 1), 2))
+    nodes, i = graph.nodes, graph.num_columns
+    assert [graph.nodes_of(1 << j) for j in range(len(nodes))] == [
+        [(j // i + 1, j % i + 1)] for j in range(len(nodes))]
+    rng = random.Random(3)
+    for _ in range(20):
+        mask = rng.getrandbits(len(nodes))
+        assert graph.nodes_of(mask) == [nd for j, nd in enumerate(nodes) if mask >> j & 1]
+
+
 def test_union_icp_matches_direct_formula():
     rng = random.Random(5)
     for _ in range(25):
         spec = random_canonical_gap_vector(rng, max_K=16)
         icp = build_union_icp(spec)
         for k in range(1, spec.K + 1):
-            assert icp.side_info((k, 1)) == eq2_known_set(spec, k)
+            assert side_nodes(icp, k) == eq2_known_set(spec, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,8 +176,8 @@ def test_union_icp_matches_direct_formula():
 def test_user_side_is_user_one_shifted(spec):
     icp = build_union_icp(spec)
     for k in range(1, spec.K + 1):
-        shifted = frozenset((wrap(b + k - 1, spec.K), t) for b, t in icp.user_side[0])
-        assert icp.user_side[k - 1] == shifted == eq2_known_set(spec, k)
+        shifted = frozenset((wrap(b + k - 1, spec.K), t) for b, t in side_nodes(icp, 1))
+        assert side_nodes(icp, k) == shifted == eq2_known_set(spec, k)
 
 
 def test_union_columns_are_rotated_single_instances():
@@ -162,7 +187,7 @@ def test_union_columns_are_rotated_single_instances():
         for p in range(1, spec.i + 1):
             column_gaps = rotate_gaps(spec.gaps, p - 1)
             for k in (1, spec.K // 2 + 1, spec.K):
-                in_column = {b for (b, col) in icp.side_info((k, 1)) if col == p}
+                in_column = {b for (b, col) in side_nodes(icp, k) if col == p}
                 assert in_column == single_known_files(column_gaps, spec.L, spec.K, k)
 
 
@@ -173,7 +198,7 @@ def test_union_known_sets_invariants():
         icp = build_union_icp(spec)
         i, L = spec.i, spec.L
         for k in range(1, spec.K + 1):
-            known = icp.side_info((k, 1))
+            known = side_nodes(icp, k)
             assert len(known) == i * (i - 1) * L
             assert not (known & {(k, t) for t in range(1, i + 1)})
 
@@ -187,8 +212,8 @@ def test_rotation_closure_isomorphism():
         for t in range(1, i):
             rotated = build_union_icp(GapVector(rotate_gaps(spec.gaps, t), spec.L))
             for k in range(1, spec.K + 1):
-                mapped = {(b, wrap(p + t, i)) for (b, p) in rotated.side_info((k, 1))}
-                assert mapped == base.side_info((k, 1))
+                mapped = {(b, wrap(p + t, i)) for (b, p) in side_nodes(rotated, k)}
+                assert mapped == side_nodes(base, k)
 
 
 def test_interference_shift_property():
@@ -200,7 +225,7 @@ def test_interference_shift_property():
         icp = build_union_icp(spec)
         K, L = spec.K, spec.L
         for k in range(1, K + 1):
-            known = icp.side_info((k, 1))
+            known = side_nodes(icp, k)
             for n in range(1, spec.i):
                 a_n = spec.gap(n)
                 for m in range(a_n + L + 1, K):
@@ -213,7 +238,7 @@ def test_union_graph_node_counts():
     assert len(build_union_icp(GapVector((2, 1, 0), 2))) == 24
     graph = build_union_icp(GapVector((4,), 1))
     assert len(graph) == 5
-    assert all(graph.side_info(node) == frozenset() for node in graph.nodes)
+    assert all(side_nodes(graph, k) == frozenset() for k in range(1, graph.K + 1))
 
 
 def test_union_graph_in_neighbors():
@@ -222,19 +247,17 @@ def test_union_graph_in_neighbors():
     graph = build_union_icp(GapVector((3, 2, 1), 2))
     assert len(graph) == 33
     for target in graph.nodes:
-        in_neighbors = [u for u in graph.nodes if target in graph.side_info(u)]
+        in_neighbors = [u for u in graph.nodes if target in side_nodes(graph, u[0])]
         assert len(in_neighbors) == 12
 
 
 def test_suicp_rows_share_side_information():
     graph = build_union_icp(GapVector((3, 2, 1), 2))
-    for k in range(1, graph.K + 1):
-        sets = {graph.side_info((k, t)) for t in range(1, graph.num_columns + 1)}
-        assert len(sets) == 1
+    assert len(graph.user_side) == graph.K
     # A user's closed anti-outneighborhood, every node it does not know,
     # holds its own nodes.
     for k in range(1, graph.K + 1):
-        assert not {(k, t) for t in range(1, graph.num_columns + 1)} & graph.user_side[k - 1]
+        assert not {(k, t) for t in range(1, graph.num_columns + 1)} & side_nodes(graph, k)
 
 
 def test_tilde_icp_examples():

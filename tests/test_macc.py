@@ -18,6 +18,7 @@ from conftest import (
     iter_weak_compositions,
     missing_sets,
     rate_closed_form_large_L,
+    side_nodes,
     single_known_files,
     user_caches,
 )
@@ -537,7 +538,7 @@ def test_class_graph_matches_physical_availability():
                         K, L, by_label[rotate_gaps(rep, p - 1)].cells[m - 1][1], k
                     )
                 }
-                assert physical == bar.side_info((k, 1)), (K, L, w, rep, k)
+                assert physical == side_nodes(bar, k), (K, L, w, rep, k)
             assert minimal_period(rep) == len({rotate_gaps(rep, t) for t in range(len(rep))})
 
 

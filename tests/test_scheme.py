@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     greedy_colored_graphs,
+    graph_from_sides,
     greedy_coloring,
     master_product,
     naive_local_chromatic,
     side_info_graphs,
+    side_nodes,
     small_gap_vectors,
     theorem1_colored_unions,
     vandermonde_matrix,
@@ -35,7 +37,7 @@ from sicps.field import (
     next_prime_at_least,
     solve_mod,
 )
-from sicps.icp import GapVector, SuicpGraph, build_union_icp
+from sicps.icp import GapVector, build_union_icp
 from sicps.scheme import (
     DecodeError,
     TransmissionScheme,
@@ -253,7 +255,7 @@ def test_decode_node_returns_every_node_of_the_user():
 
 
 def _unknown_colors(graph, coloring, user):
-    unknown = frozenset(graph.nodes) - graph.user_side[user - 1]
+    unknown = frozenset(graph.nodes) - side_nodes(graph, user)
     return tuple(sorted({coloring.assignment[nd] for nd in unknown}))
 
 
@@ -354,8 +356,7 @@ def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, s
     assert simulate_decode(scheme, graph, messages) == messages
 
 
-MUTUAL_PAIR = SuicpGraph(K=2, num_columns=2, user_side=(
-    frozenset({(2, 1), (2, 2)}), frozenset({(1, 1), (1, 2)})))
+MUTUAL_PAIR = graph_from_sides(2, 2, ({(2, 1), (2, 2)}, {(1, 1), (1, 2)}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -449,7 +450,7 @@ def test_decode_reads_only_the_users_side_information(colored, seed):
         messages = RecordingMessages(plain)
         decoded = decode_node(scheme, graph, k, messages, broadcast)
         assert decoded == {(k, t): plain[(k, t)] for t in range(1, graph.num_columns + 1)}
-        assert messages.read <= graph.user_side[k - 1], k
+        assert messages.read <= side_nodes(graph, k), k
 
 
 @settings(max_examples=100, deadline=None)
