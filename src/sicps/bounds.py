@@ -134,9 +134,9 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
     user by one maps `user_side` onto itself, as it does for every union
     instance, f is constant on each orbit of that shift.  So A is walked
     upwards, the recurrence runs only at the smallest set of each orbit (every
-    A - k is smaller, hence already filled), and its value is copied to the
-    orbit's other rotations: about 2^K / K recurrences.  Without the symmetry
-    the shift is 0, every orbit is {A}, and the loop is the plain DP.
+    A - k is smaller, hence already filled), and its value is written to every
+    rotation by shifting a doubled word: about 2^K / K recurrences.  Without
+    the symmetry every orbit is {A}, and the loop is the plain DP.
 
     A graph in which no user knows anything is acyclic and returns its size.
     Otherwise graphs above `node_cap` nodes or above MAX_ORACLE_USERS users
@@ -151,7 +151,8 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
         raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
     sides, i = graph.user_side, graph.num_columns
     knowers = [sum(1 << k for k, side in enumerate(sides) if side >> j & 1) for j in range(n)]
-    shift = 1 if tuple(rotate_mask(side, i, n) for side in sides) == sides[1:] + sides[:1] else 0
+    symmetric = tuple(rotate_mask(side, i, n) for side in sides) == sides[1:] + sides[:1]
+    shifts = range(K) if symmetric else range(1)
     full = (1 << K) - 1
     users = [(1 << k, knowers[k * i:(k + 1) * i]) for k in range(K)]
     f = [-1] * (1 << K)
@@ -168,10 +169,9 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
                         value += 1
                 if value > best:
                     best = value
-        B = A
-        while f[B] < 0:  # the orbit's other sets are all still unset; stops back at A
-            f[B] = best
-            B = ((B << shift) & full) | (B >> (K - shift))
+        AA = A | A << K  # every rotation of A is a K-bit window of this word
+        for s in shifts:  # a periodic orbit has some sets written more than once
+            f[AA >> s & full] = best
     return f[-1]
 
 

@@ -7,6 +7,7 @@ pure function of the flags (plus the seed for randomized subcommands).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -286,9 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` shares across calls; build_parser returns a fresh one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except DecodeError as exc:

@@ -31,7 +31,7 @@ from sicps.bounds import (
     mais_lower,
 )
 from sicps.coloring import upper_bound_Ru
-from sicps.icp import GapVector, build_union_icp
+from sicps.icp import GapVector, build_union_icp, rotate_mask
 
 
 def graph_of(gaps, L):
@@ -223,6 +223,31 @@ def test_bruteforce_symmetric_path_matches_plain_dp(spec, data):
     graph = build_union_icp(spec)
     perm = data.draw(st.permutations(range(1, spec.K + 1)))
     assert mais_bruteforce(relabel_users(graph, perm)) == mais_bruteforce(graph)
+
+
+def has_user_shift(graph):
+    """Whether shifting every user by one maps the side information onto itself."""
+    sides = graph.user_side
+    return tuple(rotate_mask(side, graph.num_columns, len(graph)) for side in sides) == (
+        sides[1:] + sides[:1])
+
+
+@pytest.mark.parametrize("gaps, L, K, value", [
+    ((1, 1), 1, 4, 4),  # 8 nodes
+    ((1, 0), 2, 4, 3),
+    ((2, 2), 1, 6, 6),
+    ((5, 5), 1, 12, 12),
+    ((2, 1), 3, 7, 5),  # K prime: every orbit but the empty and full sets has K sets
+])
+def test_bruteforce_orbit_fill_on_composite_K(gaps, L, K, value):
+    # With K composite, user sets such as {1, 3} (K = 4) repeat under fewer
+    # than K shifts, so the orbit fill writes some of them more than once.
+    graph = graph_of(gaps, L)
+    plain = relabel_users(graph, [1, 3, 2] + list(range(4, K + 1)))
+    assert graph.K == K and has_user_shift(graph) and not has_user_shift(plain)
+    assert mais_bruteforce(graph) == mais_bruteforce(plain) == value
+    if len(graph) <= 10:
+        assert subset_enumeration_mais(graph) == value
 
 
 def test_bruteforce_finds_the_user_shift_of_a_union():

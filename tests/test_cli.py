@@ -579,3 +579,82 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
     for line in lines:
         code, _, err = run(capsys, shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def outcome(argv, out_path):
+    """Exit code, stdout, stderr and `--out` file of one `main` call; the file is removed."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+    out_path.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def mixed_argvs(out_path):
+    """Every subcommand, with and without optional flags, around usage errors and help."""
+    analyze = ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"]
+    decode = ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--trials", "2",
+              "--seed", "1"]
+    rate = ["macc", "rate", "--K", "8", "--L", "2", "--w", "2"]
+    tradeoff = ["macc", "tradeoff", "--K", "8", "--L", "2", "--samples", "3"]
+    simulate = ["macc", "simulate", "--K", "6", "--L", "2", "--w", "2",
+                "--demands", "1,2,3,4,5,6", "--seed", "3"]
+    return [
+        analyze + ["--format", "json"],
+        tradeoff + ["--out", str(out_path)],
+        decode + ["--field", "11"],
+        analyze + ["--bogus"],
+        rate + ["--N", "10", "--format", "json"],
+        tradeoff,
+        decode,
+        ["icp", "analyze", "--gaps", "2,,1", "--L", "2"],
+        rate,
+        simulate + ["--N", "8", "--format", "text"],
+        decode[:-2],  # no --seed
+        simulate,
+        ["icp", "analyze", "--help"],
+        analyze,
+        tradeoff + ["--format", "json", "--N", "9"],
+        ["macc", "simulate", "--help"],
+        decode + ["--format", "json"],
+        rate + ["--bogus"],
+        ["--help"],
+        tradeoff + ["--out", str(out_path), "--format", "json"],
+    ]
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    out_path = tmp_path / "curve.csv"
+    real_build = cli.build_parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argvs = mixed_argvs(out_path)
+        assert len(argvs) == 20
+        for argv in argvs:
+            outcome(argv, out_path)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert real_build() is not real_build()
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
+    # Each call through the one shared parser gives what a freshly built
+    # parser gives for the same argv, whatever ran before it.
+    out_path = tmp_path / "curve.csv"
+    for argv in mixed_argvs(out_path):
+        shared = outcome(argv, out_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", cli.build_parser)
+            fresh = outcome(argv, out_path)
+        assert shared == fresh, argv
