@@ -83,11 +83,13 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
     """
     if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
+    i, side = graph.num_columns, graph.user_side
     violations: list[tuple[Node, Node]] = []
     for members, mask in zip(coloring.classes, coloring.masks):
-        for u in members:
-            outside = mask & ~graph.user_side[u[0] - 1]
-            violations += [(u, v) for v in graph.nodes_of(outside) if v != u]
+        for k, t in members:
+            # A node never interferes with itself: clear its own bit too.
+            if outside := mask & ~(side[k - 1] | 1 << ((k - 1) * i + t - 1)):
+                violations += [((k, t), v) for v in graph.nodes_of(outside)]
     return sorted(violations)
 
 

@@ -369,7 +369,6 @@ def end_to_end_simulate(
         # the class column whose label is the (p-1)-th rotation of the rep.
         symbols: dict[tuple[Subfile, int], int] = {}
         messages = {}
-        placement_of = {}
         for p in range(1, bar.i + 1):
             column = column_by_label[rotate_gaps(rep, p - 1)]
             part = (p - 1) // period
@@ -378,18 +377,18 @@ def end_to_end_simulate(
                 if key not in symbols:
                     symbols[key] = rng.randrange(q)
                 messages[(k, p)] = symbols[key]
-                placement_of[(k, p)] = key
         decoded = simulate_decode(scheme, bar, messages)
         for node in bar.nodes:
             if decoded[node] != messages[node]:
-                subfile, part = placement_of[node]
+                k, p = node
+                subfile = column_by_label[rotate_gaps(rep, p - 1)].cells[k - 1]
                 failures.append(
                     {
                         "representative": list(rep),
-                        "user": node[0],
+                        "user": k,
                         "file": subfile[0],
                         "cache_set": list(subfile[1]),
-                        "part": part + 1,
+                        "part": (p - 1) // period + 1,
                         "expected": messages[node],
                         "decoded": decoded[node],
                     }

@@ -7,18 +7,28 @@ over colors of aggregate times point**r, written once in
 `TransmissionScheme._sent_by`.  A user subtracts what the n-m colors it fully
 knows send and is left with the m <= chi colors of its closed
 anti-outneighborhood.  The first m rows restricted to those colors form a
-transposed Vandermonde system, solved once per user from its master
-polynomial: the scheme's master over all n colors divided by the n-m known
-colors, O(n*(n-m)) time.  The solve at an own color ignores every other
-unknown color, so only the own color keeps the known part of its aggregate;
+transposed Vandermonde system, solved at the user's i own colors only from
+its master polynomial: the scheme's master over all n colors divided by the
+n-m known colors.  The solve at an own color ignores every other unknown
+color, so only the own color keeps the known part of its aggregate;
 properness makes that part the rest of the node's class, subtracted last.
+
+None of that but the residual and the subtraction depends on the messages,
+so decoding is split in two.  `plan_decode` builds a user's `DecodePlan` once
+per scheme: n class-mask tests, O(n*(n-m)) for the master and O(m*i) for one
+quotient row per own color, m*i coefficients kept.  `decode_node` applies it
+to one broadcast: O(m*(n-m)) for the residual, one C-level dot product of m
+terms per own color, and the known class members subtracted.  Callers that
+decode many message sets keep the K plans; a single decode builds each plan,
+applies it and drops it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import sub
+from operator import mul, sub
+from typing import NamedTuple
 
 from .coloring import Coloring, local_chromatic_value
 from .field import default_field_order, validate_field
@@ -66,14 +76,14 @@ class TransmissionScheme:
     def num_colors(self) -> int:
         return self.coloring.num_colors
 
-    def master_over(self, colors: list[int]) -> list[int]:
-        """prod (X - c mod q) over the distinct `colors`, highest degree first.
+    def master_without(self, colors: list[int]) -> list[int]:
+        """prod (X - c mod q) over every color not in the distinct `colors`, highest degree first.
 
-        `master` divided by (X - c mod q) for every other color c, by synthetic
+        `master` divided by (X - c mod q) for each of `colors`, by synthetic
         division in O(n) each; exact even where points repeat.
         """
         q, poly = self.field_order, list(self.master)
-        for c in set(range(1, self.num_colors + 1)).difference(colors):
+        for c in colors:
             b, quotient = 0, []
             for a in poly[:-1]:
                 b = (a + c * b) % q
@@ -125,53 +135,62 @@ def build_mds_scheme(
     return TransmissionScheme(coloring=coloring, chi=chi, field_order=field_order)
 
 
-def solve_transposed_vandermonde(
-    master: list[int], rhs: list[int], roots: list[int], q: int
-) -> list[int]:
-    """Components at `roots` of y solving sum_j points[j]**r * y[j] = rhs[r], r < m.
+def transposed_vandermonde_rows(
+    master: list[int], roots: list[int], q: int
+) -> list[tuple[list[int], int]]:
+    """Per root, the row and scale giving y there, where sum_j points[j]**r * y[j] = rhs[r], r < m.
 
     `master` is P(X) = prod_j (X - points[j]) over the m points, highest
-    degree first, and each root is one of the points.  With
-    b(X) = P(X) / (X - root), b vanishes on every point but the root, so
-    y at the root is (b . rhs) / b(root) (Bjorck & Pereyra 1970), O(m) per
-    root.  Raises ZeroDivisionError when the root repeats another point.
+    degree first, and each root is one of the points.  The quotient
+    b(X) = P(X) / (X - root) = b_0 X^(m-1) + ... + b_(m-1) vanishes on every
+    point but the root, so y at the root is sum_r b_r * rhs[m-1-r] / b(root)
+    (Bjorck & Pereyra 1970): the row is (b_0, ..., b_(m-1)), dotted with rhs
+    reversed, and the scale is 1/b(root).  O(m) per root.  Raises
+    ZeroDivisionError when the root repeats another point.
     """
-    m = len(rhs)
-    solved = []
+    inner, rows = master[1:-1], []
     for root in roots:
         # Synthetic division, highest coefficient first; Horner evaluates the
-        # quotient at the root and the dot product with rhs in the same pass.
-        b = master[0]
-        numerator = b * rhs[m - 1]
-        denominator = b
-        for r in range(1, m):
-            b = (master[r] + root * b) % q
-            numerator += b * rhs[m - 1 - r]
+        # quotient at the root in the same pass.
+        b = denominator = master[0]
+        row = [b]
+        append = row.append
+        for a in inner:
+            b = (a + root * b) % q
+            append(b)
             denominator = (denominator * root + b) % q
         if denominator == 0:
             raise ZeroDivisionError(f"point {root} is repeated")
-        solved.append(numerator * pow(denominator, -1, q) % q)
-    return solved
+        rows.append((row, pow(denominator, -1, q)))
+    return rows
 
 
-def decode_node(
-    scheme: TransmissionScheme,
-    graph: SuicpGraph,
-    user: int,
-    messages: dict[Node, int],
-    broadcast: list[int],
-) -> dict[Node, int]:
-    """Recover the messages of every virtual node of `user`.
+class DecodePlan(NamedTuple):
+    """Everything decoding one user needs that no message changes, from `plan_decode`.
 
-    The user's nodes share one side-information set, so a single solve
-    serves all of them.  A color is unknown when its class mask meets the
-    complement of that set.  The first m rows, less what the n-m fully known colors send,
-    are solved at the user's own colors only; each solution is the whole
-    aggregate of the node's class, since its quotient polynomial vanishes on
-    every other unknown color, so subtracting the members the user knows
-    leaves the node's message.  Reads only messages the user knows.  Per
-    user: n class-mask tests, O(m*(n-m)) for the residual,
-    O(n*(n-m)) for the master polynomial and O(m*i) for the solve.
+    The user subtracts what the `full` colors (those it fully knows) send
+    from the first m broadcast symbols.  For each own node, `rows` holds its
+    color's quotient row and scale (`transposed_vandermonde_rows`), `members`
+    the color's class and `unseen` the class members the user does not know.
+    """
+
+    scheme: TransmissionScheme
+    m: int
+    own: list[Node]
+    full: list[int]
+    rows: list[tuple[list[int], int]]
+    members: list[tuple[Node, ...]]
+    unseen: list[list[Node]]
+
+
+def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> DecodePlan:
+    """The decode plan of `user`, built once per scheme and reused across message sets.
+
+    A color is unknown when its class mask meets the complement of the
+    user's side information; its m unknown colors must not exceed chi.  The
+    rows come from the master over the unknown colors, taken at the user's
+    own colors only.  Per plan: n class-mask tests, O(n*(n-m)) for the
+    master polynomial and O(m*i) for the rows, m*i coefficients kept.
     """
     q, coloring = scheme.field_order, scheme.coloring
     outside = ~graph.user_side[user - 1]
@@ -180,35 +199,65 @@ def decode_node(
     unknown, full = [], []
     for c, mask in enumerate(coloring.masks, start=1):
         (unknown if mask & outside else full).append(c)
-    m = len(unknown)
-    if m > scheme.chi:
+    if len(unknown) > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
-    residual = list(map(sub, broadcast, scheme._sent_by(full, messages, m)))
-
     try:
-        solved = solve_transposed_vandermonde(
-            scheme.master_over(unknown), residual, [c % q for c in own_colors], q
+        rows = transposed_vandermonde_rows(
+            scheme.master_without(full), [c % q for c in own_colors], q
         )
     except ZeroDivisionError:
         raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
-    # Each solved aggregate still holds the class members the user knows.
+    members = [coloring.classes[c - 1] for c in own_colors]
     unseen = [graph.nodes_of(coloring.masks[c - 1] & outside) for c in own_colors]
+    return DecodePlan(scheme, len(unknown), own, full, rows, members, unseen)
+
+
+def decode_node(
+    plan: DecodePlan, messages: dict[Node, int], broadcast: list[int]
+) -> dict[Node, int]:
+    """Recover the messages of every virtual node of the plan's user.
+
+    The user's nodes share one side-information set, so one residual serves
+    all of them: the first m symbols less what the fully known colors send.
+    Each own node's row, dotted with it, gives the whole aggregate of the
+    node's class, since its quotient polynomial vanishes on every other
+    unknown color; subtracting the members the user knows leaves the node's
+    message.  Reads only messages the user knows.  Per trial: O(m*(n-m))
+    for the residual and O(m*i) for the dot products; the plan's own cost,
+    O(n*(n-m) + m*i), is paid once per scheme and user.
+    """
+    scheme, m = plan.scheme, plan.m
+    q = scheme.field_order
+    # Reversed once, so that each row dots with it directly.
+    sent = scheme._sent_by(plan.full, messages, m)
+    residual = list(map(sub, broadcast[m - 1::-1], sent[::-1]))
     return {
-        nd: (value - sum(messages[v] for v in coloring.classes[c - 1] if v not in gone)) % q
-        for nd, c, value, gone in zip(own, own_colors, solved, unseen)
+        nd: (sum(map(mul, row, residual)) * scale
+             - sum(messages[v] for v in members if v not in gone)) % q
+        for nd, (row, scale), members, gone
+        in zip(plan.own, plan.rows, plan.members, plan.unseen)
     }
 
 
 def simulate_decode(
-    scheme: TransmissionScheme, graph: SuicpGraph, messages: dict[Node, int]
+    scheme: TransmissionScheme,
+    graph: SuicpGraph,
+    messages: dict[Node, int],
+    plans: list[DecodePlan] | None = None,
 ) -> dict[Node, int]:
-    """Decode every node, one solve per user; the result must reproduce `messages`."""
+    """Decode every node, one plan per user; the result must reproduce `messages`.
+
+    `plans` are the users' plans in order, built once by `plan_decode` for
+    callers that decode many message sets; without them each user's plan is
+    built, applied and dropped.
+    """
     if set(messages) != set(graph.nodes):
         raise ValueError("messages must assign exactly one symbol per node")
     broadcast = scheme.transmit(messages)
     decoded: dict[Node, int] = {}
     for k in range(1, graph.K + 1):
-        decoded.update(decode_node(scheme, graph, k, messages, broadcast))
+        plan = plan_decode(scheme, graph, k) if plans is None else plans[k - 1]
+        decoded.update(decode_node(plan, messages, broadcast))
     return decoded
 
 
@@ -216,7 +265,9 @@ __all__ = [
     "DecodeError",
     "TransmissionScheme",
     "build_mds_scheme",
-    "solve_transposed_vandermonde",
+    "transposed_vandermonde_rows",
+    "DecodePlan",
+    "plan_decode",
     "decode_node",
     "simulate_decode",
 ]

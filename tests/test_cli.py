@@ -201,12 +201,15 @@ def test_decode_test_requires_seed(capsys):
     assert exc.value.code == 2
 
 
-def test_decode_failure_exits_three(capsys, monkeypatch):
-    def corrupted(scheme, graph, messages):
-        return {node: (value + 1) % scheme.field_order
-                for node, value in messages.items()}
+def corrupted_decode_node(plan, messages, broadcast):
+    """A per-user decode that gets every node of the plan's user wrong."""
+    return {node: (messages[node] + 1) % plan.scheme.field_order for node in plan.own}
 
-    monkeypatch.setattr(cli, "simulate_decode", corrupted)
+
+def test_decode_failure_exits_three(capsys, monkeypatch):
+    import sicps.scheme as scheme
+
+    monkeypatch.setattr(scheme, "decode_node", corrupted_decode_node)
     code, out, _ = run(
         capsys,
         ["icp", "decode-test", "--gaps", "2,1", "--L", "1",
@@ -214,6 +217,31 @@ def test_decode_failure_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["failures"] == 2 * 10
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
+    import sicps.scheme as scheme
+
+    built = []
+
+    def spy(real):
+        def counted(scheme_, graph, user):
+            built.append(user)
+            return real(scheme_, graph, user)
+        return counted
+
+    # Both the CLI's own calls and any fallback inside simulate_decode count.
+    monkeypatch.setattr(cli, "plan_decode", spy(cli.plan_decode))
+    monkeypatch.setattr(scheme, "plan_decode", spy(scheme.plan_decode))
+    code, out, _ = run(
+        capsys,
+        ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
+         "--trials", str(trials), "--seed", "3", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+    assert built == list(range(1, 9))  # K = 8 users, whatever the trial count
 
 
 def test_decode_error_exits_three(capsys, monkeypatch):
@@ -500,24 +528,32 @@ def test_oversized_union_refused_before_building(capsys, argv):
 
 def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     import sicps.macc as macc
+    import sicps.scheme as scheme
 
-    def corrupted(scheme, graph, messages):
-        return {node: (value + 1) % scheme.field_order
-                for node, value in messages.items()}
-
-    monkeypatch.setattr(macc, "simulate_decode", corrupted)
+    monkeypatch.setattr(scheme, "decode_node", corrupted_decode_node)
+    demands = [3, 1, 4, 1, 5, 2, 6, 8]
     code, out, _ = run(
         capsys,
         ["macc", "simulate", "--K", "8", "--L", "2", "--w", "2",
-         "--demands", "1,2,3,4,5,6,7,8", "--seed", "1"],
+         "--demands", ",".join(map(str, demands)), "--seed", "1"],
     )
     assert code == 3
     payload = json.loads(out)
     assert payload["decoded_ok"] is False
-    assert payload["failures"]
-    first = payload["failures"][0]
+    failures = payload["failures"]
+    first = failures[0]
     assert {"representative", "user", "file", "cache_set", "part",
             "expected", "decoded"} <= set(first)
+    assert all(f["file"] == demands[f["user"] - 1] for f in failures)
+    # Every node fails, in order (user, column), so the 15th failure of the
+    # one-column class (1,1,1), split three ways, is user 5's third part.
+    table = macc.build_delivery_icp(macc.CcdnConfig(N=8, K=8, L=2), 2, demands)
+    column = next(col for col in table.columns if col.label == (1, 1, 1))
+    ones = [f for f in failures if f["representative"] == [1, 1, 1]]
+    assert len(ones) == 8 * 3
+    assert {k: ones[14][k] for k in ("user", "file", "cache_set", "part")} == {
+        "user": 5, "file": column.cells[4][0], "cache_set": list(column.cells[4][1]), "part": 3
+    }
 
 
 def test_unknown_flag_usage_error():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,11 +42,13 @@ from sicps.field import (
 from sicps.icp import GapVector, build_union_icp
 from sicps.scheme import (
     DecodeError,
+    DecodePlan,
     TransmissionScheme,
     build_mds_scheme,
     decode_node,
+    plan_decode,
     simulate_decode,
-    solve_transposed_vandermonde,
+    transposed_vandermonde_rows,
 )
 
 
@@ -250,7 +254,7 @@ def test_decode_node_returns_every_node_of_the_user():
     rng = random.Random(3)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     broadcast = scheme.transmit(messages)
-    decoded = decode_node(scheme, icp, 4, messages, broadcast)
+    decoded = decode_node(plan_decode(scheme, icp, 4), messages, broadcast)
     assert decoded == {(4, t): messages[(4, t)] for t in (1, 2, 3)}
 
 
@@ -318,12 +322,24 @@ def test_transposed_vandermonde_matches_gaussian_elimination(system):
     matrix = [[pow(p, r, q) for p in points] for r in range(m)]
     expected = solve_mod(matrix, rhs, q)
     master = master_product(points, q)
-    assert solve_transposed_vandermonde(master, rhs, points, q) == expected
+
+    def solved(roots):
+        rows = transposed_vandermonde_rows(master, roots, q)
+        assert all(len(row) == m for row, _ in rows)
+        return [sum(map(mul, row, reversed(rhs))) * scale % q for row, scale in rows]
+
+    assert solved(points) == expected
     # Any subset of components, in any order, matches the same solution.
     wanted = list(reversed(range(0, m, 2)))
-    assert solve_transposed_vandermonde(master, rhs, [points[j] for j in wanted], q) == [
-        expected[j] for j in wanted
-    ]
+    assert solved([points[j] for j in wanted]) == [expected[j] for j in wanted]
+
+
+def test_transposed_vandermonde_rows_reject_a_repeated_point():
+    q = 5
+    master = master_product([1, 6 % q, 2], q)  # colors 1 and 6 share the point 1
+    assert transposed_vandermonde_rows(master, [2], q)[0][1] != 0
+    with pytest.raises(ZeroDivisionError, match="point 1 is repeated"):
+        transposed_vandermonde_rows(master, [2, 1], q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,16 +457,38 @@ class RecordingMessages(dict):
                          greedy_colored_graphs()),
        seed=st.integers(0, 2**32 - 1))
 def test_decode_reads_only_the_users_side_information(colored, seed):
+    # One plan per user, reused over several message sets, decodes each exactly.
     graph, coloring = colored
     scheme = build_mds_scheme(graph, coloring)
     rng = random.Random(seed)
-    plain = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-    broadcast = scheme.transmit(plain)
-    for k in range(1, graph.K + 1):
-        messages = RecordingMessages(plain)
-        decoded = decode_node(scheme, graph, k, messages, broadcast)
-        assert decoded == {(k, t): plain[(k, t)] for t in range(1, graph.num_columns + 1)}
-        assert messages.read <= side_nodes(graph, k), k
+    plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
+    for _ in range(3):
+        plain = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+        broadcast = scheme.transmit(plain)
+        for k, plan in enumerate(plans, start=1):
+            messages = RecordingMessages(plain)
+            decoded = decode_node(plan, messages, broadcast)
+            assert decoded == {(k, t): plain[(k, t)] for t in range(1, graph.num_columns + 1)}
+            assert messages.read <= side_nodes(graph, k), k
+        assert simulate_decode(scheme, graph, plain, plans) == plain
+
+
+def live_plans():
+    gc.collect()
+    return sum(type(obj) is DecodePlan for obj in gc.get_objects())
+
+
+def test_one_trial_decode_retains_no_plan():
+    icp = setup((2, 1, 0), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
+    rng = random.Random(5)
+    messages = {node: rng.randrange(251) for node in icp.nodes}
+    before = live_plans()
+    plans = [plan_decode(scheme, icp, k) for k in range(1, icp.K + 1)]
+    assert live_plans() == before + icp.K  # the count sees plans that are kept
+    del plans
+    assert simulate_decode(scheme, icp, messages) == messages
+    assert live_plans() == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,10 +499,11 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
     q = next_prime_at_least(spec.K) if small_field else None
     scheme = build_mds_scheme(icp, coloring, q)
     q = scheme.field_order
-    # Every user's unknown colors, as decoding divides them out ...
+    # Every user's unknown colors, as decoding divides out the known ones ...
     for k in range(1, spec.K + 1):
         unknown = _unknown_colors(icp, coloring, k)
-        assert scheme.master_over(unknown) == master_product([c % q for c in unknown], q)
+        known = sorted(set(range(1, spec.K + 1)) - set(unknown))
+        assert scheme.master_without(known) == master_product([c % q for c in unknown], q)
     # ... and any color subset, also over a field below the color count,
     # where points repeat and the division must still be exact.
     colors = data.draw(st.sets(st.integers(1, spec.K)))
@@ -472,7 +511,7 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
     cramped = TransmissionScheme(coloring, 1, tiny)
     for s in (scheme, cramped):
         expected = master_product([c % s.field_order for c in sorted(colors)], s.field_order)
-        assert s.master_over(colors) == expected
+        assert s.master_without(sorted(set(range(1, spec.K + 1)) - colors)) == expected
 
 
 def test_scheme_json_shape():
