@@ -11,7 +11,6 @@ rationals.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -187,66 +186,61 @@ class RatePoint:
             raise ValueError("rates are non-negative")
 
 
-def _corner_points(cfg: CcdnConfig) -> list[RatePoint]:
-    K, L, N = cfg.K, cfg.L, cfg.N
-    points = [RatePoint(Fraction(0), Fraction(K), "EXTREME")]
+def _corners(cfg: CcdnConfig, s: int) -> list[tuple[int, int, int, str]]:
+    """(x, rate numerator, rate denominator, source) of each corner M = x*N/(K*s)."""
+    K, L = cfg.K, cfg.L
+    corners = [(0, K, 1, "EXTREME")]
     for w in range(1, K // L + 1):
-        points.append(RatePoint(Fraction(w * N, K), rate_new(K, L, w), "NEW"))
-    top = Fraction(math.ceil(Fraction(K, L)) * N, K)
-    if all(p.M != top for p in points):
-        points.append(RatePoint(top, Fraction(0), "EXTREME"))
-    return points
+        rate = rate_new(K, L, w)
+        corners.append((w * s, rate.numerator, rate.denominator, "NEW"))
+    if K % L:  # the zero-rate corner at ceil(K/L)*N/K is not a w*N/K one
+        corners.append((-(-K // L) * s, 0, 1, "EXTREME"))
+    return corners
 
 
-def _lower_envelope(points: list[RatePoint]) -> list[RatePoint]:
-    hull: list[RatePoint] = []
-    for p in sorted(points, key=lambda p: p.M):
+def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
+    """Memory/rate curve: every corner, plus evenly spaced memory-shared samples.
+
+    Corners off the lower convex envelope's vertices, and the samples
+    M = j*ceil(K/L)*N/(K*(samples-1)), j < samples, are reached by memory
+    sharing: each reports the envelope value as MEMORY_SHARED, once per M.
+    With s = max(samples-1, 1), corner w sits at the integer x = w*s and
+    sample j at x = ceil(K/L)*j, so one merge pass over the envelope's
+    segments emits every point in increasing memory, in integer arithmetic.
+    """
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples}")
+    K, N = cfg.K, cfg.N
+    top = -(-K // cfg.L)
+    s = max(samples - 1, 1)
+    hull: list[tuple[int, int, int, str]] = []
+    for p in _corners(cfg, s):
+        x, n, d, _ = p
         while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
+            (xa, na, da, _), (xb, nb, db, _) = hull[-2], hull[-1]
             # Drop b when it lies on or above the segment a->p.
-            if (b.rate - a.rate) * (p.M - a.M) >= (p.rate - a.rate) * (b.M - a.M):
+            if (nb * da - na * db) * d * (x - xa) >= (n * da - na * d) * db * (xb - xa):
                 hull.pop()
             else:
                 break
         hull.append(p)
-    return hull
 
-
-def interpolate_rate(envelope: list[RatePoint], M) -> Fraction:
-    """Exact rate of the piecewise-linear envelope at memory M."""
-    M = Fraction(M)
-    if not envelope or M < envelope[0].M or M > envelope[-1].M:
-        raise ValueError("memory outside the curve's range")
-    j = bisect.bisect_left(envelope, M, key=lambda p: p.M)
-    b = envelope[j]
-    if M == b.M:
-        return b.rate
-    a = envelope[j - 1]
-    return a.rate + (b.rate - a.rate) * (M - a.M) / (b.M - a.M)
-
-
-def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
-    """Memory/rate curve: envelope vertices plus evenly spaced shared points.
-
-    Corner points strictly above the lower convex envelope are reachable only
-    through memory sharing, so the curve reports the envelope value there.
-    """
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples}")
-    corners = _corner_points(cfg)
-    envelope = _lower_envelope(corners)
-    vertices = {p.M: p for p in envelope}
-    out: dict[Fraction, RatePoint] = dict(vertices)
-    for p in corners:
-        if p.M not in out:
-            out[p.M] = RatePoint(p.M, interpolate_rate(envelope, p.M), "MEMORY_SHARED")
-    if samples > 1:
-        top = envelope[-1].M
-        for j in range(samples):
-            M = top * j / (samples - 1)
-            if M not in out:
-                out[M] = RatePoint(M, interpolate_rate(envelope, M), "MEMORY_SHARED")
-    return [out[M] for M in sorted(out)]
+    scale = K * s
+    out = [RatePoint(Fraction(0), Fraction(K), "EXTREME")]
+    for (xa, na, da, _), (xb, nb, db, source) in itertools.pairwise(hull):
+        # Between two vertices lie the other corners (multiples of s) and the
+        # samples (multiples of top); the rate there is the chord's.
+        wa, wb, den = na * db, nb * da, da * db * (xb - xa)
+        corner, sample = xa + s, (xa // top + 1) * top
+        while (x := min(corner, sample)) < xb:
+            rate = Fraction(wa * (xb - x) + wb * (x - xa), den)
+            out.append(RatePoint(Fraction(x * N, scale), rate, "MEMORY_SHARED"))
+            if corner == x:
+                corner += s
+            if sample == x:
+                sample += top
+        out.append(RatePoint(Fraction(xb * N, scale), Fraction(nb, db), source))
+    return out
 
 
 Subfile = tuple[int, tuple[int, ...]]  # (file id, cache set)
@@ -420,7 +414,6 @@ __all__ = [
     "rate_new",
     "rate_hkd",
     "rate_rk",
-    "interpolate_rate",
     "tradeoff_curve",
     "build_delivery_icp",
     "end_to_end_simulate",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from sicps.icp import (
     require_leading_max,
     wrap,
 )
+from sicps.macc import CcdnConfig, RatePoint, rate_new
 
 
 def iter_weak_compositions(n: int, m: int):
@@ -287,3 +289,63 @@ def tilde_icp_bounds(s: tuple[int, ...], l: int, L: int) -> tuple[Fraction, Frac
     """
     spec = GapVector(tuple(s) * l, L)
     return Fraction(mais_lower(spec), l), Fraction(upper_bound_Ru(spec), l)
+
+
+def _corner_points(cfg: CcdnConfig) -> list[RatePoint]:
+    """(0, K), (wN/K, rate_new) for w = 1..K//L, and (ceil(K/L)*N/K, 0) when new."""
+    K, L, N = cfg.K, cfg.L, cfg.N
+    points = [RatePoint(Fraction(0), Fraction(K), "EXTREME")]
+    for w in range(1, K // L + 1):
+        points.append(RatePoint(Fraction(w * N, K), rate_new(K, L, w), "NEW"))
+    top = Fraction(math.ceil(Fraction(K, L)) * N, K)
+    if all(p.M != top for p in points):
+        points.append(RatePoint(top, Fraction(0), "EXTREME"))
+    return points
+
+
+def _lower_envelope(points: list[RatePoint]) -> list[RatePoint]:
+    hull: list[RatePoint] = []
+    for p in sorted(points, key=lambda p: p.M):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # Drop b when it lies on or above the segment a->p.
+            if (b.rate - a.rate) * (p.M - a.M) >= (p.rate - a.rate) * (b.M - a.M):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def interpolate_rate(envelope: list[RatePoint], M) -> Fraction:
+    """Exact rate of the piecewise-linear envelope at memory M."""
+    M = Fraction(M)
+    if not envelope or M < envelope[0].M or M > envelope[-1].M:
+        raise ValueError("memory outside the curve's range")
+    j = bisect.bisect_left(envelope, M, key=lambda p: p.M)
+    b = envelope[j]
+    if M == b.M:
+        return b.rate
+    a = envelope[j - 1]
+    return a.rate + (b.rate - a.rate) * (M - a.M) / (b.M - a.M)
+
+
+def reference_tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
+    """`macc.tradeoff_curve` computed in Fractions throughout (oracle route).
+
+    Envelope vertices win a shared memory over other corners, and corners
+    over samples, by insertion order into a dict keyed by M.
+    """
+    corners = _corner_points(cfg)
+    envelope = _lower_envelope(corners)
+    out: dict[Fraction, RatePoint] = {p.M: p for p in envelope}
+    for p in corners:
+        if p.M not in out:
+            out[p.M] = RatePoint(p.M, interpolate_rate(envelope, p.M), "MEMORY_SHARED")
+    if samples > 1:
+        top = envelope[-1].M
+        for j in range(samples):
+            M = top * j / (samples - 1)
+            if M not in out:
+                out[M] = RatePoint(M, interpolate_rate(envelope, M), "MEMORY_SHARED")
+    return [out[M] for M in sorted(out)]

@@ -576,7 +576,7 @@ def test_outputs_are_deterministic(capsys):
 
 
 # Exact stdout of a few runs, pinned byte for byte in tests/golden/<name>.<format>:
-# colorings, row counts, rates and decode results may not drift under a
+# colorings, row counts, rates, curves and decode results may not drift under a
 # change that is meant to compute the same thing faster.
 GOLDEN_RUNS = {
     "simulate_8_2_2": ["macc", "simulate", "--N", "6", "--K", "8", "--L", "2", "--w", "2",
@@ -592,11 +592,17 @@ GOLDEN_RUNS = {
     "analyze_2_1_0_L2": ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"],
     "analyze_2_1_L1": ["icp", "analyze", "--gaps", "2,1", "--L", "1"],
     "analyze_9_7_5_3_1_L3": ["icp", "analyze", "--gaps", "9,7,5,3,1", "--L", "3"],
+    # The README example, and a fractional K/L whose top corner is appended.
+    "tradeoff_100_40_4": ["macc", "tradeoff", "--N", "100", "--K", "40", "--L", "4",
+                          "--samples", "20"],
+    "tradeoff_9_9_2": ["macc", "tradeoff", "--N", "9", "--K", "9", "--L", "2", "--samples", "7"],
 }
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+@pytest.mark.parametrize("name, fmt", [
+    (name, fmt) for name, argv in GOLDEN_RUNS.items()
+    for fmt in (("csv", "json") if argv[1] == "tradeoff" else ("text", "json"))
+])
 def test_stdout_matches_golden(capsys, name, fmt):
     golden = Path(__file__).resolve().parent / "golden" / f"{name}.{fmt}"
     code, out, err = run(capsys, GOLDEN_RUNS[name] + ["--format", fmt])

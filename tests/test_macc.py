@@ -6,6 +6,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,13 +16,16 @@ from conftest import (
     available_to_user,
     brute_placement_sets,
     composition_count_max_below,
+    interpolate_rate,
     iter_weak_compositions,
     missing_sets,
     rate_closed_form_large_L,
+    reference_tradeoff_curve,
     side_nodes,
     single_known_files,
     user_caches,
 )
+import conftest
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.icp import (
@@ -32,7 +36,6 @@ from sicps.macc import (
     build_delivery_icp,
     end_to_end_simulate,
     group_rotation_classes,
-    interpolate_rate,
     iter_placement_sets,
     placement_map,
     placement_set_count,
@@ -341,10 +344,39 @@ def ccdn_configs(draw, max_K: int) -> CcdnConfig:
 @example(cfg=CcdnConfig(8, 8, 2))  # K/L whole: the top corner is the w = K/L point
 @example(cfg=CcdnConfig(9, 9, 2))  # K/L fractional: the top corner is appended
 def test_corner_memories_are_distinct(cfg):
-    # The envelope takes corners as given; a repeated memory would be hidden by
-    # tradeoff_curve's dict keyed by M, so check the corners directly.
-    memories = [p.M for p in macc._corner_points(cfg)]
+    # tradeoff_curve walks the corners in the order given; a repeated memory
+    # would make a zero-width envelope segment, so check the corners directly.
+    memories = [Fraction(x * cfg.N, cfg.K) for x, *_ in macc._corners(cfg, 1)]
     assert memories == sorted(set(memories))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=ccdn_configs(max_K=300), samples=st.integers(0, 400))
+@example(cfg=CcdnConfig(100, 2000, 1), samples=100)  # the most corners
+@example(cfg=CcdnConfig(8, 8, 2), samples=9)  # K/L whole
+@example(cfg=CcdnConfig(9, 9, 2), samples=7)  # K/L fractional
+@example(cfg=CcdnConfig(10, 10, 2), samples=0)
+@example(cfg=CcdnConfig(10, 10, 2), samples=1)
+@example(cfg=CcdnConfig(10, 10, 2), samples=2)
+@example(cfg=CcdnConfig(12, 12, 4), samples=13)  # every corner is also a sample
+@example(cfg=CcdnConfig(51, 51, 2), samples=27)  # corner w=15, above the envelope, is sample 15
+@example(cfg=CcdnConfig(10**400, 9, 2), samples=7)
+def test_tradeoff_curve_matches_fraction_reference(cfg, samples):
+    # RatePoints compare by (M, rate, source)
+    assert tradeoff_curve(cfg, samples) == reference_tradeoff_curve(cfg, samples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=ccdn_configs(max_K=12), samples=st.integers(0, 30), data=st.data())
+def test_tradeoff_curve_matches_reference_on_any_corner_rates(cfg, samples, data):
+    # No rate_new corner with K <= 80 lies exactly on a chord of the envelope;
+    # coarse arbitrary rates also give collinear corners and rising stretches,
+    # where the hull test's tie rule decides which corners are vertices.
+    rates = data.draw(st.lists(st.fractions(0, 6, max_denominator=3),
+                               min_size=cfg.K // cfg.L, max_size=cfg.K // cfg.L))
+    fake = lambda K, L, w: rates[w - 1]  # noqa: E731
+    with mock.patch.object(macc, "rate_new", fake), mock.patch.object(conftest, "rate_new", fake):
+        assert tradeoff_curve(cfg, samples) == reference_tradeoff_curve(cfg, samples)
 
 
 def test_tradeoff_curve_endpoints_and_midpoint():
