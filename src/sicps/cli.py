@@ -34,7 +34,7 @@ VERIFICATION_FAILURE = 3
 
 def _decimal(x: Fraction) -> str:
     try:
-        return f"{float(x):.6g}"
+        return f"{x.numerator / x.denominator:.6g}"
     except OverflowError:
         raise ValueError("value too large to print as a decimal (floats end near 1.8e308)")
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 
-from .coloring import ru_cap, theorem1_coloring, upper_bound_Ru
+from .coloring import ru_cap, theorem1_coloring
 from .icp import (
     GapVector, build_union_icp, canonical_rotation, minimal_period, rotate_gaps, wrap,
 )
@@ -182,7 +182,7 @@ class RatePoint:
     def __post_init__(self) -> None:
         if self.source not in RATE_SOURCES:
             raise ValueError(f"unknown rate source {self.source!r}")
-        if self.rate < 0:
+        if self.rate.numerator < 0:
             raise ValueError("rates are non-negative")
 
 
@@ -303,6 +303,8 @@ def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryT
 
 @dataclass(frozen=True)
 class ClassReport:
+    """One rotation class as broadcast: chi is the number of rows actually sent."""
+
     representative: tuple[int, ...]
     columns: int
     split: int
@@ -337,8 +339,10 @@ def end_to_end_simulate(
 
     A representative of period p < len(rep) covers only p distinct columns,
     so each of their subfiles is split into len(rep)/p equal parts, turning
-    the class's columns into a full union instance.  The transmitted size is
-    sum(chi / (split * |sets|)) over classes, in file units.
+    the class's columns into a full union instance.  Each class sends chi
+    rows, the local chromatic value of its Theorem-1 coloring, so the
+    transmitted size sum(chi / (split * |sets|)) over classes, in file units,
+    is at most rate_new: Ru bounds each chi.
     """
     table = build_delivery_icp(cfg, w, demands)
     num_subfiles = len(table.plan.sets)
@@ -352,11 +356,7 @@ def end_to_end_simulate(
         period = minimal_period(rep)
         split = len(rep) // period
         bar = build_union_icp(GapVector(rep, cfg.L))
-        # Budget exactly the rows the closed-form rate accounts for; the
-        # coloring occasionally needs fewer, never more.
-        scheme = build_mds_scheme(
-            bar, theorem1_coloring(bar), field_order, rows=upper_bound_Ru(bar.spec)
-        )
+        scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order)
         q = scheme.field_order
 
         # Bar node (k, p) carries part (p-1)//period of the subfile in row k of

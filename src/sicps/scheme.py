@@ -112,26 +112,18 @@ class TransmissionScheme:
 
 
 def build_mds_scheme(
-    graph: SuicpGraph,
-    coloring: Coloring,
-    field_order: int | None = None,
-    rows: int | None = None,
+    graph: SuicpGraph, coloring: Coloring, field_order: int | None = None
 ) -> TransmissionScheme:
-    """The scheme of `coloring` over GF(field_order), sending chi rows.
+    """The scheme of `coloring` over GF(field_order), sending exactly chi rows.
 
-    chi defaults to the coloring's local chromatic value, the fewest symbols
-    that still decode.  Callers may budget more rows (up to n), e.g. to
-    transmit exactly the count a closed-form rate accounts for.
+    chi is the coloring's local chromatic value, the fewest symbols that
+    still decode.
     """
     n = coloring.num_colors
     if field_order is None:
         field_order = default_field_order(n)
     validate_field(field_order, n)
     chi = local_chromatic_value(graph, coloring)
-    if rows is not None:
-        if not chi <= rows <= n:
-            raise ValueError(f"row budget {rows} outside [{chi}, {n}]")
-        chi = rows
     return TransmissionScheme(coloring=coloring, chi=chi, field_order=field_order)
 
 

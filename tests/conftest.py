@@ -160,6 +160,28 @@ def naive_local_chromatic(graph, coloring) -> int:
     )
 
 
+def simulated_rate(K: int, L: int, w: int) -> Fraction:
+    """The rate `end_to_end_simulate` must report: each rotation class's Theorem-1 chi.
+
+    Sums chi/(split*|sets|) over the rotation orbits of the weak
+    (w+1)-compositions of K-wL-1, with chi the naive local chromatic value of
+    the orbit's union instance under its Theorem-1 coloring and
+    split = (w+1)/|orbit|.
+    """
+    if w * L == K:
+        return Fraction(0)
+    m = w + 1
+    sets = len(brute_placement_sets(K, L, w))
+    orbits = {frozenset(c[t:] + c[:t] for t in range(m))
+              for c in iter_weak_compositions(K - w * L - 1, m)}
+    total = Fraction(0)
+    for orbit in orbits:
+        bar = build_union_icp(GapVector(max(orbit), L))
+        chi = naive_local_chromatic(bar, theorem1_coloring(bar))
+        total += Fraction(chi * len(orbit), m * sets)
+    return total
+
+
 def greedy_coloring(graph, order) -> Coloring:
     """First-fit proper coloring of the nodes in `order`.
 

@@ -19,20 +19,24 @@ from conftest import (
     interpolate_rate,
     iter_weak_compositions,
     missing_sets,
+    naive_local_chromatic,
     rate_closed_form_large_L,
     reference_tradeoff_curve,
     side_nodes,
+    simulated_rate,
     single_known_files,
     user_caches,
 )
 import conftest
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
+from sicps.coloring import theorem1_coloring
 from sicps.icp import (
-    canonical_rotation, minimal_period, rotate_gaps, wrap,
+    GapVector, build_union_icp, canonical_rotation, minimal_period, rotate_gaps, wrap,
 )
 from sicps.macc import (
     CcdnConfig,
+    RatePoint,
     build_delivery_icp,
     end_to_end_simulate,
     group_rotation_classes,
@@ -324,6 +328,15 @@ def test_corollary7_small_grid():
                 assert new <= rate_rk(K, K, L, Fraction(w * K, K))
 
 
+def test_rate_point_refuses_a_negative_rate_or_an_unknown_source():
+    assert RatePoint(Fraction(1), Fraction(0), "NEW").rate == 0
+    for rate in (Fraction(-1, 3), Fraction(-(10**400), 7)):
+        with pytest.raises(ValueError, match="non-negative"):
+            RatePoint(Fraction(1), rate, "NEW")
+    with pytest.raises(ValueError, match="unknown rate source"):
+        RatePoint(Fraction(1), Fraction(1), "CORNER")
+
+
 def test_corner_dominance_on_large_sweep_config():
     N, K, L = 100, 40, 4
     for w in range(1, K // L + 1):
@@ -546,15 +559,51 @@ def test_simulation_matches_formula_on_grid():
         cfg = CcdnConfig(K, K, L)
         report = end_to_end_simulate(cfg, w, list(range(1, K + 1)), seed=K + w)
         assert report.decoded_ok, (K, L, w)
-        assert report.total_rate == rate_new(K, L, w), (K, L, w)
+        assert report.total_rate == simulated_rate(K, L, w) <= rate_new(K, L, w), (K, L, w)
+
+
+@pytest.mark.parametrize("K, L, w, sent, new", [
+    (12, 2, 3, Fraction(21, 16), Fraction(153, 112)),
+    (13, 3, 2, Fraction(76, 39), Fraction(307, 156)),
+    (16, 2, 3, Fraction(75, 32), Fraction(865, 352)),
+    (9, 2, 2, Fraction(40, 27), Fraction(41, 27)),
+    # Every class's chi meets Ru here, so the simulation sends rate_new.
+    (8, 2, 2, Fraction(17, 15), Fraction(17, 15)),
+    (12, 1, 3, Fraction(9, 4), Fraction(9, 4)),
+    (10, 2, 1, Fraction(39, 10), Fraction(39, 10)),
+])
+def test_simulation_sends_its_local_chromatic_rate(K, L, w, sent, new):
+    report = end_to_end_simulate(CcdnConfig(K, K, L), w, list(range(1, K + 1)), seed=1)
+    assert report.decoded_ok
+    assert report.total_rate == sent == simulated_rate(K, L, w)
+    assert rate_new(K, L, w) == new
+
+
+@st.composite
+def small_simulations(draw):
+    K = draw(st.integers(2, 9))
+    L = draw(st.integers(1, K))
+    w = draw(st.integers(1, K // L))
+    return K, L, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_simulations(), seed=st.integers(0, 2**32 - 1))
+@example(config=(11, 2, 3), seed=6)  # a period-2 class with split 2
+def test_simulation_sends_each_class_its_local_chromatic_value(config, seed):
+    K, L, w = config
+    report = end_to_end_simulate(CcdnConfig(K, K, L), w, list(range(1, K + 1)), seed=seed)
+    assert report.decoded_ok
+    assert report.total_rate == simulated_rate(K, L, w) <= rate_new(K, L, w)
+    for cls in report.classes:
+        bar = build_union_icp(GapVector(cls.representative, L))
+        assert cls.chi == naive_local_chromatic(bar, theorem1_coloring(bar)), cls
 
 
 def test_class_graph_matches_physical_availability():
     # The broadcast decodes against the union-instance graph; check that the
     # graph's side information coincides, node by node, with what the cache
     # topology actually makes available to each user in the class's columns.
-    from sicps.icp import GapVector, build_union_icp
-
     for K, L, w in [(8, 2, 2), (10, 2, 3), (9, 3, 2), (11, 2, 3)]:
         cfg = CcdnConfig(K, K, L)
         table = build_delivery_icp(cfg, w, list(range(1, K + 1)))
@@ -585,7 +634,8 @@ def test_simulation_handles_period_two_class():
     cfg = CcdnConfig(11, 11, 2)
     report = end_to_end_simulate(cfg, 3, list(range(1, 12)), seed=6)
     assert report.decoded_ok
-    assert report.total_rate == rate_new(11, 2, 3)
+    assert report.total_rate == simulated_rate(11, 2, 3) == Fraction(325, 308)
+    assert report.total_rate < rate_new(11, 2, 3) == Fraction(331, 308)
     splits = {c.representative: (c.columns, c.split) for c in report.classes}
     assert splits[(2, 0, 2, 0)] == (2, 2)
     assert splits[(1, 1, 1, 1)] == (1, 4)
@@ -597,7 +647,8 @@ def test_simulation_twenty_user_rung_within_budget():
     report = end_to_end_simulate(CcdnConfig(20, 20, 2), 4, list(range(1, 21)), seed=1)
     elapsed = time.perf_counter() - start
     assert report.decoded_ok
-    assert report.total_rate == rate_new(20, 2, 4) == Fraction(772, 325)
+    assert report.total_rate == simulated_rate(20, 2, 4) == Fraction(56, 25)
+    assert report.total_rate < rate_new(20, 2, 4) == Fraction(772, 325)
     assert elapsed < 20, f"(20,2,4) simulate took {elapsed:.1f}s"
 
 

@@ -219,23 +219,6 @@ def test_decode_across_fields_and_colorings():
             assert simulate_decode(scheme, icp, messages) == messages
 
 
-def test_row_budget_override():
-    # Budgeting more rows than the minimum keeps decoding intact.
-    icp = setup((2, 2, 0), 2)
-    coloring = theorem1_coloring(icp)
-    tight = build_mds_scheme(icp, coloring)
-    assert tight.chi == 8
-    padded = build_mds_scheme(icp, coloring, rows=9)
-    assert padded.chi == 9
-    rng = random.Random(17)
-    messages = {node: rng.randrange(padded.field_order) for node in icp.nodes}
-    assert simulate_decode(padded, icp, messages) == messages
-    with pytest.raises(ValueError):
-        build_mds_scheme(icp, coloring, rows=7)  # below the minimum
-    with pytest.raises(ValueError):
-        build_mds_scheme(icp, coloring, rows=10)  # above the color count
-
-
 def test_decode_requires_full_message_map():
     icp = setup((2, 1), 1)
     scheme = build_mds_scheme(icp, theorem1_coloring(icp))
@@ -345,13 +328,18 @@ def test_transposed_vandermonde_rows_reject_a_repeated_point():
 @settings(max_examples=60, deadline=None)
 @given(spec=small_gap_vectors(), budget=st.sampled_from(["lcv", "Ru"]),
        small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(spec=GapVector((2, 2, 0), 2), budget="Ru", small_field=False, seed=17)  # chi 8, Ru 9
 def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, seed):
     assert spec.K * spec.i <= 60
     icp = build_union_icp(spec)
     # The smallest admissible prime puts color K at point 0 whenever K is prime.
     q = next_prime_at_least(spec.K) if small_field else None
-    rows = upper_bound_Ru(spec) if budget == "Ru" else None
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), q, rows=rows)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), q)
+    if budget == "Ru":
+        # More rows than chi, as many as the closed-form rate accounts for,
+        # still decode.
+        assert scheme.chi <= upper_bound_Ru(spec)
+        scheme = TransmissionScheme(scheme.coloring, upper_bound_Ru(spec), scheme.field_order)
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
     assert simulate_decode(scheme, icp, messages) == messages
@@ -416,8 +404,10 @@ def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
     n = coloring.num_colors
     # The smallest admissible prime puts color n at point 0 whenever n is prime.
     q = next_prime_at_least(n) if small_field else None
-    scheme = build_mds_scheme(graph, coloring, q, rows=rows)
+    scheme = build_mds_scheme(graph, coloring, q)
     q = scheme.field_order
+    if rows is not None:
+        scheme = TransmissionScheme(coloring, rows, q)
     rng = random.Random(seed)
     messages = {node: rng.randrange(q) for node in graph.nodes}
     aggregates = [0] * n
