@@ -39,6 +39,14 @@ def _decimal(x: Fraction) -> str:
         raise ValueError("value too large to print as a decimal (floats end near 1.8e308)")
 
 
+def _exact(x: Fraction) -> str:
+    try:
+        return str(x)
+    except ValueError:  # Python refuses int-to-str conversions past its digit limit.
+        raise ValueError(f"value too large to print exactly (more than "
+                         f"{sys.get_int_max_str_digits()} digits)") from None
+
+
 def _mais_cap() -> int:
     raw = os.environ.get("SICPS_MAIS_CAP", str(DEFAULT_NODE_CAP))
     try:
@@ -56,7 +64,7 @@ _TRADEOFF_FIELDS = ("M_exact", "M_decimal", "rate_exact", "rate_decimal", "sourc
 
 
 def _tradeoff_rows(points: list[RatePoint]) -> list[tuple[str, ...]]:
-    return [(str(p.M), _decimal(p.M), str(p.rate), _decimal(p.rate), p.source)
+    return [(_exact(p.M), _decimal(p.M), _exact(p.rate), _decimal(p.rate), p.source)
             for p in points]
 
 
@@ -85,7 +93,7 @@ def cmd_icp_analyze(args) -> int:
         "K": spec.K,
         "i": spec.i,
         "bounds": report.to_json(),
-        "gap_ratio": str(ratio),
+        "gap_ratio": _exact(ratio),
         "coloring": {
             "colors": report.colors,
             "proper": lcv is not None,
@@ -102,7 +110,7 @@ def cmd_icp_analyze(args) -> int:
         print(f"lower_constructive: {report.lower_constructive}")
         print(f"lower_brute: {report.lower_brute if report.lower_brute is not None else 'skipped'}")
         print(f"exact: {report.exact if report.exact is not None else 'unknown'}")
-        print(f"gap_ratio: {ratio} ({_decimal(ratio)})")
+        print(f"gap_ratio: {_exact(ratio)} ({_decimal(ratio)})")
         print(f"coloring_proper: {str(lcv is not None).lower()}")
         print(f"local_chromatic: {lcv}")
     return 0
@@ -168,17 +176,18 @@ def cmd_macc_rate(args) -> int:
             "K": K,
             "L": L,
             "w": w,
-            "M": str(memory),
+            "M": _exact(memory),
             "rates": {
-                name: {"exact": str(value), "decimal": _decimal(value)}
+                name: {"exact": _exact(value), "decimal": _decimal(value)}
                 for name, value in rates.items()
             },
         }
         print(json.dumps(payload, indent=2))
     else:
         labels = {"new": "R_new", "hkd": "R_HKD", "rk": "R_RK"}
-        lines = [f"M: {memory} ({_decimal(memory)})"]
-        lines += [f"{labels[name]}: {value} ({_decimal(value)})" for name, value in rates.items()]
+        lines = [f"M: {_exact(memory)} ({_decimal(memory)})"]
+        lines += [f"{labels[name]}: {_exact(value)} ({_decimal(value)})"
+                  for name, value in rates.items()]
         print("\n".join(lines))
     return 0
 
@@ -199,7 +208,7 @@ def cmd_macc_simulate(args) -> int:
     )
     if args.format == "text":
         print(f"decoded_ok: {str(report.decoded_ok).lower()}")
-        print(f"total_rate: {report.total_rate} ({_decimal(report.total_rate)})")
+        print(f"total_rate: {_exact(report.total_rate)} ({_decimal(report.total_rate)})")
         for cls in report.classes:
             rep = ",".join(map(str, cls.representative))
             print(f"class ({rep}): columns={cls.columns} split={cls.split} "

@@ -9,18 +9,17 @@ knows send and is left with the m <= chi colors of its closed
 anti-outneighborhood.  The first m rows restricted to those colors form a
 transposed Vandermonde system, solved at the user's i own colors only from
 its master polynomial: the scheme's master over all n colors divided by the
-n-m known colors.  The solve at an own color ignores every other unknown
-color, so only the own color keeps the known part of its aggregate;
-properness makes that part the rest of the node's class, subtracted last.
+n-m known colors.  The solve at an own color gives its class's whole
+aggregate; properness lets the user know the node's classmates, subtracted last.
 
 None of that but the residual and the subtraction depends on the messages,
-so decoding is split in two.  `plan_decode` builds a user's `DecodePlan` once
-per scheme: n class-mask tests, O(n*(n-m)) for the master and O(m*i) for one
-quotient row per own color, m*i coefficients kept.  `decode_node` applies it
-to one broadcast: O(m*(n-m)) for the residual, one C-level dot product of m
-terms per own color, and the known class members subtracted.  Callers that
-decode many message sets keep the K plans; a single decode builds each plan,
-applies it and drops it.
+so decoding is split in two.  `plan_decode` checks properness and builds a
+user's `DecodePlan` once per scheme: per own node, its quotient row, scale and
+classmates, for n class-mask tests, O(n*(n-m)) for the master and O(m*i) for
+the rows.  `decode_node` applies a plan to one broadcast: O(m*(n-m)) for the
+residual, one C-level dot product of m terms per own color and the
+classmates' sum.  Callers that decode many message sets keep the K plans; a
+single decode builds each plan, applies it and drops it.
 """
 
 from __future__ import annotations
@@ -161,9 +160,9 @@ class DecodePlan(NamedTuple):
     """Everything decoding one user needs that no message changes, from `plan_decode`.
 
     The user subtracts what the `full` colors (those it fully knows) send
-    from the first m broadcast symbols.  For each own node, `rows` holds its
-    color's quotient row and scale (`transposed_vandermonde_rows`), `members`
-    the color's class and `unseen` the class members the user does not know.
+    from the first m broadcast symbols.  Per own node, `rows` holds its
+    color's quotient row and scale (`transposed_vandermonde_rows`) and
+    `classmates` the rest of its color class, all known to the user.
     """
 
     scheme: TransmissionScheme
@@ -171,8 +170,7 @@ class DecodePlan(NamedTuple):
     own: list[Node]
     full: list[int]
     rows: list[tuple[list[int], int]]
-    members: list[tuple[Node, ...]]
-    unseen: list[list[Node]]
+    classmates: list[list[Node]]
 
 
 def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> DecodePlan:
@@ -181,8 +179,9 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
     A color is unknown when its class mask meets the complement of the
     user's side information; its m unknown colors must not exceed chi.  The
     rows come from the master over the unknown colors, taken at the user's
-    own colors only.  Per plan: n class-mask tests, O(n*(n-m)) for the
-    master polynomial and O(m*i) for the rows, m*i coefficients kept.
+    own colors only.  Properness is checked where decoding relies on it: an
+    own node whose class has another member the user does not know raises
+    DecodeError naming the node.
     """
     q, coloring = scheme.field_order, scheme.coloring
     outside = ~graph.user_side[user - 1]
@@ -193,15 +192,20 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
         (unknown if mask & outside else full).append(c)
     if len(unknown) > scheme.chi:
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
+    classmates = [list(coloring.classes[c - 1]) for c in own_colors]
+    for nd, c, mates in zip(own, own_colors, classmates):
+        unseen = graph.nodes_of(coloring.masks[c - 1] & outside)
+        if unseen != [nd]:
+            raise DecodeError(user, unknown, scheme.chi, f"improper coloring: color {c} "
+                              f"of node {nd} has unknown members {unseen}")
+        mates.remove(nd)
     try:
         rows = transposed_vandermonde_rows(
             scheme.master_without(full), [c % q for c in own_colors], q
         )
     except ZeroDivisionError:
         raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
-    members = [coloring.classes[c - 1] for c in own_colors]
-    unseen = [graph.nodes_of(coloring.masks[c - 1] & outside) for c in own_colors]
-    return DecodePlan(scheme, len(unknown), own, full, rows, members, unseen)
+    return DecodePlan(scheme, len(unknown), own, full, rows, classmates)
 
 
 def decode_node(
@@ -213,21 +217,16 @@ def decode_node(
     all of them: the first m symbols less what the fully known colors send.
     Each own node's row, dotted with it, gives the whole aggregate of the
     node's class, since its quotient polynomial vanishes on every other
-    unknown color; subtracting the members the user knows leaves the node's
-    message.  Reads only messages the user knows.  Per trial: O(m*(n-m))
-    for the residual and O(m*i) for the dot products; the plan's own cost,
-    O(n*(n-m) + m*i), is paid once per scheme and user.
+    unknown color; subtracting the node's classmates leaves its message.
+    Reads only messages the user knows.
     """
-    scheme, m = plan.scheme, plan.m
-    q = scheme.field_order
+    m, q = plan.m, plan.scheme.field_order
     # Reversed once, so that each row dots with it directly.
-    sent = scheme._sent_by(plan.full, messages, m)
+    sent = plan.scheme._sent_by(plan.full, messages, m)
     residual = list(map(sub, broadcast[m - 1::-1], sent[::-1]))
     return {
-        nd: (sum(map(mul, row, residual)) * scale
-             - sum(messages[v] for v in members if v not in gone)) % q
-        for nd, (row, scale), members, gone
-        in zip(plan.own, plan.rows, plan.members, plan.unseen)
+        nd: (sum(map(mul, row, residual)) * scale - sum(map(messages.__getitem__, mates))) % q
+        for nd, (row, scale), mates in zip(plan.own, plan.rows, plan.classmates)
     }
 
 

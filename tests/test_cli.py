@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -351,6 +352,16 @@ def test_macc_huge_N_writes_no_file(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: value too large to print as a decimal")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_macc_rate_too_long_to_print_exactly(capsys, fmt):
+    # R_new at K = 30000 has a numerator past Python's int-to-str digit limit.
+    code, out, err = run(capsys, ["macc", "rate", "--K", "30000", "--L", "2", "--w", "9000",
+                                  "--format", fmt])
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: value too large to print exactly (more than {limit} digits)\n"
 
 
 def test_macc_tradeoff_rejects_samples_out_of_range(capsys):

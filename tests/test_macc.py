@@ -48,6 +48,7 @@ from sicps.macc import (
     rate_rk,
     tradeoff_curve,
 )
+from sicps.scheme import simulate_decode
 
 EXAMPLE_SETS = [
     (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
@@ -658,6 +659,33 @@ def test_simulation_repeated_demands_same_rate():
     report = end_to_end_simulate(cfg, 2, demands, seed=2)
     assert report.decoded_ok
     assert report.total_rate == rate_new(8, 2, 2)
+
+
+@pytest.mark.parametrize("N, demands", [(2, [1, 1, 2, 2, 1, 1, 2, 2]),
+                                        (3, [1, 2, 3, 1, 2, 3, 1, 2])])
+def test_simulation_sends_one_symbol_per_subfile_part(monkeypatch, N, demands):
+    # Bar nodes that carry the same part of the same subfile must carry the
+    # same symbol: they stand for one piece of one file, not for independent data.
+    cfg = CcdnConfig(N, 8, 2)
+    sent = []
+
+    def spy(scheme, graph, messages, plans=None):
+        sent.append((graph.spec.gaps, dict(messages)))
+        return simulate_decode(scheme, graph, messages, plans)
+
+    monkeypatch.setattr(macc, "simulate_decode", spy)
+    assert end_to_end_simulate(cfg, 2, demands, seed=4).decoded_ok
+    column_by_label = {col.label: col for col in build_delivery_icp(cfg, 2, demands).columns}
+    repeats = 0
+    for rep, messages in sent:
+        period = minimal_period(rep)
+        symbols: dict[tuple, set[int]] = {}
+        for (k, p), value in messages.items():
+            key = (column_by_label[rotate_gaps(rep, p - 1)].cells[k - 1], (p - 1) // period)
+            symbols.setdefault(key, set()).add(value)
+        assert all(len(values) == 1 for values in symbols.values()), rep
+        repeats += len(messages) - len(symbols)
+    assert repeats > 0
 
 
 def test_simulation_respects_field_choice():

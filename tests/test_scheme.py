@@ -279,6 +279,29 @@ def test_decode_error_on_zero_denominator():
     assert exc.value.chi == 7
 
 
+def test_decode_error_on_improper_coloring():
+    # Node (2,1) joins the class of (1,1), though user 1 does not know it:
+    # subtracting the class less (1,1) would silently decode a wrong value.
+    icp = setup((2, 1, 0), 2)
+    assignment = dict(theorem1_coloring(icp).assignment)
+    assignment[(2, 1)] = assignment[(1, 1)]
+    coloring = Coloring(assignment, 8)
+    assert verify_proper(icp, coloring)
+    scheme = TransmissionScheme(coloring, 8, 251)
+    plain = {node: node[0] + 10 * node[1] for node in icp.nodes}
+    broadcast = scheme.transmit(plain)
+    messages = RecordingMessages(plain)
+    with pytest.raises(DecodeError, match="improper coloring") as exc:
+        decode_node(plan_decode(scheme, icp, 1), messages, broadcast)
+    err = exc.value
+    assert (err.user, err.unknown, err.chi) == (1, _unknown_colors(icp, coloring, 1), 8)
+    assert "node (1, 1)" in str(err) and "(2, 1)" in str(err)
+    assert messages.read <= side_nodes(icp, 1)
+    # The whole decode stops at the same user, not with a wrong value.
+    with pytest.raises(DecodeError, match=r"user 1: improper coloring: color 1 of node \(1, 1\)"):
+        simulate_decode(scheme, icp, plain)
+
+
 SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
 
 
