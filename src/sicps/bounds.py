@@ -2,10 +2,12 @@
 
 The constructive bound rearranges the union table's columns by decreasing
 first-chunk interference and collects a staircase of `mais_lower` nodes that
-provably induces no directed cycle.  An exact oracle, a dynamic program over
-orders of the users with one entry per orbit of the cyclic user shift,
-computes the true maximum on small graphs so the construction can be
-cross-checked.
+provably induces no directed cycle.  An exact oracle computes the true
+maximum on small graphs so the construction can be cross-checked: a dynamic
+program over orders of the users, run one value level at a time, with each
+level a single big int holding one bit per user set.  Its cost is levels x
+K x (i+1) big-int operations on 2^K bits, so Python loops over levels, users
+and columns while the 2^K sets are walked at C level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
-from .icp import rotate_mask
 
 DEFAULT_NODE_CAP = 26
 MAX_ORACLE_USERS = 22
@@ -119,28 +120,38 @@ def is_acyclic_induced(graph: SuicpGraph, nodes: frozenset[Node] | set[Node]) ->
 
 
 def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Exact maximum acyclic induced subgraph size, by a dynamic program over user orders.
+    """Exact maximum acyclic induced subgraph size, by a dynamic program over value levels.
 
     All nodes of a user share one out-neighbourhood, `user_side[k]`.  So a node
     set is acyclic exactly when some order of the users puts every user that
     knows a kept node after that node's user; a node that its own user knows
-    is never kept.  With `knowers[j]` the bitmask of users that know node j,
+    is never kept.  With c_k(A) the number of user k's nodes that no user of
+    A knows,
 
-        f[A] = max over k in A of f[A - k] + #{j of k : knowers[j] & A == 0}
+        f[A] = max over k in A of f[A - k] + c_k(A)
 
     is the most nodes the users of A keep when they come first in that order,
-    and the answer is f[all users], in O(2^K * K * i) time.  Testing against A,
-    not A - k, is what drops a node its own user knows.  When shifting every
-    user by one maps `user_side` onto itself, as it does for every union
-    instance, f is constant on each orbit of that shift.  So A is walked
-    upwards, the recurrence runs only at the smallest set of each orbit (every
-    A - k is smaller, hence already filled), and its value is written to every
-    rotation by shifting a doubled word: about 2^K / K recurrences.  Without
-    the symmetry every orbit is {A}, and the loop is the plain DP.
+    and the answer is f[all users].  Testing against A, not A - k, is what
+    drops a node its own user knows.
+
+    The table is never stored.  Level v is one int S_v with bit A set iff
+    f[A] >= v, and f[A] >= v holds iff some k in A has c_k(A) >= j and
+    f[A - k] >= v - j for some j in 1..i, or f[A - k] >= v (j = 0): the
+    maximizing k with j = min(c_k(A), v) is such a witness, and any witness
+    gives f[A] >= f[A - k] + c_k(A) >= v.  The j = 0 case is the closure of
+    S_v upwards.  With `without[k]` the sets that lack user k and
+    `at_least[k][j]` the sets in which at least j of k's nodes have no knower,
+    adding k to each set of S & without[k] is a shift by 2^k, so
+
+        S_v = up-closure of OR over k, j of at_least[k][j] & (S_{v-j} & without[k]) << 2^k
+
+    and the answer is the last v whose S_v holds the set of all users.  Each
+    level costs K*(i+1) big-int operations on 2^K bits, and only the last i
+    levels are kept: at K = 22 users the 2^K-bit sets take 512 KB each.
 
     A graph in which no user knows anything is acyclic and returns its size.
     Otherwise graphs above `node_cap` nodes or above MAX_ORACLE_USERS users
-    are refused, before the 2^K table is allocated, rather than approximated.
+    are refused, before any 2^K-bit set is allocated, rather than approximated.
     """
     n, K = len(graph), graph.K
     if n > node_cap:
@@ -150,29 +161,40 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
     if K > MAX_ORACLE_USERS:
         raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
     sides, i = graph.user_side, graph.num_columns
-    knowers = [sum(1 << k for k, side in enumerate(sides) if side >> j & 1) for j in range(n)]
-    symmetric = tuple(rotate_mask(side, i, n) for side in sides) == sides[1:] + sides[:1]
-    shifts = range(K) if symmetric else range(1)
-    full = (1 << K) - 1
-    users = [(1 << k, knowers[k * i:(k + 1) * i]) for k in range(K)]
-    f = [-1] * (1 << K)
-    f[0] = 0
-    for A in range(1, 1 << K):
-        if f[A] >= 0:  # filled from the smallest set of its orbit
-            continue
-        best = 0
-        for bit, masks in users:  # plain loops: about 3x faster than max(sum(...))
-            if A & bit:
-                value = f[A ^ bit]
-                for m in masks:
-                    if not m & A:
-                        value += 1
-                if value > best:
-                    best = value
-        AA = A | A << K  # every rotation of A is a K-bit window of this word
-        for s in shifts:  # a periodic orbit has some sets written more than once
-            f[AA >> s & full] = best
-    return f[-1]
+    width = 1 << K  # one bit per user set
+    everything, all_users = (1 << width) - 1, 1 << (width - 1)
+    without = []
+    for k in range(K):
+        # Doubling a block: big-int division would build the same mask in quadratic time.
+        z, span = (1 << (1 << k)) - 1, 2 << k
+        while span < width:
+            z |= z << span
+            span <<= 1
+        without.append(z)
+    at_least = []
+    for k in range(K):
+        counts = [everything] + [0] * i  # counts[j]: sets with >= j of k's nodes unknown
+        for node in range(k * i, (k + 1) * i):
+            free = everything
+            for b, side in enumerate(sides):
+                if side >> node & 1:
+                    free &= without[b]
+            for j in range(i, 0, -1):
+                counts[j] |= counts[j - 1] & free
+        at_least.append(counts)
+    steps = [(1 << k, without[k], at_least[k]) for k in range(K)]
+    recent = [everything]  # S_{v-1}, S_{v-2}, ..., at most i levels back
+    v = 0
+    while recent[0] & all_users:
+        v += 1
+        level = 0
+        for shift, keep, counts in steps:
+            for j, below in enumerate(recent, start=1):
+                level |= counts[j] & (below & keep) << shift
+        for shift, keep, _ in steps:
+            level |= (level & keep) << shift
+        recent = [level] + recent[:i - 1]
+    return v - 1
 
 
 def gap_ratio(spec: GapVector) -> Fraction:

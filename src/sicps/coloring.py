@@ -83,13 +83,13 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
     """
     if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    i, side = graph.num_columns, graph.user_side
+    side, bit = graph.user_side, graph.bit
     violations: list[tuple[Node, Node]] = []
     for members, mask in zip(coloring.classes, coloring.masks):
-        for k, t in members:
+        for u in members:
             # A node never interferes with itself: clear its own bit too.
-            if outside := mask & ~(side[k - 1] | 1 << ((k - 1) * i + t - 1)):
-                violations += [((k, t), v) for v in graph.nodes_of(outside)]
+            if outside := mask & ~(side[u[0] - 1] | bit(u)):
+                violations += [(u, v) for v in graph.nodes_of(outside)]
     return sorted(violations)
 
 

@@ -133,6 +133,11 @@ class SuicpGraph:
     def __len__(self) -> int:
         return self.K * self.num_columns
 
+    def bit(self, node: Node) -> int:
+        """The mask bit of `node`: the one-node inverse of `nodes_of`."""
+        k, t = node
+        return 1 << (k - 1) * self.num_columns + t - 1
+
     def nodes_of(self, mask: int) -> list[Node]:
         """The nodes whose bits are set in `mask`, in order; O(n) per set bit."""
         out = []

@@ -15,8 +15,8 @@ aggregate; properness lets the user know the node's classmates, subtracted last.
 None of that but the residual and the subtraction depends on the messages,
 so decoding is split in two.  `plan_decode` checks properness and builds a
 user's `DecodePlan` once per scheme: per own node, its quotient row, scale and
-classmates, for n class-mask tests, O(n*(n-m)) for the master and O(m*i) for
-the rows.  `decode_node` applies a plan to one broadcast: O(m*(n-m)) for the
+classmates, for n+i class-mask tests, O(n*(n-m)) for the master and O(m*i)
+for the rows.  `decode_node` applies a plan to one broadcast: O(m*(n-m)) for the
 residual, one C-level dot product of m terms per own color and the
 classmates' sum.  Callers that decode many message sets keep the K plans; a
 single decode builds each plan, applies it and drops it.
@@ -179,9 +179,9 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
     A color is unknown when its class mask meets the complement of the
     user's side information; its m unknown colors must not exceed chi.  The
     rows come from the master over the unknown colors, taken at the user's
-    own colors only.  Properness is checked where decoding relies on it: an
-    own node whose class has another member the user does not know raises
-    DecodeError naming the node.
+    own colors only.  Properness is checked where decoding relies on it, by
+    one mask compare per own node: a node whose class has another member the
+    user does not know raises DecodeError naming the node and those members.
     """
     q, coloring = scheme.field_order, scheme.coloring
     outside = ~graph.user_side[user - 1]
@@ -194,8 +194,8 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
         raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
     classmates = [list(coloring.classes[c - 1]) for c in own_colors]
     for nd, c, mates in zip(own, own_colors, classmates):
-        unseen = graph.nodes_of(coloring.masks[c - 1] & outside)
-        if unseen != [nd]:
+        if coloring.masks[c - 1] & outside != graph.bit(nd):
+            unseen = graph.nodes_of(coloring.masks[c - 1] & outside)
             raise DecodeError(user, unknown, scheme.chi, f"improper coloring: color {c} "
                               f"of node {nd} has unknown members {unseen}")
         mates.remove(nd)

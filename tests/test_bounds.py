@@ -16,7 +16,9 @@ from conftest import (
     exact_rate_special,
     gap_vectors,
     graph_from_sides,
+    orbit_dp_mais,
     random_canonical_gap_vector,
+    side_info_graphs,
     side_nodes,
     tilde_icp_bounds,
 )
@@ -146,35 +148,6 @@ def subset_enumeration_mais(graph):
     return 0
 
 
-def random_side_info_graph(rng, users, columns, density, self_knowledge=False):
-    """Each node is side information for each other user with probability
-    `density`; with `self_knowledge`, also for its own user."""
-    all_nodes = frozenset(
-        (k, t) for k in range(1, users + 1) for t in range(1, columns + 1)
-    )
-    known = []
-    for k in range(1, users + 1):
-        own = set() if self_knowledge else {(k, t) for t in range(1, columns + 1)}
-        pool = sorted(all_nodes - own)
-        known.append(frozenset(nd for nd in pool if rng.random() < density))
-    return graph_from_sides(users, columns, known)
-
-
-def random_circulant_graph(rng, users, columns):
-    """User k knows (k + d, t) for each d in a random offset set of column t:
-    shifting every user by one is an automorphism, as in a union instance."""
-    offsets = [[d for d in range(users) if rng.random() < 0.5] for _ in range(columns)]
-    known = tuple(
-        frozenset(
-            ((k + d) % users + 1, t)
-            for t, column in enumerate(offsets, start=1)
-            for d in column
-        )
-        for k in range(users)
-    )
-    return graph_from_sides(users, columns, known)
-
-
 def test_bruteforce_matches_subset_enumeration():
     # structured instances small enough for the exhaustive route
     for gaps, L in [((2, 1, 0), 2), ((1, 1), 1), ((3, 1), 2), ((2, 2), 1),
@@ -183,28 +156,13 @@ def test_bruteforce_matches_subset_enumeration():
         if len(graph) > 12:
             continue
         assert mais_bruteforce(graph) == subset_enumeration_mais(graph), (gaps, L)
-    # arbitrary (non-structured) side-information graphs
-    rng = random.Random(99)
-    for trial in range(25):
-        graph = random_side_info_graph(
-            rng, rng.randint(2, 5), rng.randint(1, 2), rng.uniform(0.1, 0.9)
-        )
-        if len(graph) > 10:
-            continue
-        assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
-    # graphs in which a user may know its own nodes
-    for trial in range(40):
-        graph = random_side_info_graph(
-            rng, rng.randint(1, 5), rng.randint(1, 2), rng.uniform(0.1, 0.9),
-            self_knowledge=True,
-        )
-        assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
-    # user-circulant graphs that are not union instances
-    for trial in range(40):
-        graph = random_circulant_graph(rng, rng.randint(1, 6), rng.randint(1, 2))
-        if len(graph) > 10:
-            continue
-        assert mais_bruteforce(graph) == subset_enumeration_mais(graph), trial
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=side_info_graphs(max_users=5, max_columns=2, self_knowledge=True))
+def test_bruteforce_matches_subset_enumeration_on_arbitrary_graphs(graph):
+    # At most 10 nodes, K = 1 and i = 1 included; a user may know its own nodes.
+    assert mais_bruteforce(graph) == subset_enumeration_mais(graph)
 
 
 def relabel_users(graph, perm):
@@ -218,11 +176,14 @@ def relabel_users(graph, perm):
 @settings(max_examples=150, deadline=None)
 @given(spec=gap_vectors(max_nodes=26), data=st.data())
 def test_bruteforce_symmetric_path_matches_plain_dp(spec, data):
-    # A random relabelling generally breaks the user shift symmetry, so the
-    # second graph takes the plain DP, one entry per set.
+    # The union takes the orbit DP's user-shift path; a random relabelling
+    # generally breaks the symmetry, so the copy takes its plain DP.  The
+    # level DP must match both, on the union and on the copy.
     graph = build_union_icp(spec)
     perm = data.draw(st.permutations(range(1, spec.K + 1)))
-    assert mais_bruteforce(relabel_users(graph, perm)) == mais_bruteforce(graph)
+    value = orbit_dp_mais(graph)
+    plain = relabel_users(graph, perm)
+    assert mais_bruteforce(graph) == mais_bruteforce(plain) == orbit_dp_mais(plain) == value
 
 
 def has_user_shift(graph):
@@ -241,34 +202,19 @@ def has_user_shift(graph):
 ])
 def test_bruteforce_orbit_fill_on_composite_K(gaps, L, K, value):
     # With K composite, user sets such as {1, 3} (K = 4) repeat under fewer
-    # than K shifts, so the orbit fill writes some of them more than once.
+    # than K shifts, so the test oracle's orbit fill writes some of them more
+    # than once; the level DP has no orbits and must agree on both graphs.
     graph = graph_of(gaps, L)
     plain = relabel_users(graph, [1, 3, 2] + list(range(4, K + 1)))
     assert graph.K == K and has_user_shift(graph) and not has_user_shift(plain)
+    assert orbit_dp_mais(graph) == orbit_dp_mais(plain) == value
     assert mais_bruteforce(graph) == mais_bruteforce(plain) == value
     if len(graph) <= 10:
         assert subset_enumeration_mais(graph) == value
 
 
-def test_bruteforce_finds_the_user_shift_of_a_union():
-    # Rotating each mask by one user's bits finds the shift, so the union
-    # runs about K times fewer recurrences than a relabelled copy (K = 16).
-    graph = graph_of((7, 7), 1)
-    plain = relabel_users(graph, [1, 3, 2] + list(range(4, 17)))
-    seconds = {}
-    for name, g in (("orbit", graph), ("plain", plain)):
-        runs = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert mais_bruteforce(g, node_cap=32) == 16
-            runs.append(time.perf_counter() - start)
-        seconds[name] = min(runs)
-    assert seconds["orbit"] * 3 < seconds["plain"], seconds
-
-
 def test_bruteforce_raised_cap_values():
-    # 40 nodes and K = 20, above the default cap; the plain DP on randomly
-    # relabelled users gives the same values.
+    # 40 nodes and K = 20, above the default cap.
     for gaps, L, value in [((9, 9), 1, 20), ((7, 7), 5, 16)]:
         assert mais_bruteforce(graph_of(gaps, L), node_cap=40) == value
 
