@@ -213,6 +213,17 @@ def test_bruteforce_orbit_fill_on_composite_K(gaps, L, K, value):
         assert subset_enumeration_mais(graph) == value
 
 
+def test_bruteforce_finds_the_user_shift_of_a_union():
+    # K = 16 and 32 nodes: the union has the user shift, so the test oracle
+    # fills one entry per orbit; a relabelled copy has none.  The level DP
+    # runs one path on both and must give the oracle's value on each.
+    graph = graph_of((7, 7), 1)
+    plain = relabel_users(graph, [1, 3, 2] + list(range(4, 17)))
+    assert has_user_shift(graph) and not has_user_shift(plain)
+    assert orbit_dp_mais(graph) == orbit_dp_mais(plain) == 16
+    assert mais_bruteforce(graph, node_cap=32) == mais_bruteforce(plain, node_cap=32) == 16
+
+
 def test_bruteforce_raised_cap_values():
     # 40 nodes and K = 20, above the default cap.
     for gaps, L, value in [((9, 9), 1, 20), ((7, 7), 5, 16)]:
