@@ -352,12 +352,15 @@ def end_to_end_simulate(
     total = Fraction(0)
     reports = []
     failures: list[dict] = []
+    # Every Theorem-1 coloring has K colors, so the first class's code
+    # serves every class of this call, and each decode row is built once.
+    code = None
     for rep in group_rotation_classes(column_by_label):
         period = minimal_period(rep)
         split = len(rep) // period
         bar = build_union_icp(GapVector(rep, cfg.L))
-        scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order)
-        q = scheme.field_order
+        scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order, code)
+        code, q = scheme.code, scheme.field_order
 
         # Bar node (k, p) carries part (p-1)//period of the subfile in row k of
         # the class column whose label is the (p-1)-th rotation of the rep.

@@ -8,18 +8,22 @@ over colors of aggregate times point**r, written once in
 knows send and is left with the m <= chi colors of its closed
 anti-outneighborhood.  The first m rows restricted to those colors form a
 transposed Vandermonde system, solved at the user's i own colors only from
-its master polynomial: the scheme's master over all n colors divided by the
+its master polynomial: the code's master over all n colors divided by the
 n-m known colors.  The solve at an own color gives its class's whole
 aggregate; properness lets the user know the node's classmates, subtracted last.
 
 None of that but the residual and the subtraction depends on the messages,
 so decoding is split in two.  `plan_decode` checks properness and builds a
 user's `DecodePlan` once per scheme: per own node, its quotient row, scale and
-classmates, for n+i class-mask tests, O(n*(n-m)) for the master and O(m*i)
-for the rows.  `decode_node` applies a plan to one broadcast: O(m*(n-m)) for the
-residual, one C-level dot product of m terms per own color and the
-classmates' sum.  Callers that decode many message sets keep the K plans; a
-single decode builds each plan, applies it and drops it.
+classmates, for n+i class-mask tests.  A row depends only on n, q, the set F
+of colors the user fully knows and the own color, so it comes from the
+scheme's `MdsCode`, which every scheme with n colors over GF(q) in one command
+can share: O(n*|F|) for the master once per distinct F and O(m) for a row once
+per distinct (F, own color), and equal keys share one row list.
+`decode_node` applies a plan to one broadcast: O(m*(n-m)) for the residual,
+one C-level dot product of m terms per own color and the classmates' sum.
+Callers that decode many message sets keep the K plans; a single decode
+builds each plan, applies it and drops it.
 """
 
 from __future__ import annotations
@@ -51,29 +55,27 @@ class DecodeError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class TransmissionScheme:
-    """chi MDS combinations over GF(field_order) of the per-color message sums.
+class MdsCode:
+    """The points 1..n mod q of n colors over GF(q), and the decode rows they give.
 
-    Color c sits on the point c mod field_order, so the scheme is exactly its
-    coloring, row count and field.  `master` is prod_c (X - c mod field_order)
-    over all n colors, highest degree first.
+    A decode row depends only on the colors F a user fully knows and the own
+    color it is taken at, not on the graph or the coloring, so every scheme
+    with n colors over GF(q) can share one code.  `master` is
+    prod_c (X - c mod q) over all n colors, highest degree first.  `rows`
+    memoizes, per F, the master divided by F and each own color's row; the
+    memo lives as long as the code, which a caller shares within one command
+    and then drops.  Memoized rows are shared: callers must not change them.
     """
 
-    coloring: Coloring
-    chi: int
-    field_order: int
-    master: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        q, master = self.field_order, [1]
-        for c in range(1, self.num_colors + 1):
+    def __init__(self, num_colors: int, field_order: int) -> None:
+        q, master = field_order, [1]
+        for c in range(1, num_colors + 1):
             master = [(hi - c * lo) % q for hi, lo in zip(master + [0], [0] + master)]
-        object.__setattr__(self, "master", tuple(master))
-
-    @property
-    def num_colors(self) -> int:
-        return self.coloring.num_colors
+        self.num_colors = num_colors
+        self.field_order = field_order
+        self.master = tuple(master)
+        # Per tuple of full colors: the master divided by them, and the rows by own color.
+        self._by_full: dict[tuple[int, ...], tuple[list[int], dict]] = {}
 
     def master_without(self, colors: list[int]) -> list[int]:
         """prod (X - c mod q) over every color not in the distinct `colors`, highest degree first.
@@ -89,6 +91,54 @@ class TransmissionScheme:
                 quotient.append(b)
             poly = quotient
         return poly
+
+    def rows(self, full: list[int], colors: list[int]) -> list[tuple[list[int], int]]:
+        """Per color of `colors`, its quotient row and scale when `full` are the known colors.
+
+        The unknown colors are those not in `full`; see
+        `transposed_vandermonde_rows`.  The first request for `full` divides
+        the master and builds every row in one call; a later one builds only
+        the rows not yet memoized.  Raises ZeroDivisionError, memoizing no
+        row, when one of `colors` repeats the point of another unknown color.
+        """
+        q, key = self.field_order, tuple(full)
+        memo = self._by_full.get(key)
+        if memo is None:
+            master = self.master_without(full)
+            rows = transposed_vandermonde_rows(master, [c % q for c in colors], q)
+            self._by_full[key] = (master, dict(zip(colors, rows)))
+            return rows
+        master, built = memo
+        missing = [c for c in colors if c not in built]
+        if missing:
+            new = transposed_vandermonde_rows(master, [c % q for c in missing], q)
+            built.update(zip(missing, new))
+        return [built[c] for c in colors]
+
+
+@dataclass(frozen=True)
+class TransmissionScheme:
+    """chi MDS combinations over GF(field_order) of the per-color message sums.
+
+    Color c sits on the point c mod field_order, so the scheme is exactly its
+    coloring, row count and code, whose color count must be the coloring's.
+    `field_order` is the code's, copied once because every trial reads it.
+    """
+
+    coloring: Coloring
+    chi: int
+    code: MdsCode
+    field_order: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.code.num_colors != self.num_colors:
+            raise ValueError(f"a code over {self.code.num_colors} colors cannot carry "
+                             f"a coloring with {self.num_colors}")
+        object.__setattr__(self, "field_order", self.code.field_order)
+
+    @property
+    def num_colors(self) -> int:
+        return self.coloring.num_colors
 
     def transmit(self, messages: dict[Node, int]) -> list[int]:
         """The chi broadcast symbols for one symbol of payload per node."""
@@ -111,19 +161,26 @@ class TransmissionScheme:
 
 
 def build_mds_scheme(
-    graph: SuicpGraph, coloring: Coloring, field_order: int | None = None
+    graph: SuicpGraph,
+    coloring: Coloring,
+    field_order: int | None = None,
+    code: MdsCode | None = None,
 ) -> TransmissionScheme:
     """The scheme of `coloring` over GF(field_order), sending exactly chi rows.
 
     chi is the coloring's local chromatic value, the fewest symbols that
-    still decode.
+    still decode.  `code`, when given, is an earlier scheme's code with as
+    many colors, shared so that each decode row is built once; field_order
+    is then not read.  Without it the scheme gets a code of its own.
     """
-    n = coloring.num_colors
-    if field_order is None:
-        field_order = default_field_order(n)
-    validate_field(field_order, n)
+    if code is None:
+        n = coloring.num_colors
+        if field_order is None:
+            field_order = default_field_order(n)
+        validate_field(field_order, n)
+        code = MdsCode(n, field_order)
     chi = local_chromatic_value(graph, coloring)
-    return TransmissionScheme(coloring=coloring, chi=chi, field_order=field_order)
+    return TransmissionScheme(coloring=coloring, chi=chi, code=code)
 
 
 def transposed_vandermonde_rows(
@@ -161,8 +218,9 @@ class DecodePlan(NamedTuple):
 
     The user subtracts what the `full` colors (those it fully knows) send
     from the first m broadcast symbols.  Per own node, `rows` holds its
-    color's quotient row and scale (`transposed_vandermonde_rows`) and
-    `classmates` the rest of its color class, all known to the user.
+    color's quotient row and scale (`MdsCode.rows`, shared by every plan
+    with the same full colors) and `classmates` the rest of its color class,
+    all known to the user.
     """
 
     scheme: TransmissionScheme
@@ -179,7 +237,9 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
     A color is unknown when its class mask meets the complement of the
     user's side information; its m unknown colors must not exceed chi.  The
     rows come from the master over the unknown colors, taken at the user's
-    own colors only.  Properness is checked where decoding relies on it, by
+    own colors only; the scheme's code builds each once and shares it.  A
+    zero denominator names the own color and the unknown color whose point
+    it repeats.  Properness is checked where decoding relies on it, by
     one mask compare per own node: a node whose class has another member the
     user does not know raises DecodeError naming the node and those members.
     """
@@ -200,11 +260,11 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
                               f"of node {nd} has unknown members {unseen}")
         mates.remove(nd)
     try:
-        rows = transposed_vandermonde_rows(
-            scheme.master_without(full), [c % q for c in own_colors], q
-        )
+        rows = scheme.code.rows(full, own_colors)
     except ZeroDivisionError:
-        raise DecodeError(user, unknown, scheme.chi, "zero denominator") from None
+        c, d = next((c, d) for c in own_colors for d in unknown if d != c and (d - c) % q == 0)
+        raise DecodeError(user, unknown, scheme.chi, f"zero denominator: own color {c} "
+                          f"repeats the point {c % q} of color {d} mod {q}") from None
     return DecodePlan(scheme, len(unknown), own, full, rows, classmates)
 
 
@@ -254,6 +314,7 @@ def simulate_decode(
 
 __all__ = [
     "DecodeError",
+    "MdsCode",
     "TransmissionScheme",
     "build_mds_scheme",
     "transposed_vandermonde_rows",

@@ -246,14 +246,14 @@ def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
 
 
 def test_decode_error_exits_three(capsys, monkeypatch):
-    from sicps.scheme import TransmissionScheme
+    from sicps.scheme import MdsCode, TransmissionScheme
 
     real_build = cli.build_mds_scheme
 
     def short_of_rows(graph, coloring, field_order=None):
         # One row below the local chromatic value: some user cannot decode.
         chi = real_build(graph, coloring, field_order).chi - 1
-        return TransmissionScheme(coloring, chi, 257)
+        return TransmissionScheme(coloring, chi, MdsCode(coloring.num_colors, 257))
 
     monkeypatch.setattr(cli, "build_mds_scheme", short_of_rows)
     code, out, err = run(

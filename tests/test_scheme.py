@@ -23,6 +23,8 @@ from conftest import (
     theorem1_colored_unions,
     vandermonde_matrix,
 )
+import sicps.scheme as scheme_module
+from sicps import cli
 from sicps.cli import _scheme_json
 from sicps.coloring import (
     Coloring,
@@ -40,9 +42,11 @@ from sicps.field import (
     solve_mod,
 )
 from sicps.icp import GapVector, build_union_icp
+from sicps.macc import CcdnConfig, end_to_end_simulate
 from sicps.scheme import (
     DecodeError,
     DecodePlan,
+    MdsCode,
     TransmissionScheme,
     build_mds_scheme,
     decode_node,
@@ -121,6 +125,8 @@ def test_field_validation():
         build_mds_scheme(icp, coloring, 7)  # below 8 colors
     with pytest.raises(ValueError):
         build_mds_scheme(icp, coloring, 256)  # not prime
+    with pytest.raises(ValueError, match="a code over 7 colors cannot carry a coloring with 8"):
+        build_mds_scheme(icp, coloring, code=MdsCode(7, 251))
     assert is_prime(default_field_order(8))
     assert default_field_order(8) == 257
     assert default_field_order(300) == 307
@@ -250,7 +256,7 @@ def test_decode_error_when_rows_below_local_chromatic_value():
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
     rows = build_mds_scheme(icp, coloring).chi - 1
-    scheme = TransmissionScheme(coloring, rows, 257)
+    scheme = TransmissionScheme(coloring, rows, MdsCode(8, 257))
     messages = {node: 1 for node in icp.nodes}
     with pytest.raises(DecodeError) as exc:
         simulate_decode(scheme, icp, messages)
@@ -267,16 +273,32 @@ def test_decode_error_when_rows_below_local_chromatic_value():
     assert f"chi={rows}" in str(err)
 
 
-def test_decode_error_on_zero_denominator():
+def test_decode_error_on_zero_denominator(monkeypatch):
     # Below the color count, points 1..8 collide mod 5 and the solve breaks.
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    scheme = TransmissionScheme(coloring, 7, 5)
+    scheme = TransmissionScheme(coloring, 7, MdsCode(8, 5))
     with pytest.raises(DecodeError, match="zero denominator") as exc:
         simulate_decode(scheme, icp, {node: 0 for node in icp.nodes})
     assert exc.value.user == 1
     assert exc.value.unknown == _unknown_colors(icp, coloring, 1)
     assert exc.value.chi == 7
+    # User 1 owns colors 1, 7 and 4; color 6, also unknown to it, sits on
+    # color 1's point.
+    assert [coloring.assignment[(1, t)] for t in (1, 2, 3)] == [1, 7, 4]
+    assert "zero denominator: own color 1 repeats the point 1 of color 6 mod 5" in str(exc.value)
+    # A failed miss memoizes no row: planning again rebuilds all of them.
+    roots = []
+
+    def spy(master, wanted, q):
+        roots.append(list(wanted))
+        return transposed_vandermonde_rows(master, wanted, q)
+
+    monkeypatch.setattr(scheme_module, "transposed_vandermonde_rows", spy)
+    for _ in range(2):
+        with pytest.raises(DecodeError, match="own color 1 repeats the point 1 of color 6"):
+            plan_decode(scheme, icp, 1)
+    assert roots == [[1, 2, 4], [1, 2, 4]]
 
 
 def test_decode_error_on_improper_coloring():
@@ -287,7 +309,7 @@ def test_decode_error_on_improper_coloring():
     assignment[(2, 1)] = assignment[(1, 1)]
     coloring = Coloring(assignment, 8)
     assert verify_proper(icp, coloring)
-    scheme = TransmissionScheme(coloring, 8, 251)
+    scheme = TransmissionScheme(coloring, 8, MdsCode(8, 251))
     plain = {node: node[0] + 10 * node[1] for node in icp.nodes}
     broadcast = scheme.transmit(plain)
     messages = RecordingMessages(plain)
@@ -362,7 +384,7 @@ def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, 
         # More rows than chi, as many as the closed-form rate accounts for,
         # still decode.
         assert scheme.chi <= upper_bound_Ru(spec)
-        scheme = TransmissionScheme(scheme.coloring, upper_bound_Ru(spec), scheme.field_order)
+        scheme = TransmissionScheme(scheme.coloring, upper_bound_Ru(spec), scheme.code)
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
     assert simulate_decode(scheme, icp, messages) == messages
@@ -430,7 +452,7 @@ def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
     scheme = build_mds_scheme(graph, coloring, q)
     q = scheme.field_order
     if rows is not None:
-        scheme = TransmissionScheme(coloring, rows, q)
+        scheme = TransmissionScheme(coloring, rows, scheme.code)
     rng = random.Random(seed)
     messages = {node: rng.randrange(q) for node in graph.nodes}
     aggregates = [0] * n
@@ -504,6 +526,132 @@ def test_one_trial_decode_retains_no_plan():
     assert live_plans() == before
 
 
+def test_simulation_builds_each_row_once_and_plans_share_it(monkeypatch):
+    # At (12,1,3) no user fully knows a color, so a row's key is its own color
+    # alone: 12 rows serve the 2,064 own nodes of every class's users.
+    built, plans = [], []
+
+    def spy_rows(master, roots, q):
+        built.extend((tuple(master), root) for root in roots)
+        return transposed_vandermonde_rows(master, roots, q)
+
+    def spy_plan(scheme, graph, user):
+        plans.append(plan_decode(scheme, graph, user))
+        return plans[-1]
+
+    monkeypatch.setattr(scheme_module, "transposed_vandermonde_rows", spy_rows)
+    monkeypatch.setattr(scheme_module, "plan_decode", spy_plan)
+    report = end_to_end_simulate(CcdnConfig(12, 12, 1), 3, list(range(1, 13)), seed=1)
+    assert report.decoded_ok
+    assert sum(len(plan.own) for plan in plans) == 2064
+    assert len(built) == len(set(built)) == 12
+    assert len({id(plan.scheme.code) for plan in plans}) == 1
+    # Plans with equal keys hold the same row object, across users and classes.
+    rows, schemes = {}, {}
+    for plan in plans:
+        for nd, row in zip(plan.own, plan.rows):
+            key = (tuple(plan.full), plan.scheme.coloring.assignment[nd])
+            assert rows.setdefault(key, row) is row
+            schemes.setdefault(key, set()).add(id(plan.scheme))
+    assert len(rows) == 12
+    assert max(map(len, schemes.values())) == len(report.classes) > 1
+
+
+def live_codes():
+    gc.collect()
+    return sum(type(obj) is MdsCode for obj in gc.get_objects())
+
+
+def test_no_code_outlives_its_command(capsys):
+    before = live_codes()
+    code = build_mds_scheme(*theorem1_colored_unions(GapVector((2, 1, 0), 2))).code
+    assert live_codes() == before + 1  # the count sees a code that is kept
+    del code
+    report = end_to_end_simulate(CcdnConfig(8, 8, 2), 2, list(range(1, 9)), seed=1)
+    assert report.decoded_ok and len(report.classes) > 1
+    assert live_codes() == before
+    assert cli.main(["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
+                     "--trials", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert live_codes() == before
+
+
+@st.composite
+def unions_with_one_color_count(draw):
+    """(K, q, [(graph, coloring)]): union instances of K users, each colored with K colors.
+
+    Each graph is drawn with its own i and L; its coloring is Theorem 1's or,
+    where first fit needs at most K colors, a greedy one padded to K.  q is
+    the default field, the smallest prime at least K (q = K when K is prime,
+    putting color K at point 0) or a prime below K.
+    """
+    K = draw(st.integers(1, 12))
+    instances = []
+    for _ in range(draw(st.integers(1, 4))):
+        L = draw(st.integers(1, 3))
+        i = draw(st.integers(1, min(4, (K - 1) // L + 1)))
+        total = K - 1 - (i - 1) * L
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=i - 1, max_size=i - 1)))
+        gaps = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+        spec, _ = GapVector(gaps, L).canonicalize()
+        graph, coloring = theorem1_colored_unions(spec)
+        if draw(st.booleans()):
+            greedy = greedy_coloring(graph, draw(st.permutations(graph.nodes)))
+            if greedy.num_colors <= K:
+                coloring = Coloring(greedy.assignment, K)
+        instances.append((graph, coloring))
+    fields = [default_field_order(K), next_prime_at_least(K)]
+    fields += [p for p in SMALL_PRIMES if p < K]
+    return K, draw(st.sampled_from(fields)), instances
+
+
+def _first_collision(graph, coloring, q):
+    """The first user, own color and unknown color on the same point mod q, or None."""
+    for k in range(1, graph.K + 1):
+        unknown = _unknown_colors(graph, coloring, k)
+        for t in range(1, graph.num_columns + 1):
+            c = coloring.assignment[(k, t)]
+            for d in unknown:
+                if d != c and (d - c) % q == 0:
+                    return k, c, d
+    return None
+
+
+def _decode_outcome(scheme, graph, messages):
+    try:
+        return simulate_decode(scheme, graph, messages)
+    except DecodeError as err:
+        return err.user, str(err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=unions_with_one_color_count(), seed=st.integers(0, 2**32 - 1))
+@example(family=(7, 7, [theorem1_colored_unions(GapVector((2, 1), 3)),
+                        theorem1_colored_unions(GapVector((4, 0), 2)),
+                        theorem1_colored_unions(GapVector((6,), 1))]),
+         seed=0)  # q = n = 7: color 7 sits at point 0
+@example(family=(8, 5, [theorem1_colored_unions(GapVector((7,), 1)),
+                        theorem1_colored_unions(GapVector((2, 1, 0), 2))]),
+         seed=1)  # q below n: every user of (7,)/1 knows nothing, color 1 meets 6
+def test_schemes_sharing_one_code_decode_as_with_fresh_codes(family, seed):
+    K, q, instances = family
+    shared = MdsCode(K, q)
+    rng = random.Random(seed)
+    for graph, coloring in instances:
+        chi = local_chromatic_value(graph, coloring)
+        messages = {node: rng.randrange(q) for node in graph.nodes}
+        outcome = _decode_outcome(TransmissionScheme(coloring, chi, shared), graph, messages)
+        assert outcome == _decode_outcome(TransmissionScheme(coloring, chi, MdsCode(K, q)),
+                                          graph, messages)
+        collision = _first_collision(graph, coloring, q)
+        if collision is None:
+            assert outcome == messages
+        else:
+            k, c, d = collision
+            assert outcome[0] == k
+            assert f"own color {c} repeats the point {c % q} of color {d} mod {q}" in outcome[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(spec=small_gap_vectors(), small_field=st.booleans(), data=st.data())
 def test_divided_master_equals_product_over_unknown_colors(spec, small_field, data):
@@ -516,13 +664,13 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
     for k in range(1, spec.K + 1):
         unknown = _unknown_colors(icp, coloring, k)
         known = sorted(set(range(1, spec.K + 1)) - set(unknown))
-        assert scheme.master_without(known) == master_product([c % q for c in unknown], q)
+        assert scheme.code.master_without(known) == master_product([c % q for c in unknown], q)
     # ... and any color subset, also over a field below the color count,
     # where points repeat and the division must still be exact.
     colors = data.draw(st.sets(st.integers(1, spec.K)))
     tiny = data.draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 7]))
-    cramped = TransmissionScheme(coloring, 1, tiny)
-    for s in (scheme, cramped):
+    cramped = MdsCode(spec.K, tiny)
+    for s in (scheme.code, cramped):
         expected = master_product([c % s.field_order for c in sorted(colors)], s.field_order)
         assert s.master_without(sorted(set(range(1, spec.K + 1)) - colors)) == expected
 
