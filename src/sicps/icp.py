@@ -54,15 +54,6 @@ def canonical_rotation(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return best, best_shift
 
 
-def minimal_period(seq: tuple[int, ...]) -> int:
-    """Smallest p such that rotating seq by p leaves it unchanged (p divides len)."""
-    n = len(seq)
-    for p in range(1, n + 1):
-        if n % p == 0 and seq == rotate_gaps(seq, p):
-            return p
-    return n
-
-
 @dataclass(frozen=True)
 class GapVector:
     """Gap pattern (a_i, ..., a_1) plus chunk length L defining an instance family.
@@ -200,7 +191,6 @@ __all__ = [
     "wrap",
     "rotate_gaps",
     "canonical_rotation",
-    "minimal_period",
     "rotate_mask",
     "build_union_icp",
     "require_leading_max",

@@ -19,9 +19,7 @@ from fractions import Fraction
 from operator import add
 
 from .coloring import ru_cap, theorem1_coloring
-from .icp import (
-    GapVector, build_union_icp, canonical_rotation, minimal_period, rotate_gaps, wrap,
-)
+from .icp import GapVector, build_union_icp, rotate_gaps, wrap
 from .scheme import build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
@@ -31,8 +29,8 @@ RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 MAX_SAMPLES = 100_000
 
 # Most placement sets, and most user-node pairs K * cells over the delivery
-# table's cells, that `build_delivery_icp` accepts; it refuses more before
-# enumerating.  A class's union has about K pairs per cell (more when its
+# cells, that `end_to_end_simulate` accepts; it refuses more before building
+# anything.  A class's union has about K pairs per cell (more when its
 # representative is periodic), about 0.8 us each in `end_to_end_simulate` (Intel
 # Xeon, Python 3.11; 1.8 us on small ones): (20,2,4) 546,000 pairs, 0.8-1.0 s;
 # (80,1,2) 19.7 million, 14-16 s, 50 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
@@ -88,37 +86,41 @@ def placement_set_count(K: int, L: int, w: int) -> int:
     return num // w
 
 
-@dataclass(frozen=True)
-class PlacementPlan:
-    """One subfile of every file per placement set, each of size 1/|sets|."""
+def rotation_classes(n: int, m: int):
+    """Yield (rep, period) for each rotation orbit of the weak m-compositions of n.
 
-    sets: tuple[tuple[int, ...], ...]
-
-
-def placement_map(cfg: CcdnConfig, w: int) -> PlacementPlan:
-    sets = tuple(iter_placement_sets(cfg.K, cfg.L, w))
-    assert len(sets) == placement_set_count(cfg.K, cfg.L, w)
-    return PlacementPlan(sets)
-
-
-def group_rotation_classes(compositions) -> list[tuple[int, ...]]:
-    """Rotation orbits of a complete composition family, as their representatives.
-
-    Each orbit is represented by its lexicographically greatest rotation (so
-    the maximum part leads); the representatives come in decreasing order.
-    The orbit of rep is rotate_gaps(rep, t) for t < minimal_period(rep).
+    rep is the orbit's lexicographically greatest rotation (its maximum part
+    leads), and the reps come in decreasing order; the orbit is
+    rotate_gaps(rep, t) for t < period.  This is the Fredricksen-Kessler-Maiorana
+    necklace recursion (Ruskey, Savage & Wang, J. Algorithms 1992) with the
+    order reversed: a[t] <= a[t-p], and p becomes t when the part drops, so
+    p is the prefix's minimal period.  A prefix is dropped once its remaining
+    sum exceeds what parts no larger than a[1] can hold.  The depth-first walk
+    keeps its own stack, so m is not bound by the recursion limit.  Nothing
+    is yielded for n < 0.
     """
-    comps = {tuple(c) for c in compositions}
-    if not comps:
-        return []
-    (m, n), *others = {(len(c), sum(c)) for c in comps}
-    if others:
-        raise ValueError("compositions disagree on length or total")
-    if len(comps) != math.comb(n + m - 1, m - 1):
-        raise ValueError(f"expected the complete family of {m}-compositions of {n}")
-    reps = sorted({canonical_rotation(c)[0] for c in comps}, reverse=True)
-    assert sum(map(minimal_period, reps)) == len(comps)
-    return reps
+    if n < 0:
+        return
+    a = [n] * (m + 1)  # a[0] = n caps the first part; a[1..t] is the prefix
+    p = [1] * (m + 1)  # p[t]: minimal period of a[1..t]
+    rest = [n] * (m + 1)  # rest[t] = n - a[1] - ... - a[t]
+    t = 1
+    a[1] = n + 1  # each visit of depth t tries the next smaller part
+    while t:
+        part = a[t] - 1
+        low = -(-n // m) if t == 1 else rest[t - 1] - (m - t) * a[1]
+        if part < max(low, 0):
+            t -= 1
+            continue
+        a[t] = part
+        rest[t] = rest[t - 1] - part
+        p[t] = p[t - 1] if part == a[t - p[t - 1]] else t
+        if t == m:
+            if m % p[t] == 0:
+                yield tuple(a[1:]), p[t]
+            continue
+        t += 1
+        a[t] = min(a[t - p[t - 1]], rest[t - 1]) + 1
 
 
 def rate_new(K: int, L: int, w: int) -> Fraction:
@@ -246,59 +248,26 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
 Subfile = tuple[int, tuple[int, ...]]  # (file id, cache set)
 
 
-@dataclass(frozen=True)
-class DeliveryColumn:
-    """One table column: a cyclic shift family of missing subfiles.
+def delivery_cells(cfg: CcdnConfig, label: tuple[int, ...],
+                   demands: list[int]) -> tuple[Subfile, ...]:
+    """The K (file, cache set) cells of the delivery column with this label.
 
-    The label is the gap pattern of the column's side information, read from
-    user 1; the cells hold (file, cache set) subfile ids for users 1..K.
+    User 1 misses the sets c_1 < ... < c_w with c_1 > L, one column each.  Row
+    k of that column holds the set shifted by k-1, which user 1 reads exactly
+    when some c_j + k-1 lands in its caches 1..L, i.e. in a chunk of L rows
+    starting at row K-c_j+2.  The gaps between those chunks, from row 2 on,
+    make the label (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1); read
+    backwards, c_1 = label[-1]+L+1 and each next gap adds L to it.
     """
-
-    label: tuple[int, ...]
-    cells: tuple[Subfile, ...]
-
-
-@dataclass(frozen=True)
-class DeliveryTable:
-    plan: PlacementPlan
-    columns: tuple[DeliveryColumn, ...]
-
-
-def build_delivery_icp(cfg: CcdnConfig, w: int, demands: list[int]) -> DeliveryTable:
-    """K x C(K-wL+w-1, w) table of missing subfiles, one labeled column per composition.
-
-    User 1 misses the sets c_1 < ... < c_w with c_1 > L.  Row m of that
-    column holds the set shifted by m-1, which user 1 reads exactly when some
-    c_j + m-1 lands in its caches 1..L, i.e. in a chunk of L rows starting at
-    row K-c_j+2.  The gaps between those chunks, from row 2 on, make the label
-    (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).  A family with more
-    than MAX_SIMULATION_SIZE placement sets or K * cells user-node pairs is
-    refused first.
-    """
-    if len(demands) != cfg.K:
-        raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
-    if any(not 1 <= d <= cfg.N for d in demands):
-        raise ValueError("demands must be file ids in [1, N]")
     K, L = cfg.K, cfg.L
-    sets = placement_set_count(K, L, w)
-    num_cells = K * math.comb(K - w * L + w - 1, w)
-    if max(sets, K * num_cells) > MAX_SIMULATION_SIZE:
-        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {sets} placement sets and "
-                         f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
-                         f"above the limit {MAX_SIMULATION_SIZE}")
-    plan = placement_map(cfg, w)
-    columns = []
-    for anchor in (s for s in plan.sets if s[0] > L):
-        cells = tuple(
-            (demands[row - 1], tuple(sorted(wrap(c + row - 1, K) for c in anchor)))
-            for row in range(1, K + 1)
-        )
-        inner = [b - a - L for a, b in zip(anchor, anchor[1:])]
-        label = (K - anchor[-1], *reversed(inner), anchor[0] - L - 1)
-        assert sum(label) == K - w * L - 1
-        columns.append(DeliveryColumn(label=label, cells=cells))
-    assert len(columns) * K == num_cells
-    return DeliveryTable(plan=plan, columns=tuple(columns))
+    anchor, c = [], 1
+    for gap in reversed(label[1:]):
+        c += L + gap
+        anchor.append(c)
+    return tuple(
+        (demands[row - 1], tuple(sorted(wrap(s + row - 1, K) for s in anchor)))
+        for row in range(1, K + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -335,18 +304,28 @@ def end_to_end_simulate(
     field_order: int | None = None,
     seed: int = 0,
 ) -> SimulationReport:
-    """Place, build the delivery table, broadcast per rotation class, decode all users.
+    """Broadcast per rotation class from the labels' delivery cells, decode all users.
 
-    A representative of period p < len(rep) covers only p distinct columns,
-    so each of their subfiles is split into len(rep)/p equal parts, turning
-    the class's columns into a full union instance.  Each class sends chi
-    rows, the local chromatic value of its Theorem-1 coloring, so the
-    transmitted size sum(chi / (split * |sets|)) over classes, in file units,
-    is at most rate_new: Ru bounds each chi.
+    Demands are checked, and a family with more than MAX_SIMULATION_SIZE
+    placement sets or K * cells user-node pairs is refused, before anything
+    is built.  A representative of period p < len(rep) covers only p
+    distinct columns, so each of their subfiles is split into len(rep)/p
+    equal parts, turning the class's columns into a full union instance.
+    Each class sends chi rows, the local chromatic value of its Theorem-1
+    coloring, so the transmitted size sum(chi / (split * |sets|)) over
+    classes, in file units, is at most rate_new: Ru bounds each chi.
     """
-    table = build_delivery_icp(cfg, w, demands)
-    num_subfiles = len(table.plan.sets)
-    column_by_label = {col.label: col for col in table.columns}
+    if len(demands) != cfg.K:
+        raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
+    if any(not 1 <= d <= cfg.N for d in demands):
+        raise ValueError("demands must be file ids in [1, N]")
+    K, L = cfg.K, cfg.L
+    num_subfiles = placement_set_count(K, L, w)
+    num_cells = K * math.comb(K - w * L + w - 1, w)
+    if max(num_subfiles, K * num_cells) > MAX_SIMULATION_SIZE:
+        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_subfiles} placement sets and "
+                         f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
+                         f"above the limit {MAX_SIMULATION_SIZE}")
     rng = random.Random(f"{seed}")
 
     total = Fraction(0)
@@ -355,22 +334,22 @@ def end_to_end_simulate(
     # Every Theorem-1 coloring has K colors, so the first class's code
     # serves every class of this call, and each decode row is built once.
     code = None
-    for rep in group_rotation_classes(column_by_label):
-        period = minimal_period(rep)
+    for rep, period in rotation_classes(K - w * L - 1, w + 1):
         split = len(rep) // period
-        bar = build_union_icp(GapVector(rep, cfg.L))
+        columns = [delivery_cells(cfg, rotate_gaps(rep, t), demands) for t in range(period)]
+        bar = build_union_icp(GapVector(rep, L))
         scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order, code)
         code, q = scheme.code, scheme.field_order
 
         # Bar node (k, p) carries part (p-1)//period of the subfile in row k of
-        # the class column whose label is the (p-1)-th rotation of the rep.
+        # the column whose label is the (p-1)-th rotation of the rep.
         symbols: dict[tuple[Subfile, int], int] = {}
         messages = {}
         for p in range(1, bar.i + 1):
-            column = column_by_label[rotate_gaps(rep, p - 1)]
+            cells = columns[(p - 1) % period]
             part = (p - 1) // period
-            for k in range(1, cfg.K + 1):
-                key = (column.cells[k - 1], part)
+            for k in range(1, K + 1):
+                key = (cells[k - 1], part)
                 if key not in symbols:
                     symbols[key] = rng.randrange(q)
                 messages[(k, p)] = symbols[key]
@@ -378,7 +357,7 @@ def end_to_end_simulate(
         for node in bar.nodes:
             if decoded[node] != messages[node]:
                 k, p = node
-                subfile = column_by_label[rotate_gaps(rep, p - 1)].cells[k - 1]
+                subfile = columns[(p - 1) % period][k - 1]
                 failures.append(
                     {
                         "representative": list(rep),
@@ -404,20 +383,16 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_SIMULATION_SIZE",
     "CcdnConfig",
-    "PlacementPlan",
     "RatePoint",
-    "DeliveryColumn",
-    "DeliveryTable",
     "ClassReport",
     "SimulationReport",
     "iter_placement_sets",
     "placement_set_count",
-    "placement_map",
-    "group_rotation_classes",
+    "rotation_classes",
     "rate_new",
     "rate_hkd",
     "rate_rk",
     "tradeoff_curve",
-    "build_delivery_icp",
+    "delivery_cells",
     "end_to_end_simulate",
 ]

@@ -19,10 +19,11 @@ from sicps.icp import (
     build_union_icp,
     canonical_rotation,
     require_leading_max,
+    rotate_gaps,
     rotate_mask,
     wrap,
 )
-from sicps.macc import CcdnConfig, RatePoint, rate_new
+from sicps.macc import CcdnConfig, RatePoint, Subfile, iter_placement_sets, rate_new
 
 
 def iter_weak_compositions(n: int, m: int):
@@ -35,6 +36,61 @@ def iter_weak_compositions(n: int, m: int):
     for first in range(n + 1):
         for rest in iter_weak_compositions(n - first, m - 1):
             yield (first,) + rest
+
+
+def minimal_period(seq: tuple[int, ...]) -> int:
+    """Smallest p such that rotating seq by p leaves it unchanged (p divides len)."""
+    n = len(seq)
+    for p in range(1, n + 1):
+        if n % p == 0 and seq == rotate_gaps(seq, p):
+            return p
+    return n
+
+
+def reference_rotation_classes(compositions) -> list[tuple[int, ...]]:
+    """Rotation orbits of a complete composition family, as their representatives.
+
+    Each orbit is represented by its lexicographically greatest rotation (so
+    the maximum part leads); the representatives come in decreasing order.
+    The oracle route that `macc.rotation_classes` must match: canonicalize
+    every composition and sort.
+    """
+    comps = {tuple(c) for c in compositions}
+    if not comps:
+        return []
+    (m, n), *others = {(len(c), sum(c)) for c in comps}
+    if others:
+        raise ValueError("compositions disagree on length or total")
+    if len(comps) != math.comb(n + m - 1, m - 1):
+        raise ValueError(f"expected the complete family of {m}-compositions of {n}")
+    reps = sorted({canonical_rotation(c)[0] for c in comps}, reverse=True)
+    assert sum(map(minimal_period, reps)) == len(comps)
+    return reps
+
+
+def reference_delivery_table(cfg: CcdnConfig, w: int,
+                             demands: list[int]) -> dict[tuple[int, ...], tuple[Subfile, ...]]:
+    """Every delivery column, label -> K (file, cache set) cells, from the placement sets.
+
+    The oracle route that `macc.delivery_cells` inverts: user 1 misses the
+    placement sets c_1 < ... < c_w with c_1 > L, row k of that column holds
+    the set shifted by k-1, and the label is
+    (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).  Columns come in the
+    placement sets' lex order.
+    """
+    K, L = cfg.K, cfg.L
+    table = {}
+    for anchor in (s for s in iter_placement_sets(K, L, w) if s[0] > L):
+        cells = tuple(
+            (demands[row - 1], tuple(sorted(wrap(c + row - 1, K) for c in anchor)))
+            for row in range(1, K + 1)
+        )
+        inner = [b - a - L for a, b in zip(anchor, anchor[1:])]
+        label = (K - anchor[-1], *reversed(inner), anchor[0] - L - 1)
+        assert sum(label) == K - w * L - 1
+        table[label] = cells
+    assert len(table) == math.comb(K - w * L + w - 1, w)
+    return table
 
 
 def canonical_gap_vectors(max_nodes: int):

@@ -37,18 +37,24 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, build_union_icp
+from sicps.icp import GapVector, build_union_icp, rotate_gaps
 from sicps.macc import (
     CcdnConfig,
-    build_delivery_icp,
-    group_rotation_classes,
+    delivery_cells,
     iter_placement_sets,
-    placement_map,
     placement_set_count,
     rate_hkd,
     rate_new,
     rate_rk,
+    rotation_classes,
 )
+
+
+def delivery_columns(cfg: CcdnConfig, w: int, demands: list[int]) -> list[tuple]:
+    """Every delivery column's cells, class by class, as the simulation builds them."""
+    return [delivery_cells(cfg, rotate_gaps(rep, t), demands)
+            for rep, period in rotation_classes(cfg.K - w * cfg.L - 1, w + 1)
+            for t in range(period)]
 
 
 @contextlib.contextmanager
@@ -119,11 +125,9 @@ def test_criterion_04_two_column_exact_rate():
 def test_criterion_05_eight_user_caching_rates():
     with criterion(5, 5.0, "(K=8,L=2,w=2) placement/delivery/rates"):
         cfg = CcdnConfig(8, 8, 2)
-        plan = placement_map(cfg, 2)
-        assert len(plan.sets) == 20
-        table = build_delivery_icp(cfg, 2, list(range(1, 9)))
-        assert len(table.columns) == 10
-        assert group_rotation_classes([c.label for c in table.columns]) == [
+        assert len(list(iter_placement_sets(8, 2, 2))) == 20
+        assert len(delivery_columns(cfg, 2, list(range(1, 9)))) == 10
+        assert [rep for rep, _ in rotation_classes(3, 3)] == [
             (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1),
         ]
         new = rate_new(8, 2, 2)
@@ -148,11 +152,12 @@ def test_criterion_06_end_to_end_decode(capsys):
         assert Fraction(payload["total_rate"]) == Fraction(68, 60)
         # full-file coverage: every user's missing subfiles all sit in the table
         cfg = CcdnConfig(8, 8, 2)
-        table = build_delivery_icp(cfg, 2, list(range(1, 9)))
+        columns = delivery_columns(cfg, 2, list(range(1, 9)))
+        sets = list(iter_placement_sets(8, 2, 2))
         for user in range(1, 9):
-            row = {col.cells[user - 1][1] for col in table.columns}
-            accessible = {s for s in table.plan.sets if available_to_user(8, 2, s, user)}
-            assert row | accessible == set(table.plan.sets)
+            row = {cells[user - 1][1] for cells in columns}
+            accessible = {s for s in sets if available_to_user(8, 2, s, user)}
+            assert row | accessible == set(sets)
             assert len(row) + len(accessible) == 20
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_delivery_table
 import sicps.cli as cli
 
 
@@ -558,12 +559,11 @@ def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     assert all(f["file"] == demands[f["user"] - 1] for f in failures)
     # Every node fails, in order (user, column), so the 15th failure of the
     # one-column class (1,1,1), split three ways, is user 5's third part.
-    table = macc.build_delivery_icp(macc.CcdnConfig(N=8, K=8, L=2), 2, demands)
-    column = next(col for col in table.columns if col.label == (1, 1, 1))
+    cells = reference_delivery_table(macc.CcdnConfig(N=8, K=8, L=2), 2, demands)[(1, 1, 1)]
     ones = [f for f in failures if f["representative"] == [1, 1, 1]]
     assert len(ones) == 8 * 3
     assert {k: ones[14][k] for k in ("user", "file", "cache_set", "part")} == {
-        "user": 5, "file": column.cells[4][0], "cache_set": list(column.cells[4][1]), "part": 3
+        "user": 5, "file": cells[4][0], "cache_set": list(cells[4][1]), "part": 3
     }
 
 

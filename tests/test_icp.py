@@ -13,6 +13,7 @@ from conftest import (
     canonical_gap_vectors,
     eq2_known_set,
     gap_vectors,
+    minimal_period,
     random_canonical_gap_vector,
     side_nodes,
     single_known_files,
@@ -24,7 +25,6 @@ from sicps.icp import (
     GapVector,
     build_union_icp,
     canonical_rotation,
-    minimal_period,
     rotate_gaps,
     wrap,
 )

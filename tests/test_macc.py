@@ -18,9 +18,12 @@ from conftest import (
     composition_count_max_below,
     interpolate_rate,
     iter_weak_compositions,
+    minimal_period,
     missing_sets,
     naive_local_chromatic,
     rate_closed_form_large_L,
+    reference_delivery_table,
+    reference_rotation_classes,
     reference_tradeoff_curve,
     side_nodes,
     simulated_rate,
@@ -31,21 +34,18 @@ import conftest
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.coloring import theorem1_coloring
-from sicps.icp import (
-    GapVector, build_union_icp, canonical_rotation, minimal_period, rotate_gaps, wrap,
-)
+from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps, wrap
 from sicps.macc import (
     CcdnConfig,
     RatePoint,
-    build_delivery_icp,
+    delivery_cells,
     end_to_end_simulate,
-    group_rotation_classes,
     iter_placement_sets,
-    placement_map,
     placement_set_count,
     rate_hkd,
     rate_new,
     rate_rk,
+    rotation_classes,
     tradeoff_curve,
 )
 from sicps.scheme import simulate_decode
@@ -107,36 +107,35 @@ def test_placement_plan_loads():
     for K in range(1, 13):
         for L in range(1, K + 1):
             for w in range(1, K // L + 1):
-                sets = placement_map(CcdnConfig(K, K, L), w).sets
+                sets = list(iter_placement_sets(K, L, w))
                 per_cache = math.comb(K - w * L + w - 1, w - 1)
                 assert Counter(c for s in sets for c in s) == dict.fromkeys(
                     range(1, K + 1), per_cache), (K, L, w)
                 assert K * Fraction(per_cache, len(sets)) == w, (K, L, w)
 
-    sets = placement_map(CcdnConfig(5, 8, 2), 2).sets
+    sets = list(iter_placement_sets(8, 2, 2))
     assert len(sets) == 20
     assert Counter(c for s in sets for c in s) == dict.fromkeys(range(1, 9), 5)
     assert 5 * Fraction(5, len(sets)) == Fraction(2 * 5, 8)
 
-    sets = placement_map(CcdnConfig(3, 10, 2), 3).sets
+    sets = list(iter_placement_sets(10, 2, 3))
     assert len(sets) == 50
     assert Counter(c for s in sets for c in s) == dict.fromkeys(range(1, 11), 15)
     assert 3 * Fraction(15, len(sets)) == Fraction(9, 10)
 
 
 def test_placement_full_coverage_at_max_memory():
-    cfg = CcdnConfig(4, 8, 2)
-    plan = placement_map(cfg, 4)  # w = K/L
-    assert len(plan.sets) == 2
+    sets = list(iter_placement_sets(8, 2, 4))  # w = K/L
+    assert len(sets) == 2
     for user in range(1, 9):
-        assert missing_sets(8, 2, plan.sets, user) == []
+        assert missing_sets(8, 2, sets, user) == []
 
 
 def test_placement_user_cache_window():
     assert user_caches(8, 2, 1) == (1, 2)
     assert user_caches(8, 2, 8) == (8, 1)
     # subfile on caches {3,5} serves users 2,3,4,5
-    assert (3, 5) in placement_map(CcdnConfig(2, 8, 2), 2).sets
+    assert (3, 5) in iter_placement_sets(8, 2, 2)
     assert available_to_user(8, 2, (3, 5), 2)
     assert not available_to_user(8, 2, (3, 5), 1)
     assert not available_to_user(8, 2, (3, 5), 6)
@@ -186,39 +185,73 @@ def test_composition_count_matches_brute_force():
 
 
 def test_rotation_classes_example():
-    reps = group_rotation_classes(list(iter_weak_compositions(3, 3)))
-    assert reps == [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1)]
+    classes = list(rotation_classes(3, 3))
+    assert classes == [((3, 0, 0), 3), ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 1, 1), 1)]
+    assert [rep for rep, _ in classes] == reference_rotation_classes(iter_weak_compositions(3, 3))
 
 
 def test_rotation_classes_degenerate_and_even():
-    assert group_rotation_classes(list(iter_weak_compositions(0, 4))) == [(0, 0, 0, 0)]
+    assert list(rotation_classes(0, 4)) == [((0, 0, 0, 0), 1)]
+    assert list(rotation_classes(-1, 5)) == []  # w*L = K: nothing is missing
     # The all-zero label is one column served in four parts.
     report = end_to_end_simulate(CcdnConfig(7, 7, 2), 3, list(range(1, 8)), seed=1)
     assert [(c.representative, c.columns, c.split) for c in report.classes] == [
         ((0, 0, 0, 0), 1, 4)
     ]
 
-    reps = group_rotation_classes(list(iter_weak_compositions(4, 2)))
-    assert reps == [(4, 0), (3, 1), (2, 2)]
+    assert list(rotation_classes(4, 2)) == [((4, 0), 2), ((3, 1), 2), ((2, 2), 1)]
 
 
 def test_rotation_classes_partition_property():
     for n, m in [(3, 3), (5, 3), (4, 4), (6, 2)]:
         comps = list(iter_weak_compositions(n, m))
-        reps = group_rotation_classes(comps)
+        classes = list(rotation_classes(n, m))
+        reps = [rep for rep, _ in classes]
         assert reps == sorted(reps, reverse=True)
         orbits = [
             {tuple(rep[(j - t) % m] for j in range(m)) for t in range(m)} for rep in reps
         ]
         assert sorted(c for orbit in orbits for c in orbit) == sorted(comps)
-        for rep, orbit in zip(reps, orbits):
+        for (rep, period), orbit in zip(classes, orbits):
             assert canonical_rotation(rep)[0] == rep == max(orbit)
-            assert len(orbit) == minimal_period(rep)
+            assert len(orbit) == minimal_period(rep) == period
+            assert orbit == {rotate_gaps(rep, t) for t in range(period)}
 
 
-def test_rotation_classes_require_complete_family():
-    with pytest.raises(ValueError):
-        group_rotation_classes([(3, 0, 0), (2, 1, 0)])
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 30), m=st.integers(1, 12))
+@example(n=6, m=6)  # periods 1, 2, 3 and 6
+@example(n=0, m=1)
+def test_rotation_classes_match_reference(n, m):
+    # The necklace generator gives the canonicalize-and-sort oracle's reps,
+    # in its order, each with its minimal period.
+    assume(math.comb(n + m - 1, m - 1) <= 5_000)
+    classes = list(rotation_classes(n, m))
+    assert [rep for rep, _ in classes] == reference_rotation_classes(iter_weak_compositions(n, m))
+    assert all(period == minimal_period(rep) for rep, period in classes)
+
+
+def burnside_necklace_count(n, m):
+    """Rotation orbits of the weak m-compositions of n: (1/m) sum over d | gcd(n, m)."""
+    def phi(d):
+        return sum(math.gcd(j, d) == 1 for j in range(1, d + 1))
+
+    g = math.gcd(n, m)
+    total = sum(phi(d) * math.comb(n // d + m // d - 1, m // d - 1)
+                for d in range(1, g + 1) if g % d == 0)
+    assert total % m == 0
+    return total // m
+
+
+def test_rotation_classes_count_where_the_oracle_is_slow():
+    # (18, 8): 480,700 compositions in 60,115 orbits.
+    periods = [period for _, period in rotation_classes(18, 8)]
+    assert sum(periods) == math.comb(25, 7) == 480_700
+    assert len(periods) == burnside_necklace_count(18, 8) == 60_115
+    for n, m in [(0, 1), (5, 5), (12, 6), (9, 9), (16, 4)]:
+        classes = list(rotation_classes(n, m))
+        assert len(classes) == burnside_necklace_count(n, m), (n, m)
+        assert sum(period for _, period in classes) == math.comb(n + m - 1, m - 1), (n, m)
 
 
 def rate_new_direct(K, L, w):
@@ -445,52 +478,77 @@ def users_of_cache_set(cache_set, K, L):
 
 def test_delivery_table_eight_user_example():
     cfg = CcdnConfig(8, 8, 2)
-    table = build_delivery_icp(cfg, 2, list(range(1, 9)))
-    assert len(table.columns) == 10
+    demands = list(range(1, 9))
+    table = reference_delivery_table(cfg, 2, demands)
+    assert len(table) == 10
     seen = {}
-    for col in table.columns:
-        file_id, cache_set = col.cells[0]
+    for label in iter_weak_compositions(3, 3):
+        cells = delivery_cells(cfg, label, demands)
+        assert cells == table[label]
+        file_id, cache_set = cells[0]
         assert file_id == 1  # user 1 demands file 1
-        seen[users_of_cache_set(cache_set, 8, 2)] = col.label
+        seen[users_of_cache_set(cache_set, 8, 2)] = label
     assert seen == EXAMPLE_COLUMN_LABELS
 
 
 def test_delivery_table_labels_are_all_compositions():
+    # The reference's label map is a bijection from the placement sets with
+    # c_1 > L onto the weak (w+1)-compositions, and delivery_cells inverts it.
     for cfg, w in [(CcdnConfig(10, 10, 2), 3), (CcdnConfig(9, 9, 3), 2),
                    (CcdnConfig(7, 7, 1), 2)]:
-        table = build_delivery_icp(cfg, w, list(range(1, cfg.K + 1)))
-        labels = [col.label for col in table.columns]
+        demands = list(range(1, cfg.K + 1))
+        table = reference_delivery_table(cfg, w, demands)
+        labels = list(table)
         n = cfg.K - w * cfg.L - 1
         assert sorted(labels) == list(iter_weak_compositions(n, w + 1))
         assert len(labels) == math.comb(cfg.K - w * cfg.L + w - 1, w)
+        anchors = {delivery_cells(cfg, label, demands)[0][1] for label in labels}
+        assert anchors == {s for s in iter_placement_sets(cfg.K, cfg.L, w) if s[0] > cfg.L}
+
+
+def test_delivery_cells_match_reference_table():
+    # Every label's cells, on every (K, L, w) with K <= 12, against the
+    # placement-set route.
+    for K in range(1, 13):
+        for L in range(1, K + 1):
+            for w in range(1, K // L + 1):
+                cfg = CcdnConfig(K, K, L)
+                demands = [(3 * k) % K + 1 for k in range(K)]
+                table = reference_delivery_table(cfg, w, demands)
+                for label, cells in table.items():
+                    assert delivery_cells(cfg, label, demands) == cells, (K, L, w, label)
+                periods = sum(period for _, period in rotation_classes(K - w * L - 1, w + 1))
+                assert periods == len(table), (K, L, w)
 
 
 def test_delivery_table_zero_columns_at_full_memory():
-    table = build_delivery_icp(CcdnConfig(8, 8, 2), 4, list(range(1, 9)))
-    assert table.columns == ()
+    assert reference_delivery_table(CcdnConfig(8, 8, 2), 4, list(range(1, 9))) == {}
+    assert list(rotation_classes(8 - 4 * 2 - 1, 5)) == []
 
 
 def test_delivery_table_rows_are_missing_subfiles():
     cfg = CcdnConfig(8, 8, 2)
-    table = build_delivery_icp(cfg, 2, list(range(1, 9)))
+    columns = [delivery_cells(cfg, label, list(range(1, 9)))
+               for label in iter_weak_compositions(3, 3)]
+    sets = list(iter_placement_sets(8, 2, 2))
     for user in range(1, 9):
-        row_sets = {col.cells[user - 1][1] for col in table.columns}
-        assert row_sets == set(missing_sets(8, 2, table.plan.sets, user))
+        row_sets = {cells[user - 1][1] for cells in columns}
+        assert row_sets == set(missing_sets(8, 2, sets, user))
 
 
 def test_delivery_column_side_information_matches_label():
     # per-column availability pattern of every user equals the single-column
     # instance generated by the label
     cfg = CcdnConfig(10, 10, 2)
-    table = build_delivery_icp(cfg, 3, list(range(1, 11)))
-    for col in table.columns:
+    for label in iter_weak_compositions(3, 4):
+        cells = delivery_cells(cfg, label, list(range(1, 11)))
         for user in (1, 4, 10):
             si_rows = {
                 row
                 for row in range(1, 11)
-                if available_to_user(cfg.K, cfg.L, col.cells[row - 1][1], user)
+                if available_to_user(cfg.K, cfg.L, cells[row - 1][1], user)
             }
-            assert si_rows == single_known_files(col.label, cfg.L, cfg.K, user)
+            assert si_rows == single_known_files(label, cfg.L, cfg.K, user)
 
 
 @settings(max_examples=100, deadline=None)
@@ -503,34 +561,40 @@ def test_column_labels_match_side_information_rows(w, L, n):
     # the weak (w+1)-compositions of n = K-wL-1, each exactly once.
     assume(math.comb(n + w, w) <= 2000)
     K = w * L + n + 1
-    table = build_delivery_icp(CcdnConfig(K, K, L), w, [1] * K)
-    for col in table.columns:
+    cfg = CcdnConfig(K, K, L)
+    table = reference_delivery_table(cfg, w, [1] * K)
+    for label in table:
+        cells = delivery_cells(cfg, label, [1] * K)
         si_rows = {
             row
             for row in range(1, K + 1)
-            if available_to_user(K, L, col.cells[row - 1][1], 1)
+            if available_to_user(K, L, cells[row - 1][1], 1)
         }
-        assert si_rows == single_known_files(col.label, L, K, 1), (K, col.label)
-    labels = sorted(col.label for col in table.columns)
+        assert si_rows == single_known_files(label, L, K, 1), (K, label)
+    labels = sorted(table)
     assert labels == list(iter_weak_compositions(n, w + 1))
 
 
 def test_delivery_table_validates_demands():
     cfg = CcdnConfig(8, 8, 2)
-    with pytest.raises(ValueError):
-        build_delivery_icp(cfg, 2, [1, 2, 3])
-    with pytest.raises(ValueError):
-        build_delivery_icp(cfg, 2, [9] * 8)
+    with pytest.raises(ValueError, match="need exactly 8 demands, got 3"):
+        end_to_end_simulate(cfg, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"demands must be file ids in \[1, N\]"):
+        end_to_end_simulate(cfg, 2, [9] * 8)
 
 
 def test_delivery_table_refuses_too_many_user_node_pairs(monkeypatch):
     # (8,2,2): 20 placement sets and 80 cells, 8 * 80 = 640 user-node pairs.
     cfg = CcdnConfig(8, 8, 2)
     monkeypatch.setattr(macc, "MAX_SIMULATION_SIZE", 640)
-    assert len(build_delivery_icp(cfg, 2, [1] * 8).columns) * 8 == 80
+    report = end_to_end_simulate(cfg, 2, [1] * 8)
+    assert sum(c.columns for c in report.classes) * 8 == 80
     monkeypatch.setattr(macc, "MAX_SIMULATION_SIZE", 639)
+    built = []
+    monkeypatch.setattr(macc, "delivery_cells", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="80 delivery cells of 640 user-node pairs"):
-        build_delivery_icp(cfg, 2, [1] * 8)
+        end_to_end_simulate(cfg, 2, [1] * 8)
+    assert built == []  # refused before any column is built
 
 
 def test_simulation_eight_user_example():
@@ -607,9 +671,8 @@ def test_class_graph_matches_physical_availability():
     # topology actually makes available to each user in the class's columns.
     for K, L, w in [(8, 2, 2), (10, 2, 3), (9, 3, 2), (11, 2, 3)]:
         cfg = CcdnConfig(K, K, L)
-        table = build_delivery_icp(cfg, w, list(range(1, K + 1)))
-        by_label = {c.label: c for c in table.columns}
-        for rep in group_rotation_classes(by_label):
+        demands = list(range(1, K + 1))
+        for rep, period in rotation_classes(K - w * L - 1, w + 1):
             bar = build_union_icp(GapVector(rep, L))
             for k in range(1, K + 1):
                 physical = {
@@ -617,11 +680,12 @@ def test_class_graph_matches_physical_availability():
                     for p in range(1, bar.i + 1)
                     for m in range(1, K + 1)
                     if available_to_user(
-                        K, L, by_label[rotate_gaps(rep, p - 1)].cells[m - 1][1], k
+                        K, L, delivery_cells(cfg, rotate_gaps(rep, p - 1), demands)[m - 1][1], k
                     )
                 }
                 assert physical == side_nodes(bar, k), (K, L, w, rep, k)
-            assert minimal_period(rep) == len({rotate_gaps(rep, t) for t in range(len(rep))})
+            assert period == minimal_period(rep) == len(
+                {rotate_gaps(rep, t) for t in range(len(rep))})
 
 
 def test_rate_new_half_memory_unit_access():
@@ -675,13 +739,13 @@ def test_simulation_sends_one_symbol_per_subfile_part(monkeypatch, N, demands):
 
     monkeypatch.setattr(macc, "simulate_decode", spy)
     assert end_to_end_simulate(cfg, 2, demands, seed=4).decoded_ok
-    column_by_label = {col.label: col for col in build_delivery_icp(cfg, 2, demands).columns}
+    column_by_label = reference_delivery_table(cfg, 2, demands)
     repeats = 0
     for rep, messages in sent:
         period = minimal_period(rep)
         symbols: dict[tuple, set[int]] = {}
         for (k, p), value in messages.items():
-            key = (column_by_label[rotate_gaps(rep, p - 1)].cells[k - 1], (p - 1) // period)
+            key = (column_by_label[rotate_gaps(rep, p - 1)][k - 1], (p - 1) // period)
             symbols.setdefault(key, set()).add(value)
         assert all(len(values) == 1 for values in symbols.values()), rep
         repeats += len(messages) - len(symbols)
