@@ -17,9 +17,10 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .coloring import ru_cap, theorem1_coloring
-from .icp import GapVector, build_union_icp, rotate_gaps, wrap
+from .icp import GapVector, UnionIcp, build_union_icp, rotate_gaps, wrap
 from .scheme import build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
@@ -28,12 +29,12 @@ RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 # building anything.
 MAX_SAMPLES = 100_000
 
-# Most placement sets, and most user-node pairs K * cells over the delivery
-# cells, that `end_to_end_simulate` accepts; it refuses more before building
-# anything.  A class's union has about K pairs per cell (more when its
-# representative is periodic), about 0.8 us each in `end_to_end_simulate` (Intel
-# Xeon, Python 3.11; 1.8 us on small ones): (20,2,4) 546,000 pairs, 0.8-1.0 s;
-# (80,1,2) 19.7 million, 14-16 s, 50 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
+# Most placement sets, and most user-node pairs (K per delivery cell), that
+# `end_to_end_simulate` accepts; it refuses more before building anything.  A
+# class's union has about K pairs per cell (more when its representative is
+# periodic), about 0.8 us each to simulate (Intel Xeon, Python 3.11; 1.8 us on
+# small ones): (20,2,4) 546,000 pairs, 0.8-1.0 s; (80,1,2) 19.7 million,
+# 14-16 s, 50 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
 
@@ -86,18 +87,28 @@ def placement_set_count(K: int, L: int, w: int) -> int:
     return num // w
 
 
+@dataclass(frozen=True)
+class PlacementPlan:
+    """One subfile of every file per placement set, each of size 1/|sets|."""
+
+    sets: tuple[tuple[int, ...], ...]
+
+
+def placement_map(cfg: CcdnConfig, w: int) -> PlacementPlan:
+    return PlacementPlan(tuple(iter_placement_sets(cfg.K, cfg.L, w)))
+
+
 def rotation_classes(n: int, m: int):
     """Yield (rep, period) for each rotation orbit of the weak m-compositions of n.
 
-    rep is the orbit's lexicographically greatest rotation (its maximum part
-    leads), and the reps come in decreasing order; the orbit is
-    rotate_gaps(rep, t) for t < period.  This is the Fredricksen-Kessler-Maiorana
-    necklace recursion (Ruskey, Savage & Wang, J. Algorithms 1992) with the
-    order reversed: a[t] <= a[t-p], and p becomes t when the part drops, so
-    p is the prefix's minimal period.  A prefix is dropped once its remaining
-    sum exceeds what parts no larger than a[1] can hold.  The depth-first walk
-    keeps its own stack, so m is not bound by the recursion limit.  Nothing
-    is yielded for n < 0.
+    rep is the orbit's lexicographically greatest rotation, the reps come in
+    decreasing order, and the orbit is rotate_gaps(rep, t) for t < period.
+    This is the Fredricksen-Kessler-Maiorana necklace recursion (Ruskey,
+    Savage & Wang, J. Algorithms 1992) with the order reversed:
+    a[t] <= a[t-p], and p becomes t when the part drops, so p is the prefix's
+    minimal period.  A prefix is dropped once its remaining sum exceeds what
+    parts no larger than a[1] can hold.  The walk keeps its own stack, so m
+    is not bound by the recursion limit.  Nothing is yielded for n < 0.
     """
     if n < 0:
         return
@@ -270,6 +281,24 @@ def delivery_cells(cfg: CcdnConfig, label: tuple[int, ...],
     )
 
 
+def group_rotation_classes(cfg: CcdnConfig, w: int) -> list[tuple[tuple[int, ...], int]]:
+    """rotation_classes of the column labels, the weak (w+1)-compositions of K-wL-1."""
+    return list(rotation_classes(cfg.K - w * cfg.L - 1, w + 1))
+
+
+class DeliveryClass(NamedTuple):
+    """A class's union ICP; columns[t] holds the cells of column rotate_gaps(rep, t)."""
+
+    bar: UnionIcp
+    columns: tuple[tuple[Subfile, ...], ...]
+
+
+def build_delivery_icp(cfg: CcdnConfig, rep: tuple[int, ...], period: int,
+                       demands: list[int]) -> DeliveryClass:
+    columns = tuple(delivery_cells(cfg, rotate_gaps(rep, t), demands) for t in range(period))
+    return DeliveryClass(build_union_icp(GapVector(rep, cfg.L)), columns)
+
+
 @dataclass(frozen=True)
 class ClassReport:
     """One rotation class as broadcast: chi is the number of rows actually sent."""
@@ -304,28 +333,30 @@ def end_to_end_simulate(
     field_order: int | None = None,
     seed: int = 0,
 ) -> SimulationReport:
-    """Broadcast per rotation class from the labels' delivery cells, decode all users.
+    """Place, broadcast per rotation class of the delivery columns, decode all users.
 
     Demands are checked, and a family with more than MAX_SIMULATION_SIZE
     placement sets or K * cells user-node pairs is refused, before anything
-    is built.  A representative of period p < len(rep) covers only p
-    distinct columns, so each of their subfiles is split into len(rep)/p
-    equal parts, turning the class's columns into a full union instance.
-    Each class sends chi rows, the local chromatic value of its Theorem-1
-    coloring, so the transmitted size sum(chi / (split * |sets|)) over
-    classes, in file units, is at most rate_new: Ru bounds each chi.
+    is built.  A class's columns are its representative's rotations, their
+    cells read off the labels.  A representative of period p < len(rep)
+    covers only p distinct columns, so each of their subfiles is split into
+    len(rep)/p equal parts, turning the class's columns into a full union
+    instance.  Each class sends chi rows, the local chromatic value of its
+    Theorem-1 coloring, so the transmitted size sum(chi / (split * |sets|))
+    over classes, in file units, is at most rate_new: Ru bounds each chi.
     """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
     if any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError("demands must be file ids in [1, N]")
     K, L = cfg.K, cfg.L
-    num_subfiles = placement_set_count(K, L, w)
+    num_sets = placement_set_count(K, L, w)
     num_cells = K * math.comb(K - w * L + w - 1, w)
-    if max(num_subfiles, K * num_cells) > MAX_SIMULATION_SIZE:
-        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_subfiles} placement sets and "
+    if max(num_sets, K * num_cells) > MAX_SIMULATION_SIZE:
+        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_sets} placement sets and "
                          f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
                          f"above the limit {MAX_SIMULATION_SIZE}")
+    num_subfiles = len(placement_map(cfg, w).sets)
     rng = random.Random(f"{seed}")
 
     total = Fraction(0)
@@ -334,10 +365,9 @@ def end_to_end_simulate(
     # Every Theorem-1 coloring has K colors, so the first class's code
     # serves every class of this call, and each decode row is built once.
     code = None
-    for rep, period in rotation_classes(K - w * L - 1, w + 1):
+    for rep, period in group_rotation_classes(cfg, w):
         split = len(rep) // period
-        columns = [delivery_cells(cfg, rotate_gaps(rep, t), demands) for t in range(period)]
-        bar = build_union_icp(GapVector(rep, L))
+        bar, columns = build_delivery_icp(cfg, rep, period, demands)
         scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order, code)
         code, q = scheme.code, scheme.field_order
 
@@ -383,16 +413,21 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_SIMULATION_SIZE",
     "CcdnConfig",
+    "PlacementPlan",
     "RatePoint",
+    "DeliveryClass",
     "ClassReport",
     "SimulationReport",
     "iter_placement_sets",
     "placement_set_count",
+    "placement_map",
     "rotation_classes",
+    "group_rotation_classes",
     "rate_new",
     "rate_hkd",
     "rate_rk",
     "tradeoff_curve",
     "delivery_cells",
+    "build_delivery_icp",
     "end_to_end_simulate",
 ]

@@ -38,9 +38,12 @@ from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gap
 from sicps.macc import (
     CcdnConfig,
     RatePoint,
+    build_delivery_icp,
     delivery_cells,
     end_to_end_simulate,
+    group_rotation_classes,
     iter_placement_sets,
+    placement_map,
     placement_set_count,
     rate_hkd,
     rate_new,
@@ -519,6 +522,27 @@ def test_delivery_cells_match_reference_table():
                     assert delivery_cells(cfg, label, demands) == cells, (K, L, w, label)
                 periods = sum(period for _, period in rotation_classes(K - w * L - 1, w + 1))
                 assert periods == len(table), (K, L, w)
+
+
+def test_simulation_stages_give_every_set_and_column_once():
+    # The stages end_to_end_simulate runs: placement_map holds every placement
+    # set, and build_delivery_icp over group_rotation_classes yields each
+    # reference column exactly once, next to its class's union instance.
+    for K, L, w in [(8, 2, 2), (10, 2, 3), (9, 3, 2), (12, 1, 3), (12, 2, 1), (8, 2, 4)]:
+        cfg = CcdnConfig(K, K, L)
+        demands = [(5 * k) % K + 1 for k in range(K)]
+        sets = placement_map(cfg, w).sets
+        assert sets == tuple(iter_placement_sets(K, L, w))
+        assert len(sets) == placement_set_count(K, L, w)
+        classes = group_rotation_classes(cfg, w)
+        assert classes == list(rotation_classes(K - w * L - 1, w + 1))
+        columns = {}
+        for rep, period in classes:
+            bar, cells = build_delivery_icp(cfg, rep, period, demands)
+            assert bar.spec == GapVector(rep, L) and len(cells) == period
+            for t, column in enumerate(cells):
+                assert columns.setdefault(rotate_gaps(rep, t), column) is column
+        assert columns == reference_delivery_table(cfg, w, demands), (K, L, w)
 
 
 def test_delivery_table_zero_columns_at_full_memory():

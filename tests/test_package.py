@@ -16,12 +16,6 @@ import sicps.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# Benchmark stages whose functions the library no longer has: the simulation
-# generates its rotation classes as necklaces and reads each delivery column's
-# cells off its label, with no placement plan, delivery table or regrouping
-# step.  The benchmark reports them as absent until its stages are re-pointed.
-RETIRED_STAGES = ["macc.placement", "macc.delivery", "macc.classes"]
-
 
 def test_every_exported_name_is_defined_in_its_module():
     checked = []
@@ -68,7 +62,7 @@ def test_every_benchmark_stage_resolves_to_a_library_function():
     bench_tracer, workloads = _load_bench("tracer"), _load_bench("workloads")
     missing = [stage for stage, names in bench_tracer.STAGES.items()
                if not any(_defines(name) for name in names)]
-    assert missing == RETIRED_STAGES
+    assert missing == []
 
     # The tracer's hooks read the results of the functions they wrap, so a
     # change to one of those return shapes fails here too: one tiny op per
@@ -83,6 +77,5 @@ def test_every_benchmark_stage_resolves_to_a_library_function():
             op.check(code, out.getvalue(), op.expect)
     finally:
         tracer.uninstall()
-    retired = {name for stage in RETIRED_STAGES for name in bench_tracer.STAGES[stage]}
-    hooked = set(tracer._hooks) - {"field.solve_mod"} - retired  # field: the tests' solve only
+    hooked = set(tracer._hooks) - {"field.solve_mod"}  # the tests' reference solve only
     assert sorted(key for key in hooked if not tracer.calls.get(key)) == []
