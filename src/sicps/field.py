@@ -65,9 +65,9 @@ def validate_field(q: int, num_colors: int) -> None:
 def solve_mod(matrix: list[list[int]], rhs: list[int], q: int) -> list[int]:
     """Solve the square system matrix * x = rhs over GF(q) by Gaussian elimination.
 
-    No library code calls this: decoding uses the transposed Vandermonde
-    solve in `scheme`.  It stays as the general O(m^3) reference the tests
-    check that solve against.  Raises ValueError on a singular matrix.
+    No library code calls this: decoding uses the barycentric solve in
+    `scheme`.  It stays as the general O(m^3) reference the tests check that
+    solve against.  Raises ValueError on a singular matrix.
     """
     n = len(rhs)
     a = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]

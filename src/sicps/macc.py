@@ -29,6 +29,14 @@ RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 # building anything.
 MAX_SAMPLES = 100_000
 
+# Most estimated bit operations (`rate_new_cost`) that one `rate_new`, or all
+# the corners of one `tradeoff_curve`, may spend; each refuses more before
+# building a binomial.  Measured at 0.02-0.57 ns each over (K, L, w) with
+# K <= 150,000 (Intel Xeon, Python 3.11), so the limit is about 1 s:
+# (40000,3,10666) is estimated at 1.5e9 and takes 0.74 s, and `macc tradeoff
+# --K 3000 --L 1` at 1.0e9 in all and 0.83 s, output included.
+MAX_RATE_BIT_OPS = 1_500_000_000
+
 # Most placement sets, and most user-node pairs (K per delivery cell), that
 # `end_to_end_simulate` accepts; it refuses more before building anything.  A
 # class's union has about K pairs per cell (more when its representative is
@@ -134,6 +142,41 @@ def rotation_classes(n: int, m: int):
         a[t] = min(a[t - p[t - 1]], rest[t - 1]) + 1
 
 
+def rate_new_cost(K: int, L: int, w: int) -> float:
+    """Estimated bit operations of rate_new(K, L, w), 1 <= w <= K//L, from its sizes alone.
+
+    The binomial A = C(n+m-1, m-1) has about b bits, log2 A by lgamma, and
+    building it costs about b*b/16.  Each of the table's entries and each of
+    the O(n log m) strided additions costs at most b more.  A fixed 10^4
+    stands for the work of any call, so that a sum over many corners grows
+    with their count.
+    """
+    n, m = K - w * L - 1, w + 1
+    if n < 0:
+        return 1e4
+    bits = (math.lgamma(n + m) - math.lgamma(m) - math.lgamma(n + 1)) / math.log(2)
+    a = max(1, ru_cap(K, m, L) - K + 1)
+    adds = n - 2 * a + 1 + n * math.log(min(m, n // a)) if 2 * a <= n else 0
+    return bits * (bits / 16 + adds) + 1e4
+
+
+def _over_rate_budget(K: int, L: int, ws: range) -> bool:
+    """Whether `rate_new_cost` summed over the w of `ws` passes MAX_RATE_BIT_OPS.
+
+    n+m-1 <= K-1 bounds each binomial's bits by K and its additions by
+    K*(1 + ln K), so a family under len(ws) * (K*K*(2 + ln K) + 10^4) needs no
+    estimate.  Otherwise the sum stops as soon as it passes the limit.
+    """
+    if len(ws) * (K * K * (2 + math.log(K)) + 1e4) <= MAX_RATE_BIT_OPS:
+        return False
+    total = 0.0
+    for w in ws:
+        total += rate_new_cost(K, L, w)
+        if total > MAX_RATE_BIT_OPS:
+            return True
+    return False
+
+
 def rate_new(K: int, L: int, w: int) -> Fraction:
     """Delivery rate at memory w*N/K from the per-column union-instance bounds.
 
@@ -147,9 +190,13 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
     Inclusion-exclusion, B(t) = sum_s (-1)^s C(m,s) col[n-ts] with col[r] =
     C(r+m-1, m-1), and swapping the sums: s = 0, 1 give (n-a+1)*A - m*C(n-a+m, m)
     by the hockey stick, and s >= 2 needs only s <= min(m, n//a), t <= n//s,
-    i.e. O(n log m) big-integer additions over one table of col.
+    i.e. O(n log m) big-integer additions over one table of col.  Refused
+    before any binomial is built above MAX_RATE_BIT_OPS (`rate_new_cost`).
     """
     _check_w(K, L, w)
+    if _over_rate_budget(K, L, range(w, w + 1)):
+        raise ValueError(f"R_new at (K, L, w) = ({K}, {L}, {w}) would take more than "
+                         f"{MAX_RATE_BIT_OPS:.2g} bit operations")
     if w * L == K:
         return Fraction(0)
     n = K - w * L - 1
@@ -220,10 +267,15 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
     With s = max(samples-1, 1), corner w sits at the integer x = w*s and
     sample j at x = ceil(K/L)*j, so one merge pass over the envelope's
     segments emits every point in increasing memory, in integer arithmetic.
+    A curve whose corners' `rate_new_cost` sums above MAX_RATE_BIT_OPS is
+    refused first.
     """
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples}")
     K, N = cfg.K, cfg.N
+    if _over_rate_budget(K, cfg.L, range(1, K // cfg.L + 1)):
+        raise ValueError(f"the {K // cfg.L} corners at (K, L) = ({K}, {cfg.L}) would take "
+                         f"more than {MAX_RATE_BIT_OPS:.2g} bit operations")
     top = -(-K // cfg.L)
     s = max(samples - 1, 1)
     hull: list[tuple[int, int, int, str]] = []
@@ -363,7 +415,7 @@ def end_to_end_simulate(
     reports = []
     failures: list[dict] = []
     # Every Theorem-1 coloring has K colors, so the first class's code
-    # serves every class of this call, and each decode row is built once.
+    # serves every class of this call, and each basis and weight tuple is built once.
     code = None
     for rep, period in group_rotation_classes(cfg, w):
         split = len(rep) // period
@@ -411,6 +463,7 @@ def end_to_end_simulate(
 
 __all__ = [
     "MAX_SAMPLES",
+    "MAX_RATE_BIT_OPS",
     "MAX_SIMULATION_SIZE",
     "CcdnConfig",
     "PlacementPlan",
@@ -423,6 +476,7 @@ __all__ = [
     "placement_map",
     "rotation_classes",
     "group_rotation_classes",
+    "rate_new_cost",
     "rate_new",
     "rate_hkd",
     "rate_rk",

@@ -1,36 +1,43 @@
 """MDS-coded broadcast realization of a proper coloring, with decode simulation.
 
 The server sums the messages inside each color class and transmits chi MDS
-combinations of the n per-color aggregates, where chi is the coloring's local
-chromatic value.  Color c sits on the point c mod q, so symbol r is the sum
-over colors of aggregate times point**r, written once in
-`TransmissionScheme._sent_by`.  A user subtracts what the n-m colors it fully
-knows send and is left with the m <= chi colors of its closed
-anti-outneighborhood.  The first m rows restricted to those colors form a
-transposed Vandermonde system, solved at the user's i own colors only from
-its master polynomial: the code's master over all n colors divided by the
-n-m known colors.  The solve at an own color gives its class's whole
-aggregate; properness lets the user know the node's classmates, subtracted last.
+combinations of the n per-color aggregates a_x, where chi is the coloring's
+local chromatic value.  Color x sits on the point p_x = x mod q, distinct
+because q >= n, and symbol r is B_r = sum_x a_x * p_x**r.
 
-None of that but the residual and the subtraction depends on the messages,
-so decoding is split in two.  `plan_decode` checks properness and builds a
-user's `DecodePlan` once per scheme: per own node, its quotient row, scale and
-classmates, for n+i class-mask tests.  A row depends only on n, q, the set F
-of colors the user fully knows and the own color, so it comes from the
-scheme's `MdsCode`, which every scheme with n colors over GF(q) in one command
-can share: O(n*|F|) for the master once per distinct F and O(m) for a row once
-per distinct (F, own color), and equal keys share one row list.
-`decode_node` applies a plan to one broadcast: O(m*(n-m)) for the residual,
-one C-level dot product of m terms per own color and the classmates' sum.
-Callers that decode many message sets keep the K plans; a single decode
-builds each plan, applies it and drops it.
+A user with m <= chi unknown colors U, fully known colors F and own color c
+decodes by barycentric interpolation (Berrut & Trefethen, SIAM Review 2004).
+Let l_x be the Lagrange basis polynomial of p_x over all n points and
+u_x = sum_{r<m} l_x[r] * B_r.  P(X) = prod_{y in U-c} (X - p_y) has degree
+m-1 and is interpolated exactly by the basis, P = sum_{x in F+c} P(p_x) * l_x,
+since it vanishes on U-c.  So the first m symbols give
+P(p_c)*a_c + sum_{f in F} P(p_f)*a_f = sum_{x in F+c} P(p_x)*u_x, and
+
+    a_c = u_c + sum_{f in F} w_f * (u_f - a_f),   w_f = P(p_f) / P(p_c).
+
+That is the whole aggregate of c's class; properness lets the user know the
+node's classmates, subtracted last.  Each u_x depends only on the broadcast,
+the code and m, so it reads no message and is computed once per trial and
+(m, x) for every user (`Broadcast`).  The a_f are classes the user fully
+knows, so decode reads no message outside the user's side information.
+
+Only the w_f depend on the user, and on nothing but F and c, so the scheme's
+`MdsCode`, which every scheme with n colors over GF(q) in one command can
+share, memoizes them.  Costs: O(n) per color for its basis, once per code;
+per plan, n class-mask tests, O(|F|^2) once per distinct F, and O(|F|) plus
+|F| inverses once per distinct (F, own color), equal keys sharing one weight
+tuple.  Per trial: O(n*chi) to transmit, m terms per shared dot, and per user
+its |F| known aggregates, a dot of |F| terms and the classmates' sum per own
+node.  Callers that decode many message sets keep the K plans; a single
+decode builds each plan, applies it and drops it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
 from dataclasses import dataclass, field
-from operator import mul, sub
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .coloring import Coloring, local_chromatic_value
@@ -56,64 +63,106 @@ class DecodeError(Exception):
 
 
 class MdsCode:
-    """The points 1..n mod q of n colors over GF(q), and the decode rows they give.
+    """The points 1..n mod q of n colors over GF(q), and the decode weights they give.
 
-    A decode row depends only on the colors F a user fully knows and the own
-    color it is taken at, not on the graph or the coloring, so every scheme
-    with n colors over GF(q) can share one code.  `master` is
-    prod_c (X - c mod q) over all n colors, highest degree first.  `rows`
-    memoizes, per F, the master divided by F and each own color's row; the
-    memo lives as long as the code, which a caller shares within one command
-    and then drops.  Memoized rows are shared: callers must not change them.
+    q must be a prime at least n, so the points are distinct.  `basis(x)` is
+    the Lagrange basis polynomial of color x over all n points; `weights`
+    gives a user's barycentric weights, which depend only on the colors F it
+    fully knows and the own color, not on the graph or the coloring, so every
+    scheme with n colors over GF(q) can share one code.  Both are memoized
+    for as long as the code lives, which a caller shares within one command
+    and then drops.  Memoized bases are shared: callers must not change them.
     """
 
     def __init__(self, num_colors: int, field_order: int) -> None:
-        q, master = field_order, [1]
-        for c in range(1, num_colors + 1):
-            master = [(hi - c * lo) % q for hi, lo in zip(master + [0], [0] + master)]
+        validate_field(field_order, num_colors)
+        q, n, master = field_order, num_colors, [1]
+        self.points = [c % q for c in range(1, n + 1)]
+        for p in self.points:
+            master = [(hi - p * lo) % q for hi, lo in zip(master + [0], [0] + master)]
         self.num_colors = num_colors
         self.field_order = field_order
-        self.master = tuple(master)
-        # Per tuple of full colors: the master divided by them, and the rows by own color.
-        self._by_full: dict[tuple[int, ...], tuple[list[int], dict]] = {}
+        self.master = tuple(master)  # prod_x (X - p_x), highest degree first
+        # 1 / prod_{y != x} (p_x - p_y) per color x: as p_x - p_y = x - y mod q,
+        # the product is (-1)**(n-x) * (x-1)! * (n-x)!, with fact[k] = k! mod q.
+        fact = list(accumulate(range(1, n), lambda a, k: a * k % q, initial=1))
+        self._scales = [pow((-1) ** (n - x) * fact[x - 1] * fact[n - x], -1, q)
+                        for x in range(1, n + 1)]
+        self._basis: dict[int, list[int]] = {}
+        # Where q <= 2n, as the default field is for n >= 257, one int object
+        # per residue for every basis coefficient to share: the table costs
+        # at most two bases, and each coefficient then costs only its slot.
+        self._residues = list(range(q)) if q <= 2 * n else None
+        # Per tuple of full colors: the h_f of `weights`, and the weights by own color.
+        self._by_full: dict[tuple[int, ...], tuple[list[int], dict[int, tuple[int, ...]]]] = {}
 
-    def master_without(self, colors: list[int]) -> list[int]:
-        """prod (X - c mod q) over every color not in the distinct `colors`, highest degree first.
+    def basis(self, color: int) -> list[int]:
+        """l_x = prod_{y != x} (X - p_y) / (p_x - p_y) for x = color, lowest degree first.
 
-        `master` divided by (X - c mod q) for each of `colors`, by synthetic
-        division in O(n) each; exact even where points repeat.
+        The master divided by (X - p_x) by synthetic division, O(n), over
+        prod_{y != x} (p_x - p_y).
         """
-        q, poly = self.field_order, list(self.master)
-        for c in colors:
-            b, quotient = 0, []
-            for a in poly[:-1]:
-                b = (a + c * b) % q
+        basis = self._basis.get(color)
+        if basis is None:
+            q, point, scale = self.field_order, self.points[color - 1], self._scales[color - 1]
+            b = 1  # the master is monic
+            quotient = [b]
+            for a in self.master[1:-1]:
+                b = (a + point * b) % q
                 quotient.append(b)
-            poly = quotient
-        return poly
+            basis = [b * scale % q for b in reversed(quotient)]
+            if self._residues is not None:
+                basis = list(map(self._residues.__getitem__, basis))
+            self._basis[color] = basis
+        return basis
 
-    def rows(self, full: list[int], colors: list[int]) -> list[tuple[list[int], int]]:
-        """Per color of `colors`, its quotient row and scale when `full` are the known colors.
+    def weights(self, full: list[int], colors: list[int]) -> list[tuple[int, ...]]:
+        """Per color c of `colors`, the weights w_f = P(p_f) / P(p_c) over f in `full`.
 
-        The unknown colors are those not in `full`; see
-        `transposed_vandermonde_rows`.  The first request for `full` divides
-        the master and builds every row in one call; a later one builds only
-        the rows not yet memoized.  Raises ZeroDivisionError, memoizing no
-        row, when one of `colors` repeats the point of another unknown color.
+        P is the product of (X - p_y) over the colors y outside `full` but c.
+        With d_x = prod_{y != x} (p_x - p_y) and h_f = prod_{y in full, y != f}
+        (p_f - p_y) / d_f, once per `full`, w_f = prod_{y in full} (p_c - p_y)
+        / (d_c * h_f * (p_f - p_c)): O(|full|) per color plus one inverse per
+        weight.
         """
-        q, key = self.field_order, tuple(full)
+        q, key, scales = self.field_order, tuple(full), self._scales
         memo = self._by_full.get(key)
         if memo is None:
-            master = self.master_without(full)
-            rows = transposed_vandermonde_rows(master, [c % q for c in colors], q)
-            self._by_full[key] = (master, dict(zip(colors, rows)))
-            return rows
-        master, built = memo
-        missing = [c for c in colors if c not in built]
-        if missing:
-            new = transposed_vandermonde_rows(master, [c % q for c in missing], q)
-            built.update(zip(missing, new))
+            h = [math.prod([f - y for y in full if y != f]) * scales[f - 1] % q for f in full]
+            memo = self._by_full[key] = (h, {})
+        h, built = memo
+        for c in colors:
+            if c not in built:
+                scale = math.prod([c - y for y in full]) * scales[c - 1]
+                built[c] = tuple([scale * pow(hf * (f - c), -1, q) % q for f, hf in zip(full, h)])
         return [built[c] for c in colors]
+
+
+class Broadcast(list):
+    """One trial's broadcast symbols, and the dots with the code's bases that its users share.
+
+    A user with m unknown colors reads u_x = sum_{r<m} l_x[r] * B_r for its
+    fully known and own colors x.  That depends on the symbols, the code and
+    m only, so it reads no message; `dots` computes it once per (m, x) and
+    every later user of the trial reuses it.
+    """
+
+    def __init__(self, symbols: list[int], code: MdsCode) -> None:
+        super().__init__(symbols)
+        self.code = code
+        # Per m: the first m symbols, and u_x at index x once computed.
+        self._by_rows: dict[int, tuple[list[int], list[int | None]]] = {}
+
+    def dots(self, m: int, colors: list[int]) -> list[int]:
+        """u_x for each color x of `colors`, over the first m symbols, not reduced mod q."""
+        memo = self._by_rows.get(m)
+        if memo is None:
+            memo = self._by_rows[m] = (self[:m], [None] * (self.code.num_colors + 1))
+        head, done = memo
+        for x in colors:
+            if done[x] is None:
+                done[x] = sum(map(mul, self.code.basis(x), head))
+        return [done[x] for x in colors]
 
 
 @dataclass(frozen=True)
@@ -140,24 +189,19 @@ class TransmissionScheme:
     def num_colors(self) -> int:
         return self.coloring.num_colors
 
-    def transmit(self, messages: dict[Node, int]) -> list[int]:
-        """The chi broadcast symbols for one symbol of payload per node."""
-        q = self.field_order
-        return [s % q for s in self._sent_by(range(1, self.num_colors + 1), messages, self.chi)]
+    def transmit(self, messages: dict[Node, int]) -> Broadcast:
+        """The chi broadcast symbols for one symbol of payload per node.
 
-    def _sent_by(self, colors: Iterable[int], messages: dict[Node, int], rows: int) -> list[int]:
-        """The first `rows` symbols that `colors` alone would send, not reduced mod q.
-
-        Each color's aggregate, the sum of its class's messages, times its
-        column (1, p, ..., p^(rows-1)) on the point p = c mod q, by Horner.
+        Row by row: symbol r sums each color's aggregate times p**r, and each
+        term is then multiplied by its point for the next row.
         """
-        q, classes, sent = self.field_order, self.coloring.classes, [0] * rows
-        for c in colors:
-            term, point = sum(map(messages.__getitem__, classes[c - 1])), c % q
-            for r in range(rows):
-                sent[r] += term
-                term = term * point % q
-        return sent
+        q, points = self.field_order, self.code.points
+        terms = [sum(map(messages.__getitem__, members)) for members in self.coloring.classes]
+        symbols = []
+        for _ in range(self.chi):
+            symbols.append(sum(terms) % q)
+            terms = [t * p % q for t, p in zip(terms, points)]
+        return Broadcast(symbols, self.code)
 
 
 def build_mds_scheme(
@@ -170,64 +214,33 @@ def build_mds_scheme(
 
     chi is the coloring's local chromatic value, the fewest symbols that
     still decode.  `code`, when given, is an earlier scheme's code with as
-    many colors, shared so that each decode row is built once; field_order
-    is then not read.  Without it the scheme gets a code of its own.
+    many colors, shared so that each basis and weight tuple is built once;
+    field_order is then not read.  Without it the scheme gets a code of its
+    own.
     """
     if code is None:
         n = coloring.num_colors
-        if field_order is None:
-            field_order = default_field_order(n)
-        validate_field(field_order, n)
-        code = MdsCode(n, field_order)
+        code = MdsCode(n, default_field_order(n) if field_order is None else field_order)
     chi = local_chromatic_value(graph, coloring)
     return TransmissionScheme(coloring=coloring, chi=chi, code=code)
-
-
-def transposed_vandermonde_rows(
-    master: list[int], roots: list[int], q: int
-) -> list[tuple[list[int], int]]:
-    """Per root, the row and scale giving y there, where sum_j points[j]**r * y[j] = rhs[r], r < m.
-
-    `master` is P(X) = prod_j (X - points[j]) over the m points, highest
-    degree first, and each root is one of the points.  The quotient
-    b(X) = P(X) / (X - root) = b_0 X^(m-1) + ... + b_(m-1) vanishes on every
-    point but the root, so y at the root is sum_r b_r * rhs[m-1-r] / b(root)
-    (Bjorck & Pereyra 1970): the row is (b_0, ..., b_(m-1)), dotted with rhs
-    reversed, and the scale is 1/b(root).  O(m) per root.  Raises
-    ZeroDivisionError when the root repeats another point.
-    """
-    inner, rows = master[1:-1], []
-    for root in roots:
-        # Synthetic division, highest coefficient first; Horner evaluates the
-        # quotient at the root in the same pass.
-        b = denominator = master[0]
-        row = [b]
-        append = row.append
-        for a in inner:
-            b = (a + root * b) % q
-            append(b)
-            denominator = (denominator * root + b) % q
-        if denominator == 0:
-            raise ZeroDivisionError(f"point {root} is repeated")
-        rows.append((row, pow(denominator, -1, q)))
-    return rows
 
 
 class DecodePlan(NamedTuple):
     """Everything decoding one user needs that no message changes, from `plan_decode`.
 
-    The user subtracts what the `full` colors (those it fully knows) send
-    from the first m broadcast symbols.  Per own node, `rows` holds its
-    color's quotient row and scale (`MdsCode.rows`, shared by every plan
-    with the same full colors) and `classmates` the rest of its color class,
-    all known to the user.
+    The user reads the first m broadcast symbols and the aggregates of the
+    `full` colors (those it fully knows).  Per own node, `colors` holds its
+    color, `weights` that color's weights over `full` (`MdsCode.weights`,
+    shared by every plan with the same full colors) and `classmates` the rest
+    of its color class, all known to the user.
     """
 
     scheme: TransmissionScheme
     m: int
     own: list[Node]
+    colors: list[int]
     full: list[int]
-    rows: list[tuple[list[int], int]]
+    weights: list[tuple[int, ...]]
     classmates: list[list[Node]]
 
 
@@ -236,57 +249,56 @@ def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> Dec
 
     A color is unknown when its class mask meets the complement of the
     user's side information; its m unknown colors must not exceed chi.  The
-    rows come from the master over the unknown colors, taken at the user's
-    own colors only; the scheme's code builds each once and shares it.  A
-    zero denominator names the own color and the unknown color whose point
-    it repeats.  Properness is checked where decoding relies on it, by
+    weights come from the scheme's code, which builds each tuple once and
+    shares it.  Properness is checked where decoding relies on it, by
     one mask compare per own node: a node whose class has another member the
     user does not know raises DecodeError naming the node and those members.
     """
-    q, coloring = scheme.field_order, scheme.coloring
+    coloring = scheme.coloring
     outside = ~graph.user_side[user - 1]
     own = [(user, t) for t in range(1, graph.num_columns + 1)]
     own_colors = [coloring.assignment[nd] for nd in own]
-    unknown, full = [], []
-    for c, mask in enumerate(coloring.masks, start=1):
-        (unknown if mask & outside else full).append(c)
-    if len(unknown) > scheme.chi:
-        raise DecodeError(user, unknown, scheme.chi, "more unknown colors than rows")
+    full = [c for c, mask in enumerate(coloring.masks, start=1) if not mask & outside]
+    m = coloring.num_colors - len(full)
+
+    def failure(reason: str) -> DecodeError:
+        unknown = [c for c in range(1, coloring.num_colors + 1) if c not in full]
+        return DecodeError(user, unknown, scheme.chi, reason)
+
+    if m > scheme.chi:
+        raise failure("more unknown colors than rows")
     classmates = [list(coloring.classes[c - 1]) for c in own_colors]
     for nd, c, mates in zip(own, own_colors, classmates):
         if coloring.masks[c - 1] & outside != graph.bit(nd):
             unseen = graph.nodes_of(coloring.masks[c - 1] & outside)
-            raise DecodeError(user, unknown, scheme.chi, f"improper coloring: color {c} "
-                              f"of node {nd} has unknown members {unseen}")
+            raise failure(f"improper coloring: color {c} of node {nd} "
+                          f"has unknown members {unseen}")
         mates.remove(nd)
-    try:
-        rows = scheme.code.rows(full, own_colors)
-    except ZeroDivisionError:
-        c, d = next((c, d) for c in own_colors for d in unknown if d != c and (d - c) % q == 0)
-        raise DecodeError(user, unknown, scheme.chi, f"zero denominator: own color {c} "
-                          f"repeats the point {c % q} of color {d} mod {q}") from None
-    return DecodePlan(scheme, len(unknown), own, full, rows, classmates)
+    weights = scheme.code.weights(full, own_colors)
+    return DecodePlan(scheme, m, own, own_colors, full, weights, classmates)
 
 
 def decode_node(
-    plan: DecodePlan, messages: dict[Node, int], broadcast: list[int]
+    plan: DecodePlan, messages: dict[Node, int], broadcast: Broadcast
 ) -> dict[Node, int]:
     """Recover the messages of every virtual node of the plan's user.
 
-    The user's nodes share one side-information set, so one residual serves
-    all of them: the first m symbols less what the fully known colors send.
-    Each own node's row, dotted with it, gives the whole aggregate of the
-    node's class, since its quotient polynomial vanishes on every other
-    unknown color; subtracting the node's classmates leaves its message.
-    Reads only messages the user knows.
+    `broadcast` is what the plan's scheme transmitted.  The user's nodes
+    share one side-information set, so the differences u_f - a_f over the
+    fully known colors serve all of them; each own node's weights, dotted
+    with them and added to its color's shared dot, give the whole aggregate
+    of the node's class.  Subtracting the node's classmates leaves its
+    message.  Reads only messages the user knows.
     """
-    m, q = plan.m, plan.scheme.field_order
-    # Reversed once, so that each row dots with it directly.
-    sent = plan.scheme._sent_by(plan.full, messages, m)
-    residual = list(map(sub, broadcast[m - 1::-1], sent[::-1]))
+    m, q, classes = plan.m, plan.scheme.field_order, plan.scheme.coloring.classes
+    excess = [
+        u - sum(map(messages.__getitem__, classes[f - 1]))
+        for f, u in zip(plan.full, broadcast.dots(m, plan.full))
+    ]
     return {
-        nd: (sum(map(mul, row, residual)) * scale - sum(map(messages.__getitem__, mates))) % q
-        for nd, (row, scale), mates in zip(plan.own, plan.rows, plan.classmates)
+        nd: (u + sum(map(mul, weights, excess)) - sum(map(messages.__getitem__, mates))) % q
+        for nd, u, weights, mates in zip(plan.own, broadcast.dots(m, plan.colors),
+                                         plan.weights, plan.classmates)
     }
 
 
@@ -300,7 +312,8 @@ def simulate_decode(
 
     `plans` are the users' plans in order, built once by `plan_decode` for
     callers that decode many message sets; without them each user's plan is
-    built, applied and dropped.
+    built, applied and dropped.  One broadcast serves every user, so each
+    shared dot is computed once.
     """
     if set(messages) != set(graph.nodes):
         raise ValueError("messages must assign exactly one symbol per node")
@@ -315,9 +328,9 @@ def simulate_decode(
 __all__ = [
     "DecodeError",
     "MdsCode",
+    "Broadcast",
     "TransmissionScheme",
     "build_mds_scheme",
-    "transposed_vandermonde_rows",
     "DecodePlan",
     "plan_decode",
     "decode_node",

@@ -355,7 +355,7 @@ def vandermonde_matrix(n: int, rows: int, q: int) -> list[list[int]]:
 def master_product(points: list[int], q: int) -> list[int]:
     """prod_j (X - points[j]) over GF(q), highest degree first, multiplied out directly.
 
-    The per-user product that `MdsCode.master_without` must equal.
+    The product that a plan's weighted `MdsCode.basis` polynomials must equal.
     """
     master = [1]  # lowest degree first
     for p in points:

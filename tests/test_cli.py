@@ -365,6 +365,24 @@ def test_macc_rate_too_long_to_print_exactly(capsys, fmt):
     assert err == f"error: value too large to print exactly (more than {limit} digits)\n"
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["rate", "--K", "1000000000000", "--L", "2", "--w", "300000000000"], None),
+    (["tradeoff", "--N", "1", "--K", "6000", "--L", "1"], None),
+    (["rate", "--K", "20000", "--L", "1", "--w", "10000"], "10000/10001"),
+])
+def test_macc_rate_cost_guard(capsys, argv, value):
+    # The two unaffordable commands are refused at once; the largest
+    # affordable rate still prints its exact value.
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["macc", *argv, "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    if value is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "would take more than 1.5e+09 bit operations" in err
+    else:
+        assert code == 0 and json.loads(out)["rates"]["new"]["exact"] == value
+
+
 def test_macc_tradeoff_rejects_samples_out_of_range(capsys):
     for samples in ("-1", "100001", "100000000"):
         start = time.perf_counter()

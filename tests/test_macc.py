@@ -36,6 +36,7 @@ from sicps.cli import tradeoff_csv
 from sicps.coloring import theorem1_coloring
 from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps, wrap
 from sicps.macc import (
+    MAX_RATE_BIT_OPS,
     CcdnConfig,
     RatePoint,
     build_delivery_icp,
@@ -47,6 +48,7 @@ from sicps.macc import (
     placement_set_count,
     rate_hkd,
     rate_new,
+    rate_new_cost,
     rate_rk,
     rotation_classes,
     tradeoff_curve,
@@ -323,6 +325,50 @@ def test_rate_new_matches_per_t_sum_at_benchmark_sizes():
 def test_rate_new_rejects_bad_w():
     with pytest.raises(ValueError):
         rate_new(8, 2, 5)
+
+
+def test_rate_new_refuses_an_unaffordable_binomial_before_building_it():
+    # C(4e11 + 3e11, 3e11) has about 6e11 bits; the estimate refuses it at
+    # once, where building it would not end.
+    start = time.perf_counter()
+    with mock.patch("math.comb", side_effect=AssertionError("comb reached")):
+        with pytest.raises(ValueError, match=r"R_new at \(K, L, w\) = \(1000000000000, 2, "
+                                             r"300000000000\) would take more than 1.5e\+09"):
+            rate_new(10**12, 2, 3 * 10**11)
+        with pytest.raises(ValueError, match="would take more than"):
+            rate_new(40_000, 2, 16_000)  # about 0.8 s of work, just over the limit
+    assert time.perf_counter() - start < 1.0
+    assert rate_new_cost(40_000, 2, 16_000) > MAX_RATE_BIT_OPS
+    # Its largest affordable neighbours still compute exactly.
+    assert rate_new(20_000, 1, 10_000) == Fraction(10_000, 10_001)
+    assert rate_new_cost(30_000, 2, 9_000) <= MAX_RATE_BIT_OPS
+
+
+def test_tradeoff_curve_refuses_corners_that_sum_past_the_budget():
+    # 6,000 corners of binomials up to about 6,000 bits: each is cheap, the
+    # curve is not, and it is refused before the first corner's rate.
+    start = time.perf_counter()
+    with mock.patch("math.comb", side_effect=AssertionError("comb reached")):
+        for K in (6_000, 10**12):
+            with pytest.raises(ValueError, match=f"the {K} corners at \\(K, L\\) = \\({K}, 1\\) "
+                                                 "would take more than"):
+                tradeoff_curve(CcdnConfig(1, K, 1))
+    assert time.perf_counter() - start < 1.0
+    assert sum(rate_new_cost(6_000, 1, w) for w in range(1, 6_001)) > MAX_RATE_BIT_OPS
+    # The benchmark's curves are far inside it.
+    for K, L in [(1000, 10), (600, 3), (2000, 50)]:
+        assert 10 * sum(rate_new_cost(K, L, w) for w in range(1, K // L + 1)) < MAX_RATE_BIT_OPS
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 10**7), data=st.data())
+@example(K=1, data=None)
+def test_rate_new_cost_is_bounded_by_the_cheap_test(K, data):
+    # The guards skip the estimate below K*K*(2 + ln K) + 10^4 per corner,
+    # so that bound must hold for every w.
+    L = 1 if data is None else data.draw(st.integers(1, K))
+    w = 1 if data is None else data.draw(st.integers(1, K // L))
+    assert rate_new_cost(K, L, w) <= K * K * (2 + math.log(K)) + 1e4
 
 
 def test_rate_hkd_values():

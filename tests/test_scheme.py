@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
 from operator import mul
 
@@ -44,6 +45,7 @@ from sicps.field import (
 from sicps.icp import GapVector, build_union_icp
 from sicps.macc import CcdnConfig, end_to_end_simulate
 from sicps.scheme import (
+    Broadcast,
     DecodeError,
     DecodePlan,
     MdsCode,
@@ -52,7 +54,6 @@ from sicps.scheme import (
     decode_node,
     plan_decode,
     simulate_decode,
-    transposed_vandermonde_rows,
 )
 
 
@@ -273,32 +274,19 @@ def test_decode_error_when_rows_below_local_chromatic_value():
     assert f"chi={rows}" in str(err)
 
 
-def test_decode_error_on_zero_denominator(monkeypatch):
-    # Below the color count, points 1..8 collide mod 5 and the solve breaks.
+def test_mds_code_refuses_a_field_below_the_color_count():
+    # Below the color count, points 1..8 would collide mod 5 (color 6 on
+    # color 1's point), so no code, and no scheme, is built over GF(5).
+    with pytest.raises(ValueError, match="field order 5 too small for 8 colors"):
+        MdsCode(8, 5)
+    with pytest.raises(ValueError, match="not prime"):
+        MdsCode(8, 9)
     icp = setup((2, 1, 0), 2)
-    coloring = theorem1_coloring(icp)
-    scheme = TransmissionScheme(coloring, 7, MdsCode(8, 5))
-    with pytest.raises(DecodeError, match="zero denominator") as exc:
-        simulate_decode(scheme, icp, {node: 0 for node in icp.nodes})
-    assert exc.value.user == 1
-    assert exc.value.unknown == _unknown_colors(icp, coloring, 1)
-    assert exc.value.chi == 7
-    # User 1 owns colors 1, 7 and 4; color 6, also unknown to it, sits on
-    # color 1's point.
-    assert [coloring.assignment[(1, t)] for t in (1, 2, 3)] == [1, 7, 4]
-    assert "zero denominator: own color 1 repeats the point 1 of color 6 mod 5" in str(exc.value)
-    # A failed miss memoizes no row: planning again rebuilds all of them.
-    roots = []
-
-    def spy(master, wanted, q):
-        roots.append(list(wanted))
-        return transposed_vandermonde_rows(master, wanted, q)
-
-    monkeypatch.setattr(scheme_module, "transposed_vandermonde_rows", spy)
-    for _ in range(2):
-        with pytest.raises(DecodeError, match="own color 1 repeats the point 1 of color 6"):
-            plan_decode(scheme, icp, 1)
-    assert roots == [[1, 2, 4], [1, 2, 4]]
+    with pytest.raises(ValueError, match="too small"):
+        build_mds_scheme(icp, theorem1_coloring(icp), 5)
+    # q = n is admissible: color 7 sits on point 0, and every point is distinct.
+    code = MdsCode(7, 7)
+    assert code.points == [1, 2, 3, 4, 5, 6, 0]
 
 
 def test_decode_error_on_improper_coloring():
@@ -328,46 +316,45 @@ SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
 
 
 @st.composite
-def transposed_vandermonde_systems(draw):
-    """(points, rhs, q): distinct points c mod q for c in a subset of 1..n, n <= q."""
-    q = draw(st.sampled_from(SMALL_PRIMES))
+def barycentric_systems(draw):
+    """(q, n, full, own, aggregates): n <= q colors (q = n included), full colors F, own colors.
+
+    F is any proper subset of the colors, in any order, and the own colors
+    are distinct colors outside it.
+    """
+    q = draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 31]))
     n = draw(st.one_of(st.just(q), st.integers(1, q)))
-    colors = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 12),
-                           unique=True))
-    points = [c % q for c in colors]
-    rhs = draw(st.lists(st.integers(0, q - 1), min_size=len(points),
-                        max_size=len(points)))
-    return points, rhs, q
+    full = draw(st.lists(st.integers(1, n), max_size=n - 1, unique=True))
+    unknown = [c for c in range(1, n + 1) if c not in full]
+    own = draw(st.lists(st.sampled_from(unknown), min_size=1, unique=True))
+    aggregates = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    return q, n, full, own, aggregates
 
 
 @settings(max_examples=200, deadline=None)
-@given(transposed_vandermonde_systems())
-@example(([1, 2, 3, 0], [4, 0, 6, 1], 7))  # q = n = 7: color 7 sits at point 0
-@example(([0], [3], 2))
+@given(barycentric_systems())
+@example((7, 7, [3, 7], [1, 6], [4, 0, 6, 1, 2, 5, 3]))  # q = n: color 7 sits at point 0
+@example((7, 7, [], [7], [4, 0, 6, 1, 2, 5, 3]))  # no color known: a full solve
+@example((2, 1, [], [1], [1]))
 def test_transposed_vandermonde_matches_gaussian_elimination(system):
-    points, rhs, q = system
-    m = len(points)
-    matrix = [[pow(p, r, q) for p in points] for r in range(m)]
-    expected = solve_mod(matrix, rhs, q)
-    master = master_product(points, q)
-
-    def solved(roots):
-        rows = transposed_vandermonde_rows(master, roots, q)
-        assert all(len(row) == m for row, _ in rows)
-        return [sum(map(mul, row, reversed(rhs))) * scale % q for row, scale in rows]
-
-    assert solved(points) == expected
-    # Any subset of components, in any order, matches the same solution.
-    wanted = list(reversed(range(0, m, 2)))
-    assert solved([points[j] for j in wanted]) == [expected[j] for j in wanted]
-
-
-def test_transposed_vandermonde_rows_reject_a_repeated_point():
-    q = 5
-    master = master_product([1, 6 % q, 2], q)  # colors 1 and 6 share the point 1
-    assert transposed_vandermonde_rows(master, [2], q)[0][1] != 0
-    with pytest.raises(ZeroDivisionError, match="point 1 is repeated"):
-        transposed_vandermonde_rows(master, [2, 1], q)
+    # The first m symbols, less what F sends, are a transposed Vandermonde
+    # system in the m unknown aggregates; the barycentric solve at each own
+    # color must match the general Gaussian elimination.
+    q, n, full, own, aggregates = system
+    code = MdsCode(n, q)
+    unknown = [c for c in range(1, n + 1) if c not in full]
+    m, points = len(unknown), code.points
+    symbols = [sum(a * pow(p, r, q) for a, p in zip(aggregates, points)) % q for r in range(m)]
+    residual = [(b - sum(aggregates[f - 1] * pow(points[f - 1], r, q) for f in full)) % q
+                for r, b in enumerate(symbols)]
+    matrix = [[pow(points[u - 1], r, q) for u in unknown] for r in range(m)]
+    expected = dict(zip(unknown, solve_mod(matrix, residual, q)))
+    assert all(expected[u] == aggregates[u - 1] for u in unknown)
+    broadcast = Broadcast(symbols, code)
+    excess = [u - aggregates[f - 1] for f, u in zip(full, broadcast.dots(m, full))]
+    solved = [(u + sum(map(mul, weights, excess))) % q
+              for u, weights in zip(broadcast.dots(m, own), code.weights(full, own))]
+    assert solved == [expected[c] for c in own]
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,35 +513,86 @@ def test_one_trial_decode_retains_no_plan():
     assert live_plans() == before
 
 
-def test_simulation_builds_each_row_once_and_plans_share_it(monkeypatch):
-    # At (12,1,3) no user fully knows a color, so a row's key is its own color
-    # alone: 12 rows serve the 2,064 own nodes of every class's users.
-    built, plans = [], []
-
-    def spy_rows(master, roots, q):
-        built.extend((tuple(master), root) for root in roots)
-        return transposed_vandermonde_rows(master, roots, q)
+def test_simulation_builds_each_weight_list_once_and_plans_share_it(monkeypatch):
+    # At (8,2,2) the users of the four rotation classes fully know 0, 1 or 2
+    # colors: 56 (F, own color) keys serve the 96 own nodes of every class's users.
+    plans = []
 
     def spy_plan(scheme, graph, user):
         plans.append(plan_decode(scheme, graph, user))
         return plans[-1]
 
-    monkeypatch.setattr(scheme_module, "transposed_vandermonde_rows", spy_rows)
     monkeypatch.setattr(scheme_module, "plan_decode", spy_plan)
-    report = end_to_end_simulate(CcdnConfig(12, 12, 1), 3, list(range(1, 13)), seed=1)
+    report = end_to_end_simulate(CcdnConfig(8, 8, 2), 2, list(range(1, 9)), seed=1)
     assert report.decoded_ok
-    assert sum(len(plan.own) for plan in plans) == 2064
-    assert len(built) == len(set(built)) == 12
-    assert len({id(plan.scheme.code) for plan in plans}) == 1
-    # Plans with equal keys hold the same row object, across users and classes.
-    rows, schemes = {}, {}
+    assert sum(len(plan.own) for plan in plans) == 96
+    (code,) = {plan.scheme.code for plan in plans}
+    # Plans with equal keys hold the same list object, across users and classes.
+    lists, schemes = {}, {}
     for plan in plans:
-        for nd, row in zip(plan.own, plan.rows):
-            key = (tuple(plan.full), plan.scheme.coloring.assignment[nd])
-            assert rows.setdefault(key, row) is row
+        for c, weights in zip(plan.colors, plan.weights):
+            key = (tuple(plan.full), c)
+            assert lists.setdefault(key, weights) is weights
             schemes.setdefault(key, set()).add(id(plan.scheme))
-    assert len(rows) == 12
-    assert max(map(len, schemes.values())) == len(report.classes) > 1
+    assert len(lists) == 56
+    assert max(map(len, schemes.values())) > 1 and len(report.classes) == 4
+    # The code built exactly those lists, each once.
+    built = [weights for _, by_own in code._by_full.values() for weights in by_own.values()]
+    assert sorted(map(id, built)) == sorted(map(id, lists.values()))
+
+
+def test_bases_share_one_int_per_residue_where_the_field_is_small():
+    # GF(307) for 300 colors: Python caches no int above 256, so the bases'
+    # 1,500 coefficients would be as many objects without the shared residues.
+    code = MdsCode(300, 307)
+    bases = [code.basis(x) for x in range(1, 6)]
+    assert len({id(c) for basis in bases for c in basis}) <= 307
+    equal = [(a, b) for a, b in zip(bases[0], bases[1]) if a == b]
+    assert equal and all(a is b for a, b in equal)
+    # Each is still the Lagrange polynomial: 1 at its own point, 0 at the others.
+    for x, basis in enumerate(bases, start=1):
+        values = [sum(c * pow(y, r, 307) for r, c in enumerate(basis)) % 307 for y in (1, 2, 300)]
+        assert values == [int(y == x) for y in (1, 2, 300)]
+
+
+THREE_USERS = graph_from_sides(3, 2, ({(2, 1), (2, 2), (3, 1), (3, 2)}, {(3, 1)}, set()))
+
+
+@pytest.mark.parametrize("graph, coloring", [
+    theorem1_colored_unions(GapVector((9, 7, 5, 3, 1), 3)),  # every user has m = 37
+    (THREE_USERS, Coloring({nd: c for c, nd in enumerate(THREE_USERS.nodes, start=1)}, 6)),
+])
+def test_each_shared_dot_is_computed_once_per_trial(monkeypatch, graph, coloring):
+    # A dot of the first m symbols with a color's basis reads no message, so
+    # per trial it is computed when the first user reads that (m, color) and
+    # reused by the rest: exactly once per pair that some user reads.
+    real_dots, real_basis = Broadcast.dots, MdsCode.basis
+    rows, computed = [], []
+
+    def spy_dots(self, m, colors):
+        rows.append(m)
+        try:
+            return real_dots(self, m, colors)
+        finally:
+            rows.pop()
+
+    def spy_basis(self, color):
+        if rows:
+            computed.append((rows[-1], color))
+        return real_basis(self, color)
+
+    monkeypatch.setattr(Broadcast, "dots", spy_dots)
+    monkeypatch.setattr(MdsCode, "basis", spy_basis)
+    scheme = build_mds_scheme(graph, coloring)
+    plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
+    read = sorted({(plan.m, x) for plan in plans for x in plan.full + plan.colors})
+    assert len({plan.m for plan in plans}) == (1 if graph.K > 3 else 3)
+    rng = random.Random(4)
+    for _ in range(3):
+        computed.clear()
+        messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+        assert simulate_decode(scheme, graph, messages, plans) == messages
+        assert sorted(computed) == read
 
 
 def live_codes():
@@ -582,8 +620,8 @@ def unions_with_one_color_count(draw):
 
     Each graph is drawn with its own i and L; its coloring is Theorem 1's or,
     where first fit needs at most K colors, a greedy one padded to K.  q is
-    the default field, the smallest prime at least K (q = K when K is prime,
-    putting color K at point 0) or a prime below K.
+    the default field or the smallest prime at least K (q = K when K is
+    prime, putting color K at point 0).
     """
     K = draw(st.integers(1, 12))
     instances = []
@@ -600,28 +638,8 @@ def unions_with_one_color_count(draw):
             if greedy.num_colors <= K:
                 coloring = Coloring(greedy.assignment, K)
         instances.append((graph, coloring))
-    fields = [default_field_order(K), next_prime_at_least(K)]
-    fields += [p for p in SMALL_PRIMES if p < K]
-    return K, draw(st.sampled_from(fields)), instances
-
-
-def _first_collision(graph, coloring, q):
-    """The first user, own color and unknown color on the same point mod q, or None."""
-    for k in range(1, graph.K + 1):
-        unknown = _unknown_colors(graph, coloring, k)
-        for t in range(1, graph.num_columns + 1):
-            c = coloring.assignment[(k, t)]
-            for d in unknown:
-                if d != c and (d - c) % q == 0:
-                    return k, c, d
-    return None
-
-
-def _decode_outcome(scheme, graph, messages):
-    try:
-        return simulate_decode(scheme, graph, messages)
-    except DecodeError as err:
-        return err.user, str(err)
+    q = draw(st.sampled_from([default_field_order(K), next_prime_at_least(K)]))
+    return K, q, instances
 
 
 @settings(max_examples=80, deadline=None)
@@ -630,9 +648,6 @@ def _decode_outcome(scheme, graph, messages):
                         theorem1_colored_unions(GapVector((4, 0), 2)),
                         theorem1_colored_unions(GapVector((6,), 1))]),
          seed=0)  # q = n = 7: color 7 sits at point 0
-@example(family=(8, 5, [theorem1_colored_unions(GapVector((7,), 1)),
-                        theorem1_colored_unions(GapVector((2, 1, 0), 2))]),
-         seed=1)  # q below n: every user of (7,)/1 knows nothing, color 1 meets 6
 def test_schemes_sharing_one_code_decode_as_with_fresh_codes(family, seed):
     K, q, instances = family
     shared = MdsCode(K, q)
@@ -640,39 +655,41 @@ def test_schemes_sharing_one_code_decode_as_with_fresh_codes(family, seed):
     for graph, coloring in instances:
         chi = local_chromatic_value(graph, coloring)
         messages = {node: rng.randrange(q) for node in graph.nodes}
-        outcome = _decode_outcome(TransmissionScheme(coloring, chi, shared), graph, messages)
-        assert outcome == _decode_outcome(TransmissionScheme(coloring, chi, MdsCode(K, q)),
-                                          graph, messages)
-        collision = _first_collision(graph, coloring, q)
-        if collision is None:
-            assert outcome == messages
-        else:
-            k, c, d = collision
-            assert outcome[0] == k
-            assert f"own color {c} repeats the point {c % q} of color {d} mod {q}" in outcome[1]
+        outcome = simulate_decode(TransmissionScheme(coloring, chi, shared), graph, messages)
+        fresh = simulate_decode(TransmissionScheme(coloring, chi, MdsCode(K, q)), graph, messages)
+        assert outcome == fresh == messages
 
 
 @settings(max_examples=100, deadline=None)
 @given(spec=small_gap_vectors(), small_field=st.booleans(), data=st.data())
 def test_divided_master_equals_product_over_unknown_colors(spec, small_field, data):
+    # Each basis polynomial is the master divided by one color's factor.
+    # Weighted by a plan, the own color's and the fully known colors' sum to
+    # prod (X - p_u) over the other unknown colors u, up to the scale P(p_c),
+    # which is why the first m symbols decode the own color.
     icp = build_union_icp(spec)
     coloring = theorem1_coloring(icp)
     q = next_prime_at_least(spec.K) if small_field else None
-    scheme = build_mds_scheme(icp, coloring, q)
-    q = scheme.field_order
-    # Every user's unknown colors, as decoding divides out the known ones ...
+    code = build_mds_scheme(icp, coloring, q).code
+    q, n = code.field_order, spec.K
+    # Every user's unknown colors and own colors, and any color subset F
+    # with own colors outside it.
+    cases = []
     for k in range(1, spec.K + 1):
         unknown = _unknown_colors(icp, coloring, k)
-        known = sorted(set(range(1, spec.K + 1)) - set(unknown))
-        assert scheme.code.master_without(known) == master_product([c % q for c in unknown], q)
-    # ... and any color subset, also over a field below the color count,
-    # where points repeat and the division must still be exact.
-    colors = data.draw(st.sets(st.integers(1, spec.K)))
-    tiny = data.draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 7]))
-    cramped = MdsCode(spec.K, tiny)
-    for s in (scheme.code, cramped):
-        expected = master_product([c % s.field_order for c in sorted(colors)], s.field_order)
-        assert s.master_without(sorted(set(range(1, spec.K + 1)) - colors)) == expected
+        full = [c for c in range(1, n + 1) if c not in unknown]
+        cases.append((full, sorted({coloring.assignment[(k, t)] for t in range(1, spec.i + 1)})))
+    full = sorted(data.draw(st.sets(st.integers(1, n), max_size=n - 1)))
+    own = data.draw(st.sampled_from([c for c in range(1, n + 1) if c not in full]))
+    cases.append((full, [own]))
+    for full, own in cases:
+        for c, weights in zip(own, code.weights(full, own)):
+            others = [code.points[u - 1] for u in range(1, n + 1) if u not in full and u != c]
+            expected = master_product(others, q)[::-1] + [0] * len(full)
+            scale = math.prod(code.points[c - 1] - p for p in others)
+            combined = [(lc + sum(w * code.basis(f)[r] for f, w in zip(full, weights))) * scale % q
+                        for r, lc in enumerate(code.basis(c))]
+            assert combined == expected
 
 
 def test_scheme_json_shape():
