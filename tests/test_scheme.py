@@ -274,19 +274,38 @@ def test_decode_error_when_rows_below_local_chromatic_value():
     assert f"chi={rows}" in str(err)
 
 
-def test_mds_code_refuses_a_field_below_the_color_count():
-    # Below the color count, points 1..8 would collide mod 5 (color 6 on
-    # color 1's point), so no code, and no scheme, is built over GF(5).
+def test_decode_error_on_zero_denominator():
+    # Below the color count, points 1..8 would collide mod 5: user 1 owns
+    # colors 1, 7 and 4, and color 6, also unknown to it, sits on color 1's
+    # point, so its solve would divide by zero.  No code, and no scheme, is
+    # built over GF(5), so no decode ever reaches that denominator.
+    icp = setup((2, 1, 0), 2)
+    coloring = theorem1_coloring(icp)
+    assert [coloring.assignment[(1, t)] for t in (1, 2, 3)] == [1, 7, 4]
+    assert 6 in _unknown_colors(icp, coloring, 1) and 6 % 5 == 1 % 5
     with pytest.raises(ValueError, match="field order 5 too small for 8 colors"):
         MdsCode(8, 5)
+    with pytest.raises(ValueError, match="field order 5 too small for 8 colors"):
+        build_mds_scheme(icp, coloring, 5)
     with pytest.raises(ValueError, match="not prime"):
         MdsCode(8, 9)
-    icp = setup((2, 1, 0), 2)
-    with pytest.raises(ValueError, match="too small"):
-        build_mds_scheme(icp, theorem1_coloring(icp), 5)
-    # q = n is admissible: color 7 sits on point 0, and every point is distinct.
-    code = MdsCode(7, 7)
-    assert code.points == [1, 2, 3, 4, 5, 6, 0]
+    # The smallest admissible prime decodes the same instance.
+    messages = {node: (node[0] + 3 * node[1]) % 11 for node in icp.nodes}
+    assert simulate_decode(build_mds_scheme(icp, coloring, 11), icp, messages) == messages
+
+
+def test_transposed_vandermonde_rows_reject_a_repeated_point():
+    # The barycentric weights solve a transposed Vandermonde system, which
+    # needs distinct points: every admissible code has them, q = n included,
+    # where color n sits on point 0.
+    assert MdsCode(7, 7).points == [1, 2, 3, 4, 5, 6, 0]
+    for q in (p for p in SMALL_PRIMES if p <= 13):
+        for n in range(1, q + 1):
+            assert len(set(MdsCode(n, q).points)) == n
+        # One color more would repeat the point of color 1.
+        assert (q + 1) % q == 1 % q
+        with pytest.raises(ValueError, match=f"field order {q} too small for {q + 1} colors"):
+            MdsCode(q + 1, q)
 
 
 def test_decode_error_on_improper_coloring():
