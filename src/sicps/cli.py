@@ -26,7 +26,8 @@ from .macc import (
     rate_rk,
     tradeoff_curve,
 )
-from .scheme import DecodeError, TransmissionScheme, build_mds_scheme, plan_decode, simulate_decode
+from .scheme import (DecodeError, MdsCode, TransmissionScheme, build_mds_scheme, plan_decode,
+                     simulate_decode)
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
@@ -132,12 +133,12 @@ def cmd_icp_decode_test(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()
     icp = build_union_icp(spec)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), args.field)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, args.field))
     plans = [plan_decode(scheme, icp, k) for k in range(1, icp.K + 1)]
-    failures = 0
+    q, failures = scheme.field_order, 0
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
-        messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
+        messages = {node: rng.randrange(q) for node in icp.nodes}
         decoded = simulate_decode(scheme, icp, messages, plans)
         failures += sum(decoded[node] != messages[node] for node in icp.nodes)
     payload = {

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .coloring import ru_cap, theorem1_coloring
 from .icp import GapVector, UnionIcp, build_union_icp, rotate_gaps, wrap
-from .scheme import build_mds_scheme, simulate_decode
+from .scheme import MdsCode, build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 
@@ -197,8 +197,6 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
     if _over_rate_budget(K, L, range(w, w + 1)):
         raise ValueError(f"R_new at (K, L, w) = ({K}, {L}, {w}) would take more than "
                          f"{MAX_RATE_BIT_OPS:.2g} bit operations")
-    if w * L == K:
-        return Fraction(0)
     n = K - w * L - 1
     m = w + 1
     cap = ru_cap(K, m, L)
@@ -389,7 +387,9 @@ def end_to_end_simulate(
 
     Demands are checked, and a family with more than MAX_SIMULATION_SIZE
     placement sets or K * cells user-node pairs is refused, before anything
-    is built.  A class's columns are its representative's rotations, their
+    is built.  Then one MdsCode(K, field_order) is built, which refuses a bad
+    field even where w*L = K leaves no class, and every class's scheme shares
+    it.  A class's columns are its representative's rotations, their
     cells read off the labels.  A representative of period p < len(rep)
     covers only p distinct columns, so each of their subfiles is split into
     len(rep)/p equal parts, turning the class's columns into a full union
@@ -409,44 +409,39 @@ def end_to_end_simulate(
                          f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
                          f"above the limit {MAX_SIMULATION_SIZE}")
     num_subfiles = len(placement_map(cfg, w).sets)
+    # Every Theorem-1 coloring has K colors, so one code serves every class
+    # of this call, each basis and weight tuple built once.
+    code = MdsCode(K, field_order)
+    q = code.field_order
     rng = random.Random(f"{seed}")
 
     total = Fraction(0)
     reports = []
     failures: list[dict] = []
-    # Every Theorem-1 coloring has K colors, so the first class's code
-    # serves every class of this call, and each basis and weight tuple is built once.
-    code = None
     for rep, period in group_rotation_classes(cfg, w):
         split = len(rep) // period
         bar, columns = build_delivery_icp(cfg, rep, period, demands)
-        scheme = build_mds_scheme(bar, theorem1_coloring(bar), field_order, code)
-        code, q = scheme.code, scheme.field_order
+        scheme = build_mds_scheme(bar, theorem1_coloring(bar), code)
 
         # Bar node (k, p) carries part (p-1)//period of the subfile in row k of
-        # the column whose label is the (p-1)-th rotation of the rep.
-        symbols: dict[tuple[Subfile, int], int] = {}
-        messages = {}
-        for p in range(1, bar.i + 1):
-            cells = columns[(p - 1) % period]
-            part = (p - 1) // period
-            for k in range(1, K + 1):
-                key = (cells[k - 1], part)
-                if key not in symbols:
-                    symbols[key] = rng.randrange(q)
-                messages[(k, p)] = symbols[key]
+        # the column whose label is the (p-1)-th rotation of the rep; each
+        # distinct (subfile, part) draws one symbol, p outer and k inner.
+        pieces = {(k, p): (cell, (p - 1) // period)
+                  for p in range(1, bar.i + 1)
+                  for k, cell in enumerate(columns[(p - 1) % period], start=1)}
+        symbols = {piece: rng.randrange(q) for piece in dict.fromkeys(pieces.values())}
+        messages = dict(zip(pieces, map(symbols.__getitem__, pieces.values())))
         decoded = simulate_decode(scheme, bar, messages)
         for node in bar.nodes:
             if decoded[node] != messages[node]:
-                k, p = node
-                subfile = columns[(p - 1) % period][k - 1]
+                (file, cache_set), part = pieces[node]
                 failures.append(
                     {
                         "representative": list(rep),
-                        "user": k,
-                        "file": subfile[0],
-                        "cache_set": list(subfile[1]),
-                        "part": (p - 1) // period + 1,
+                        "user": node[0],
+                        "file": file,
+                        "cache_set": list(cache_set),
+                        "part": part + 1,
                         "expected": messages[node],
                         "decoded": decoded[node],
                     }

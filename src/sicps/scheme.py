@@ -21,21 +21,23 @@ the code and m, so it reads no message and is computed once per trial and
 (m, x) for every user (`Broadcast`).  The a_f are classes the user fully
 knows, so decode reads no message outside the user's side information.
 
-Only the w_f depend on the user, and on nothing but F and c, so the scheme's
-`MdsCode`, which every scheme with n colors over GF(q) in one command can
-share, memoizes them.  Costs: O(n) per color for its basis, once per code;
-per plan, n class-mask tests, O(|F|^2) once per distinct F, and O(|F|) plus
-|F| inverses once per distinct (F, own color), equal keys sharing one weight
-tuple.  Per trial: O(n*chi) to transmit, m terms per shared dot, and per user
-its |F| known aggregates, a dot of |F| terms and the classmates' sum per own
-node.  Callers that decode many message sets keep the K plans; a single
-decode builds each plan, applies it and drops it.
+Only the w_f depend on the user, on F and c alone, so the `MdsCode` that
+the caller passes to `build_mds_scheme`, which chooses and checks the field
+and serves every scheme with n colors in one command, memoizes them.  Costs:
+O(n^2) for the master and O(n) per basis, once per code; per plan, n
+class-mask tests, O(|F|^2) once per distinct F, and O(|F|) plus |F| inverses
+once per distinct (F, own color), equal keys sharing one weight tuple.  Per
+trial: O(n*chi) to transmit, m terms per shared dot, and per user its |F|
+known aggregates, a dot of |F| terms and the classmates' sum per own node.
+A caller decoding many message sets keeps the K plans; a single decode
+builds each plan, applies it and drops it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
@@ -65,24 +67,22 @@ class DecodeError(Exception):
 class MdsCode:
     """The points 1..n mod q of n colors over GF(q), and the decode weights they give.
 
-    q must be a prime at least n, so the points are distinct.  `basis(x)` is
-    the Lagrange basis polynomial of color x over all n points; `weights`
-    gives a user's barycentric weights, which depend only on the colors F it
-    fully knows and the own color, not on the graph or the coloring, so every
+    The one place that chooses and checks the field: q defaults to
+    `default_field_order(n)` and must be a prime at least n, so the points
+    are distinct; anything else raises ValueError.  `basis(x)` is the
+    Lagrange basis polynomial of color x over all n points; `weights` gives a
+    user's barycentric weights, which depend only on the colors F it fully
+    knows and the own color, not on the graph or the coloring, so every
     scheme with n colors over GF(q) can share one code.  Both are memoized
     for as long as the code lives, which a caller shares within one command
     and then drops.  Memoized bases are shared: callers must not change them.
     """
 
-    def __init__(self, num_colors: int, field_order: int) -> None:
-        validate_field(field_order, num_colors)
-        q, n, master = field_order, num_colors, [1]
+    def __init__(self, num_colors: int, field_order: int | None = None) -> None:
+        n = self.num_colors = num_colors
+        q = self.field_order = default_field_order(n) if field_order is None else field_order
+        validate_field(q, n)
         self.points = [c % q for c in range(1, n + 1)]
-        for p in self.points:
-            master = [(hi - p * lo) % q for hi, lo in zip(master + [0], [0] + master)]
-        self.num_colors = num_colors
-        self.field_order = field_order
-        self.master = tuple(master)  # prod_x (X - p_x), highest degree first
         # 1 / prod_{y != x} (p_x - p_y) per color x: as p_x - p_y = x - y mod q,
         # the product is (-1)**(n-x) * (x-1)! * (n-x)!, with fact[k] = k! mod q.
         fact = list(accumulate(range(1, n), lambda a, k: a * k % q, initial=1))
@@ -95,6 +95,14 @@ class MdsCode:
         self._residues = list(range(q)) if q <= 2 * n else None
         # Per tuple of full colors: the h_f of `weights`, and the weights by own color.
         self._by_full: dict[tuple[int, ...], tuple[list[int], dict[int, tuple[int, ...]]]] = {}
+
+    @cached_property
+    def master(self) -> tuple[int, ...]:
+        """prod_x (X - p_x), highest degree first: O(n^2), so built by the first basis."""
+        q, master = self.field_order, [1]
+        for p in self.points:
+            master = [(hi - p * lo) % q for hi, lo in zip(master + [0], [0] + master)]
+        return tuple(master)
 
     def basis(self, color: int) -> list[int]:
         """l_x = prod_{y != x} (X - p_y) / (p_x - p_y) for x = color, lowest degree first.
@@ -167,27 +175,28 @@ class Broadcast(list):
 
 @dataclass(frozen=True)
 class TransmissionScheme:
-    """chi MDS combinations over GF(field_order) of the per-color message sums.
+    """chi MDS combinations, over its code's field, of the per-color message sums.
 
-    Color c sits on the point c mod field_order, so the scheme is exactly its
+    Color c sits on the code's point c mod q, so the scheme is exactly its
     coloring, row count and code, whose color count must be the coloring's.
-    `field_order` is the code's, copied once because every trial reads it.
     """
 
     coloring: Coloring
     chi: int
     code: MdsCode
-    field_order: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.code.num_colors != self.num_colors:
             raise ValueError(f"a code over {self.code.num_colors} colors cannot carry "
                              f"a coloring with {self.num_colors}")
-        object.__setattr__(self, "field_order", self.code.field_order)
 
     @property
     def num_colors(self) -> int:
         return self.coloring.num_colors
+
+    @property
+    def field_order(self) -> int:
+        return self.code.field_order
 
     def transmit(self, messages: dict[Node, int]) -> Broadcast:
         """The chi broadcast symbols for one symbol of payload per node.
@@ -204,25 +213,14 @@ class TransmissionScheme:
         return Broadcast(symbols, self.code)
 
 
-def build_mds_scheme(
-    graph: SuicpGraph,
-    coloring: Coloring,
-    field_order: int | None = None,
-    code: MdsCode | None = None,
-) -> TransmissionScheme:
-    """The scheme of `coloring` over GF(field_order), sending exactly chi rows.
+def build_mds_scheme(graph: SuicpGraph, coloring: Coloring, code: MdsCode) -> TransmissionScheme:
+    """The scheme of `coloring` over `code`, sending exactly chi rows.
 
     chi is the coloring's local chromatic value, the fewest symbols that
-    still decode.  `code`, when given, is an earlier scheme's code with as
-    many colors, shared so that each basis and weight tuple is built once;
-    field_order is then not read.  Without it the scheme gets a code of its
-    own.
+    still decode.  The code fixes the field and must have the coloring's
+    color count; schemes sharing one build each basis and weight tuple once.
     """
-    if code is None:
-        n = coloring.num_colors
-        code = MdsCode(n, default_field_order(n) if field_order is None else field_order)
-    chi = local_chromatic_value(graph, coloring)
-    return TransmissionScheme(coloring=coloring, chi=chi, code=code)
+    return TransmissionScheme(coloring, local_chromatic_value(graph, coloring), code)
 
 
 class DecodePlan(NamedTuple):

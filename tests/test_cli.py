@@ -247,14 +247,13 @@ def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
 
 
 def test_decode_error_exits_three(capsys, monkeypatch):
-    from sicps.scheme import MdsCode, TransmissionScheme
+    from sicps.scheme import TransmissionScheme
 
     real_build = cli.build_mds_scheme
 
-    def short_of_rows(graph, coloring, field_order=None):
+    def short_of_rows(graph, coloring, code):
         # One row below the local chromatic value: some user cannot decode.
-        chi = real_build(graph, coloring, field_order).chi - 1
-        return TransmissionScheme(coloring, chi, MdsCode(coloring.num_colors, 257))
+        return TransmissionScheme(coloring, real_build(graph, coloring, code).chi - 1, code)
 
     monkeypatch.setattr(cli, "build_mds_scheme", short_of_rows)
     code, out, err = run(
@@ -540,6 +539,20 @@ def test_macc_simulate_refuses_too_many_user_node_pairs(capsys):
     assert err.startswith("error:") and "101102400 user-node pairs" in err
 
 
+@pytest.mark.parametrize("field, error", [
+    ("4", "error: field order 4 is not prime"),
+    ("7", "error: field order 7 too small for 8 colors"),
+])
+def test_macc_simulate_refuses_a_bad_field_where_no_class_is_sent(capsys, field, error):
+    # w*L = K leaves no delivery column, yet --field is checked as at any other corner.
+    argv = ["macc", "simulate", "--K", "8", "--L", "2", "--w", "4",
+            "--demands", "1,2,3,4,5,6,7,8", "--seed", "1", "--field"]
+    code, out, err = run(capsys, argv + [field])
+    assert (code, out, err.strip()) == (2, "", error)
+    code, out, _ = run(capsys, argv + ["11"])
+    assert code == 0 and json.loads(out)["total_rate"] == "0"
+
+
 @pytest.mark.parametrize("argv", [
     # one class of i = 500 columns: 500 * 500 * 500 user-node pairs
     ["macc", "simulate", "--K", "500", "--L", "1", "--w", "499",
@@ -583,6 +596,9 @@ def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     assert {k: ones[14][k] for k in ("user", "file", "cache_set", "part")} == {
         "user": 5, "file": cells[4][0], "cache_set": list(cells[4][1]), "part": 3
     }
+    # Symbols are drawn per new (subfile, part) in order (column, user): user
+    # 1's three columns of the first class get the 1st, 9th and 17th draws.
+    assert [f["expected"] for f in failures[:8]] == [244, 17, 250, 244, 0, 150, 22, 113]
 
 
 def test_unknown_flag_usage_error():

@@ -26,7 +26,7 @@ from sicps.coloring import (
     verify_proper,
 )
 from sicps.icp import GapVector, build_union_icp
-from sicps.scheme import build_mds_scheme
+from sicps.scheme import MdsCode, build_mds_scheme
 
 
 def make(gaps, L):
@@ -169,7 +169,7 @@ def test_verify_proper_refuses_nodes_outside_the_graph(extra):
     with pytest.raises(ValueError, match="outside"):
         verify_proper(icp, coloring)
     with pytest.raises(ValueError, match="outside"):
-        build_mds_scheme(icp, coloring)
+        build_mds_scheme(icp, coloring, MdsCode(icp.K))
 
 
 def test_local_chromatic_value_naive_coloring():

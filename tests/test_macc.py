@@ -53,7 +53,8 @@ from sicps.macc import (
     rotation_classes,
     tradeoff_curve,
 )
-from sicps.scheme import simulate_decode
+from sicps.field import default_field_order, is_prime
+from sicps.scheme import MdsCode, simulate_decode
 
 EXAMPLE_SETS = [
     (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
@@ -831,6 +832,56 @@ def test_simulation_respects_field_choice():
     with pytest.raises(ValueError):
         end_to_end_simulate(CcdnConfig(8, 8, 2), 2, list(range(1, 9)),
                             field_order=6, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_simulations(), q=st.one_of(st.none(), st.integers(0, 30)),
+       seed=st.integers(0, 2**32 - 1))
+@example(config=(8, 2, 4), q=4, seed=1)  # no class is sent, and q is still refused
+@example(config=(8, 2, 4), q=7, seed=1)
+@example(config=(7, 2, 2), q=7, seed=0)  # q = K: color K sits at point 0
+def test_simulation_field_changes_only_the_reported_field(config, q, seed):
+    K, L, w = config
+    cfg, demands = CcdnConfig(K, K, L), list(range(1, K + 1))
+    if q is not None and not (is_prime(q) and q >= K):
+        with pytest.raises(ValueError, match="too small" if is_prime(q) else "not prime"):
+            end_to_end_simulate(cfg, w, demands, field_order=q, seed=seed)
+        return
+    report = end_to_end_simulate(cfg, w, demands, field_order=q, seed=seed)
+    default = end_to_end_simulate(cfg, w, demands, seed=0)
+    assert report.decoded_ok
+    assert report.total_rate == default.total_rate
+    assert [c.chi for c in report.classes] == [c.chi for c in default.classes]
+    assert {c.field for c in report.classes} <= {default_field_order(K) if q is None else q}
+
+
+@pytest.mark.parametrize("K, L, w, classes", [(8, 2, 2, 4), (8, 2, 4, 0)])
+def test_simulation_builds_one_code_before_its_first_class(monkeypatch, K, L, w, classes):
+    events, codes = [], []
+
+    def spy_code(*args):
+        events.append("code")
+        codes.append(MdsCode(*args))
+        return codes[-1]
+
+    def spy_class(*args):
+        events.append("class")
+        return build_delivery_icp(*args)
+
+    def spy_decode(scheme, graph, messages, plans=None):
+        assert scheme.code is codes[0]
+        return simulate_decode(scheme, graph, messages, plans)
+
+    monkeypatch.setattr(macc, "MdsCode", spy_code)
+    monkeypatch.setattr(macc, "build_delivery_icp", spy_class)
+    monkeypatch.setattr(macc, "simulate_decode", spy_decode)
+    report = end_to_end_simulate(CcdnConfig(K, K, L), w, list(range(1, K + 1)),
+                                 field_order=11, seed=1)
+    assert report.decoded_ok and len(report.classes) == classes
+    assert events == ["code"] + ["class"] * classes
+    assert codes[0].field_order == 11
+    # Only a basis needs the O(K^2) master, so a call with no class never builds it.
+    assert ("master" in vars(codes[0])) == (classes > 0)
 
 
 def test_simulation_report_json():

@@ -94,7 +94,7 @@ def all_minors_nonsingular(generator, q):
 
 def test_scheme_eight_user_example():
     icp = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(8, 251))
     assert scheme.chi == 7
     assert scheme.field_order == 251
     generator = vandermonde_matrix(scheme.num_colors, scheme.chi, scheme.field_order)
@@ -105,7 +105,7 @@ def test_scheme_eight_user_example():
 def test_scheme_single_node():
     icp = setup((0,), 1)
     assert len(icp) == 1
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 2)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(1, 2))
     assert vandermonde_matrix(scheme.num_colors, scheme.chi, scheme.field_order) == [[1]]
     messages = {(1, 1): 1}
     assert scheme.transmit(messages) == [1]
@@ -114,7 +114,7 @@ def test_scheme_single_node():
 
 def test_scheme_two_column_coloring():
     icp = setup((2, 1), 6)
-    scheme = build_mds_scheme(icp, theorem5_coloring(icp))
+    scheme = build_mds_scheme(icp, theorem5_coloring(icp), MdsCode(5))
     assert scheme.chi == 5
     assert scheme.num_colors == 5
 
@@ -122,12 +122,13 @@ def test_scheme_two_column_coloring():
 def test_field_validation():
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    with pytest.raises(ValueError):
-        build_mds_scheme(icp, coloring, 7)  # below 8 colors
-    with pytest.raises(ValueError):
-        build_mds_scheme(icp, coloring, 256)  # not prime
+    with pytest.raises(ValueError, match="field order 7 too small for 8 colors"):
+        MdsCode(8, 7)
+    with pytest.raises(ValueError, match="field order 256 is not prime"):
+        MdsCode(8, 256)
     with pytest.raises(ValueError, match="a code over 7 colors cannot carry a coloring with 8"):
-        build_mds_scheme(icp, coloring, code=MdsCode(7, 251))
+        build_mds_scheme(icp, coloring, MdsCode(7, 251))
+    assert MdsCode(8).field_order == default_field_order(8)
     assert is_prime(default_field_order(8))
     assert default_field_order(8) == 257
     assert default_field_order(300) == 307
@@ -163,14 +164,14 @@ def test_is_prime_large_orders():
 def test_generator_is_mds_exhaustive_small():
     for gaps, L, q in [((2, 1), 1, 11), ((2, 1, 0), 2, 251), ((1, 1), 2, 13)]:
         icp = setup(gaps, L)
-        scheme = build_mds_scheme(icp, theorem1_coloring(icp), q)
+        scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, q))
         assert scheme.num_colors <= 12
         assert all_minors_nonsingular(vandermonde_matrix(scheme.num_colors, scheme.chi, q), q)
 
 
 def test_generator_is_mds_spot_check_large():
     icp = setup((3, 2, 1), 2)  # 11 colors
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K))
     rng = random.Random(23)
     q = scheme.field_order
     generator = vandermonde_matrix(scheme.num_colors, scheme.chi, q)
@@ -182,7 +183,7 @@ def test_generator_is_mds_spot_check_large():
 
 def test_decode_eight_user_fixed_seed():
     icp = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(8, 251))
     rng = random.Random("decode:0")
     messages = {node: rng.randrange(251) for node in icp.nodes}
     assert simulate_decode(scheme, icp, messages) == messages
@@ -191,7 +192,7 @@ def test_decode_eight_user_fixed_seed():
 def test_decode_no_side_information():
     # i=1: every aggregate is unknown, decoding is a direct full solve.
     icp = setup((4,), 1)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 11)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(5, 11))
     assert scheme.chi == scheme.num_colors == 5
     rng = random.Random(2)
     messages = {node: rng.randrange(11) for node in icp.nodes}
@@ -200,7 +201,7 @@ def test_decode_no_side_information():
 
 def test_decode_eleven_user_repeated_trials():
     icp = setup((3, 2, 1), 2)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K))
     failures = 0
     for trial in range(100):
         rng = random.Random(f"trial:{trial}")
@@ -220,7 +221,7 @@ def test_decode_across_fields_and_colorings():
         icp = setup(gaps, L)
         coloring = make_coloring(icp)
         for q in fields:
-            scheme = build_mds_scheme(icp, coloring, q)
+            scheme = build_mds_scheme(icp, coloring, MdsCode(coloring.num_colors, q))
             rng = random.Random(f"{gaps}:{q}")
             messages = {node: rng.randrange(q) for node in icp.nodes}
             assert simulate_decode(scheme, icp, messages) == messages
@@ -228,7 +229,7 @@ def test_decode_across_fields_and_colorings():
 
 def test_decode_requires_full_message_map():
     icp = setup((2, 1), 1)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp))
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K))
     with pytest.raises(ValueError):
         simulate_decode(scheme, icp, {})
 
@@ -240,7 +241,7 @@ def test_solve_mod_rejects_singular():
 
 def test_decode_node_returns_every_node_of_the_user():
     icp = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(8, 251))
     rng = random.Random(3)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     broadcast = scheme.transmit(messages)
@@ -256,7 +257,7 @@ def _unknown_colors(graph, coloring, user):
 def test_decode_error_when_rows_below_local_chromatic_value():
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
-    rows = build_mds_scheme(icp, coloring).chi - 1
+    rows = build_mds_scheme(icp, coloring, MdsCode(8)).chi - 1
     scheme = TransmissionScheme(coloring, rows, MdsCode(8, 257))
     messages = {node: 1 for node in icp.nodes}
     with pytest.raises(DecodeError) as exc:
@@ -277,7 +278,7 @@ def test_decode_error_when_rows_below_local_chromatic_value():
 def test_decode_error_on_zero_denominator():
     # Below the color count, points 1..8 would collide mod 5: user 1 owns
     # colors 1, 7 and 4, and color 6, also unknown to it, sits on color 1's
-    # point, so its solve would divide by zero.  No code, and no scheme, is
+    # point, so its solve would divide by zero.  No code, and so no scheme, is
     # built over GF(5), so no decode ever reaches that denominator.
     icp = setup((2, 1, 0), 2)
     coloring = theorem1_coloring(icp)
@@ -285,13 +286,12 @@ def test_decode_error_on_zero_denominator():
     assert 6 in _unknown_colors(icp, coloring, 1) and 6 % 5 == 1 % 5
     with pytest.raises(ValueError, match="field order 5 too small for 8 colors"):
         MdsCode(8, 5)
-    with pytest.raises(ValueError, match="field order 5 too small for 8 colors"):
-        build_mds_scheme(icp, coloring, 5)
     with pytest.raises(ValueError, match="not prime"):
         MdsCode(8, 9)
     # The smallest admissible prime decodes the same instance.
     messages = {node: (node[0] + 3 * node[1]) % 11 for node in icp.nodes}
-    assert simulate_decode(build_mds_scheme(icp, coloring, 11), icp, messages) == messages
+    scheme = build_mds_scheme(icp, coloring, MdsCode(8, 11))
+    assert simulate_decode(scheme, icp, messages) == messages
 
 
 def test_transposed_vandermonde_rows_reject_a_repeated_point():
@@ -385,7 +385,7 @@ def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, 
     icp = build_union_icp(spec)
     # The smallest admissible prime puts color K at point 0 whenever K is prime.
     q = next_prime_at_least(spec.K) if small_field else None
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), q)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(spec.K, q))
     if budget == "Ru":
         # More rows than chi, as many as the closed-form rate accounts for,
         # still decode.
@@ -404,7 +404,7 @@ def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, s
     coloring = Coloring({nd: c for c, nd in enumerate(nodes, start=1)}, len(nodes))
     chi = local_chromatic_value(graph, coloring)
     assert chi == naive_local_chromatic(graph, coloring)
-    scheme = build_mds_scheme(graph, coloring)
+    scheme = build_mds_scheme(graph, coloring, MdsCode(len(nodes)))
     assert scheme.chi == chi
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in nodes}
@@ -428,7 +428,7 @@ def test_decode_round_trips_under_greedy_coloring_on_arbitrary_side_information(
     assert verify_proper(graph, coloring) == []
     # The smallest admissible prime puts color n at point 0 whenever n is prime.
     q = next_prime_at_least(coloring.num_colors) if small_field else None
-    scheme = build_mds_scheme(graph, coloring, q)
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors, q))
     assert scheme.chi == naive_local_chromatic(graph, coloring)
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
@@ -455,7 +455,7 @@ def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
     n = coloring.num_colors
     # The smallest admissible prime puts color n at point 0 whenever n is prime.
     q = next_prime_at_least(n) if small_field else None
-    scheme = build_mds_scheme(graph, coloring, q)
+    scheme = build_mds_scheme(graph, coloring, MdsCode(n, q))
     q = scheme.field_order
     if rows is not None:
         scheme = TransmissionScheme(coloring, rows, scheme.code)
@@ -500,7 +500,7 @@ class RecordingMessages(dict):
 def test_decode_reads_only_the_users_side_information(colored, seed):
     # One plan per user, reused over several message sets, decodes each exactly.
     graph, coloring = colored
-    scheme = build_mds_scheme(graph, coloring)
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
     rng = random.Random(seed)
     plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
     for _ in range(3):
@@ -521,7 +521,7 @@ def live_plans():
 
 def test_one_trial_decode_retains_no_plan():
     icp = setup((2, 1, 0), 2)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 251)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(8, 251))
     rng = random.Random(5)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     before = live_plans()
@@ -602,7 +602,7 @@ def test_each_shared_dot_is_computed_once_per_trial(monkeypatch, graph, coloring
 
     monkeypatch.setattr(Broadcast, "dots", spy_dots)
     monkeypatch.setattr(MdsCode, "basis", spy_basis)
-    scheme = build_mds_scheme(graph, coloring)
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
     plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
     read = sorted({(plan.m, x) for plan in plans for x in plan.full + plan.colors})
     assert len({plan.m for plan in plans}) == (1 if graph.K > 3 else 3)
@@ -621,7 +621,7 @@ def live_codes():
 
 def test_no_code_outlives_its_command(capsys):
     before = live_codes()
-    code = build_mds_scheme(*theorem1_colored_unions(GapVector((2, 1, 0), 2))).code
+    code = MdsCode(8)
     assert live_codes() == before + 1  # the count sees a code that is kept
     del code
     report = end_to_end_simulate(CcdnConfig(8, 8, 2), 2, list(range(1, 9)), seed=1)
@@ -689,7 +689,7 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
     icp = build_union_icp(spec)
     coloring = theorem1_coloring(icp)
     q = next_prime_at_least(spec.K) if small_field else None
-    code = build_mds_scheme(icp, coloring, q).code
+    code = MdsCode(spec.K, q)
     q, n = code.field_order, spec.K
     # Every user's unknown colors and own colors, and any color subset F
     # with own colors outside it.
@@ -713,7 +713,7 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
 
 def test_scheme_json_shape():
     icp = setup((2, 1), 1)
-    scheme = build_mds_scheme(icp, theorem1_coloring(icp), 11)
+    scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(5, 11))
     payload = _scheme_json(scheme)
     assert list(payload) == ["colors", "chi", "field", "assignment"]
     assert payload["colors"] == 5
