@@ -2,11 +2,12 @@
 
 The constructive bound rearranges the union table's columns by decreasing
 first-chunk interference and collects a staircase of `mais_lower` nodes that
-provably induces no directed cycle.  An exact oracle computes the true
-maximum on small graphs so the construction can be cross-checked: a dynamic
-program over orders of the users, run one value level at a time, with each
-level a single big int holding one bit per user set.  Its cost is levels x
-K x (i+1) big-int operations on 2^K bits, so Python loops over levels, users
+provably induces no directed cycle.  An exact oracle computes the true maximum
+on graphs of up to MAX_ORACLE_USERS users, so the construction can be
+cross-checked: a dynamic program over orders of the users, run one value level
+at a time, with each level a single big int holding one bit per user set.  Its
+cost is levels x K x (i+1) big-int operations on 2^K bits, with one level per
+value up to the MAIS (at most K on a union), so Python loops over levels, users
 and columns while the 2^K sets are walked at C level.
 """
 
@@ -19,7 +20,6 @@ from fractions import Fraction
 from .coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring, upper_bound_Ru
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
 
-DEFAULT_NODE_CAP = 26
 MAX_ORACLE_USERS = 22
 
 
@@ -119,7 +119,7 @@ def is_acyclic_induced(graph: SuicpGraph, nodes: frozenset[Node] | set[Node]) ->
     return seen == len(nodes)
 
 
-def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
+def mais_bruteforce(graph: SuicpGraph) -> int:
     """Exact maximum acyclic induced subgraph size, by a dynamic program over value levels.
 
     All nodes of a user share one out-neighbourhood, `user_side[k]`.  So a node
@@ -145,22 +145,20 @@ def mais_bruteforce(graph: SuicpGraph, node_cap: int = DEFAULT_NODE_CAP) -> int:
 
         S_v = up-closure of OR over k, j of at_least[k][j] & (S_{v-j} & without[k]) << 2^k
 
-    and the answer is the last v whose S_v holds the set of all users.  Each
-    level costs K*(i+1) big-int operations on 2^K bits, and only the last i
-    levels are kept: at K = 22 users the 2^K-bit sets take 512 KB each.
+    and the answer is the last v whose S_v holds the set of all users.  Each of the
+    MAIS + 1 levels (at most K + 1 on a union) costs K*(i+1) big-int operations on
+    2^K bits, and only the last i levels are kept: at K = 22 users the 2^K-bit sets
+    take 512 KB each.
 
-    A graph in which no user knows anything is acyclic and returns its size.
-    Otherwise graphs above `node_cap` nodes or above MAX_ORACLE_USERS users
-    are refused, before any 2^K-bit set is allocated, rather than approximated.
+    A graph in which no user knows anything is acyclic and returns its size.  Any
+    other graph above MAX_ORACLE_USERS users, and no other, is refused before any
+    2^K-bit set is allocated, rather than approximated.
     """
-    n, K = len(graph), graph.K
-    if n > node_cap:
-        raise ValueError(f"graph has {n} nodes, above the brute-force cap {node_cap}")
-    if not any(graph.user_side):
-        return n
+    sides, K, i = graph.user_side, graph.K, graph.num_columns
+    if not any(sides):
+        return len(graph)
     if K > MAX_ORACLE_USERS:
         raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
-    sides, i = graph.user_side, graph.num_columns
     width = 1 << K  # one bit per user set
     everything, all_users = (1 << width) - 1, 1 << (width - 1)
     without = []
@@ -202,16 +200,16 @@ def gap_ratio(spec: GapVector) -> Fraction:
     return Fraction(upper_bound_Ru(spec), mais_lower(spec))
 
 
-def build_report(icp: UnionIcp, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport:
-    """Compute every bound for one union instance; the oracle only where it accepts it.
+def build_report(icp: UnionIcp) -> BoundReport:
+    """Compute every bound for one union instance; `lower_brute` where the oracle runs.
 
     `exact` is the best coloring value wherever it meets the best lower bound.
     """
     spec = icp.spec
     lower, witness = lower_bound_mais_constructive(spec)
     try:
-        brute = mais_bruteforce(icp, node_cap=node_cap)
-    except ValueError:  # above the node cap or the user limit: skipped
+        brute = mais_bruteforce(icp)
+    except ValueError:  # above the user limit: skipped
         brute = None
     coloring = theorem1_coloring(icp)
     try:
@@ -237,7 +235,6 @@ def build_report(icp: UnionIcp, node_cap: int = DEFAULT_NODE_CAP) -> BoundReport
 
 
 __all__ = [
-    "DEFAULT_NODE_CAP",
     "MAX_ORACLE_USERS",
     "BoundReport",
     "mais_lower",

@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 
-from .bounds import DEFAULT_NODE_CAP, build_report, gap_ratio
+from .bounds import build_report, gap_ratio
 from .coloring import theorem1_coloring
 from .icp import GapVector, build_union_icp
 from .macc import (
@@ -48,14 +47,6 @@ def _exact(x: Fraction) -> str:
                          f"{sys.get_int_max_str_digits()} digits)") from None
 
 
-def _mais_cap() -> int:
-    raw = os.environ.get("SICPS_MAIS_CAP", str(DEFAULT_NODE_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SICPS_MAIS_CAP must be an integer, got {raw!r}")
-
-
 def _config(args) -> CcdnConfig:
     """The caching system of the macc flags; --N defaults to --K."""
     return CcdnConfig(N=args.K if args.N is None else args.N, K=args.K, L=args.L)
@@ -84,7 +75,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_icp_analyze(args) -> int:
     spec, shift = GapVector(tuple(args.gaps), args.L).canonicalize()
-    report = build_report(build_union_icp(spec), node_cap=_mais_cap())
+    report = build_report(build_union_icp(spec))
     lcv = report.local_chromatic
     ratio = gap_ratio(spec)
     payload = {

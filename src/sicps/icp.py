@@ -19,8 +19,8 @@ Node = tuple[int, int]  # (user, column), both 1-based
 # Most user-node pairs, K * (K*i), that `build_union_icp` accepts: the pairs
 # that the local chromatic value and decode scan, as bitmasks.  Larger
 # instances are refused before anything is built.  1.7 million pairs
-# ((120,1,119) in `macc simulate`) take 1.9-2.2 s and 26 MB (Intel Xeon,
-# Python 3.11, on a CPU whose speed varies by up to 2x).
+# ((120,1,119) in `macc simulate`) take 0.75-0.81 s and 25 MB (2-core Intel
+# Xeon, Python 3.11.7, on a CPU whose speed varies by up to 2x).
 MAX_UNION_PAIRS = 2_000_000
 
 

@@ -260,11 +260,9 @@ def test_criterion_12_brute_force_consistency():
             lower, witness = lower_bound_mais_constructive(spec)
             graph = build_union_icp(spec)
             assert is_acyclic_induced(graph, witness), spec
-            brute = mais_bruteforce(graph)
-            assert brute >= lower, spec
-            solved_exactly = all(g == 0 for g in spec.gaps[1:]) or spec.L == 1
-            if solved_exactly:
-                assert brute == lower, spec
+            # the staircase is the exact MAIS on every instance checked, not
+            # only on the families the paper solves exactly
+            assert mais_bruteforce(graph) == lower, spec
 
 
 def test_criterion_13_figure_shape_properties():

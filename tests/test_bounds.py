@@ -24,6 +24,7 @@ from conftest import (
 )
 import sicps.cli as cli
 from sicps.bounds import (
+    MAX_ORACLE_USERS,
     BoundReport,
     build_report,
     gap_ratio,
@@ -111,18 +112,13 @@ def test_bruteforce_eight_user_value():
     assert mais_bruteforce(graph) == 6
 
 
-def test_bruteforce_cap(capsys, monkeypatch):
-    graph = graph_of((3, 2, 1), 2)  # 33 nodes
-    with pytest.raises(ValueError):
-        mais_bruteforce(graph, node_cap=26)
-    assert mais_bruteforce(graph_of((2, 1, 0), 2), node_cap=24) == 6
-    # 23 nodes, under the node cap, but 23 users: refused before the 2^K table
+def test_bruteforce_cap(capsys):
+    # 23 users: refused before the 2^K table
     start = time.perf_counter()
     with pytest.raises(ValueError):
         mais_bruteforce(complete_side_info_graph(23))
     assert time.perf_counter() - start < 0.5
-    # the CLI reports a refused oracle as skipped: K = 24 under a raised cap
-    monkeypatch.setenv("SICPS_MAIS_CAP", "60")
+    # the CLI reports a refused oracle as skipped: K = 24
     code = cli.main(["icp", "analyze", "--gaps", "11,11", "--L", "1", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["bounds"]["lower_brute"] is None
@@ -221,13 +217,13 @@ def test_bruteforce_finds_the_user_shift_of_a_union():
     plain = relabel_users(graph, [1, 3, 2] + list(range(4, 17)))
     assert has_user_shift(graph) and not has_user_shift(plain)
     assert orbit_dp_mais(graph) == orbit_dp_mais(plain) == 16
-    assert mais_bruteforce(graph, node_cap=32) == mais_bruteforce(plain, node_cap=32) == 16
+    assert mais_bruteforce(graph) == mais_bruteforce(plain) == 16
 
 
 def test_bruteforce_raised_cap_values():
-    # 40 nodes and K = 20, above the default cap.
+    # 40 nodes and K = 20.
     for gaps, L, value in [((9, 9), 1, 20), ((7, 7), 5, 16)]:
-        assert mais_bruteforce(graph_of(gaps, L), node_cap=40) == value
+        assert mais_bruteforce(graph_of(gaps, L)) == value
 
 
 def test_exact_rate_cases():
@@ -274,6 +270,8 @@ def test_exact_rate_is_achieved_by_a_coloring():
 def test_exact_is_where_computed_bounds_meet(spec):
     report = build_report(build_union_icp(spec))
     assert report.exact == exact_rate_special(spec)
+    # the user limit is the oracle's only refusal; one column has no side information
+    assert (report.lower_brute is not None) == (spec.K <= MAX_ORACLE_USERS or spec.i == 1)
     uppers = [v for v in (report.local_chromatic, report.local_chromatic_t5) if v is not None]
     lower = max(report.lower_constructive, report.lower_brute or 0)
     assert min(uppers) >= lower
@@ -329,9 +327,9 @@ def test_bound_report_assembly_and_json():
     assert payload["exact"] is None
     assert [1, 1] in payload["witness"]
 
-    # 33 nodes: above the default cap
+    # 33 nodes and K = 11: the oracle meets the staircase
     big = build_report(build_union_icp(GapVector((3, 2, 1), 2)))
-    assert big.lower_brute is None
+    assert big.lower_brute == 9
     assert big.upper == 11
 
     exact = build_report(build_union_icp(GapVector((2, 1), 6)))

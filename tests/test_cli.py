@@ -66,27 +66,21 @@ def test_analyze_canonicalizes_input(capsys):
     assert payload["rotation_shift"] == 1
 
 
-def test_analyze_respects_mais_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("SICPS_MAIS_CAP", "10")
-    code, out, _ = run(
-        capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2", "--format", "json"]
-    )
-    assert code == 0
-    assert json.loads(out)["bounds"]["lower_brute"] is None
-    monkeypatch.setenv("SICPS_MAIS_CAP", "33")
-    code, out, _ = run(
-        capsys, ["icp", "analyze", "--gaps", "3,2,1", "--L", "2", "--format", "json"]
-    )
-    assert code == 0
-    assert json.loads(out)["bounds"]["lower_brute"] == 9
+def test_analyze_runs_the_oracle_up_to_the_user_limit(capsys):
+    def analyze(gaps, L):
+        code, out, _ = run(
+            capsys, ["icp", "analyze", "--gaps", gaps, "--L", L, "--format", "json"]
+        )
+        assert code == 0
+        return json.loads(out)["bounds"]
 
-
-def test_analyze_rejects_non_integer_mais_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SICPS_MAIS_CAP", "abc")
-    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"])
-    assert code == 2
-    assert out == ""
-    assert err == "error: SICPS_MAIS_CAP must be an integer, got 'abc'\n"
+    # 33 nodes, K = 11: no node count stops the oracle
+    bounds = analyze("3,2,1", "2")
+    assert (bounds["lower_brute"], bounds["exact"]) == (9, None)
+    # one column, K = 31: no user knows anything, so the value is the node count
+    assert analyze("30", "1")["lower_brute"] == 31
+    # K = 24, above MAX_ORACLE_USERS: skipped
+    assert analyze("11,11", "1")["lower_brute"] is None
 
 
 @pytest.mark.parametrize("argv", [
