@@ -8,7 +8,9 @@ cross-checked: a dynamic program over orders of the users, run one value level
 at a time, with each level a single big int holding one bit per user set.  Its
 cost is levels x K x (i+1) big-int operations on 2^K bits, with one level per
 value up to the MAIS (at most K on a union), so Python loops over levels, users
-and columns while the 2^K sets are walked at C level.
+and columns while the 2^K sets are walked at C level.  On a graph with the user
+shift (every union) user K's term follows from the others, and the cost is
+levels x (K-1) x (i+1) operations on 2^(K-1)-bit sets.
 """
 
 from __future__ import annotations
@@ -132,7 +134,10 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
 
     is the most nodes the users of A keep when they come first in that order,
     and the answer is f[all users].  Testing against A, not A - k, is what
-    drops a node its own user knows.
+    drops a node its own user knows.  When the graph has the user shift, as
+    every union does, the shift carries each term of the max at A = all users
+    onto every other, so f[all] = f[all - K] + c_K(all): the table runs over
+    users 1..K-1 only, and user K adds its nodes that no user knows.
 
     The table is never stored.  Level v is one int S_v with bit A set iff
     f[A] >= v, and f[A] >= v holds iff some k in A has c_k(A) >= j and
@@ -145,10 +150,11 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
 
         S_v = up-closure of OR over k, j of at_least[k][j] & (S_{v-j} & without[k]) << 2^k
 
-    and the answer is the last v whose S_v holds the set of all users.  Each of the
-    MAIS + 1 levels (at most K + 1 on a union) costs K*(i+1) big-int operations on
-    2^K bits, and only the last i levels are kept: at K = 22 users the 2^K-bit sets
-    take 512 KB each.
+    and the table's value is the last v whose S_v holds the set of all its users.
+    There are at most MAIS + 1 levels (K + 1 on a union).  On a graph with the
+    user shift each costs (K-1)*(i+1) big-int operations on 2^(K-1)-bit sets, on
+    any other K*(i+1) operations on 2^K bits, and only the last i levels are
+    kept: at K = 22 users a union's sets take 256 KB each.
 
     A graph in which no user knows anything is acyclic and returns its size.  Any
     other graph above MAX_ORACLE_USERS users, and no other, is refused before any
@@ -159,6 +165,17 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
         return len(graph)
     if K > MAX_ORACLE_USERS:
         raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
+    if not graph.has_user_shift:
+        return _first_users_mais(sides, K, i)
+    known = 0
+    for side in sides:
+        known |= side
+    unknown_to_all = i - (known >> (K - 1) * i).bit_count()  # of user K's nodes
+    return _first_users_mais(sides, K - 1, i) + unknown_to_all
+
+
+def _first_users_mais(sides: tuple[int, ...], K: int, i: int) -> int:
+    """f[users 1..K] of `mais_bruteforce`'s table, built over the first K users only."""
     width = 1 << K  # one bit per user set
     everything, all_users = (1 << width) - 1, 1 << (width - 1)
     without = []
@@ -174,8 +191,8 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
         counts = [everything] + [0] * i  # counts[j]: sets with >= j of k's nodes unknown
         for node in range(k * i, (k + 1) * i):
             free = everything
-            for b, side in enumerate(sides):
-                if side >> node & 1:
+            for b in range(K):
+                if sides[b] >> node & 1:
                     free &= without[b]
             for j in range(i, 0, -1):
                 counts[j] |= counts[j - 1] & free

@@ -73,23 +73,42 @@ def theorem5_coloring(icp: UnionIcp) -> Coloring:
     return Coloring(assignment=assignment, num_colors=n)
 
 
+def _shift_carries_classes(graph: SuicpGraph, coloring: Coloring) -> bool:
+    """Whether the graph has the user shift and it maps color class c onto class c+1 mod n.
+
+    Both of the paper's colorings do: color(k+1, v) = color(k, v) + 1.  Then
+    every user's view of the colors is user 1's, shifted.
+    """
+    if not graph.has_user_shift:
+        return False
+    masks, n, i = coloring.masks, len(graph), graph.num_columns
+    full = (1 << n) - 1
+    return all((a << i | a >> n - i) & full == b for a, b in zip(masks, masks[1:] + masks[:1]))
+
+
 def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Node]]:
     """Return every ordered pair (u, v) where v interferes with u yet shares u's color.
 
     An empty list means the coloring is proper.  Within one color class two
     nodes are compatible exactly when each is side information for the other,
-    so only same-color pairs need checking, one mask test per node.  The
+    so one mask test per node finds its violations.  When the user shift maps
+    the graph onto itself and each color class onto the next, only user 1's
+    nodes are tested, and their violations are shifted to every user.  The
     coloring must cover exactly the graph's nodes.
     """
-    if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
+    nodes = graph.nodes
+    if odd := sorted(set(nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    side, bit = graph.user_side, graph.bit
+    side, bit, masks, K = graph.user_side, graph.bit, coloring.masks, graph.K
+    users = 1 if _shift_carries_classes(graph, coloring) else K
     violations: list[tuple[Node, Node]] = []
-    for members, mask in zip(coloring.classes, coloring.masks):
-        for u in members:
-            # A node never interferes with itself: clear its own bit too.
-            if outside := mask & ~(side[u[0] - 1] | bit(u)):
-                violations += [(u, v) for v in graph.nodes_of(outside)]
+    for u in nodes[:users * graph.num_columns]:
+        # A node never interferes with itself: clear its own bit too.
+        if outside := masks[coloring.assignment[u] - 1] & ~(side[u[0] - 1] | bit(u)):
+            violations += [(u, v) for v in graph.nodes_of(outside)]
+    if users == 1:
+        violations = [((wrap(k + s, K), t), (wrap(l + s, K), r))
+                      for s in range(K) for (k, t), (l, r) in violations]
     return sorted(violations)
 
 
@@ -98,10 +117,14 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
 
     All nodes of a user share the same closed anti-outneighborhood (the
     complement of the user's side information): count the classes meeting it.
+    When the user shift maps the graph onto itself and each color class onto
+    the next, every user meets as many classes as user 1, so only user 1's
+    complement is counted.
     """
     if verify_proper(graph, coloring):
         raise ValueError("coloring is not proper")
-    outsides = [~side for side in graph.user_side]
+    sides = graph.user_side[:1] if _shift_carries_classes(graph, coloring) else graph.user_side
+    outsides = [~side for side in sides]
     return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)
 
 

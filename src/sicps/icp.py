@@ -129,6 +129,18 @@ class SuicpGraph:
         k, t = node
         return 1 << (k - 1) * self.num_columns + t - 1
 
+    @property
+    def has_user_shift(self) -> bool:
+        """Whether user k's side information is user 1's rotated by (k-1)*num_columns bits.
+
+        Then shifting every user by one maps the graph onto itself, as on every
+        union instance.  Each rotation is a window of user 1's doubled mask.
+        """
+        n, first = len(self), self.user_side[0]
+        doubled, full = first | first << n, (1 << n) - 1
+        return all(side == doubled >> n - k * self.num_columns & full
+                   for k, side in enumerate(self.user_side))
+
     def nodes_of(self, mask: int) -> list[Node]:
         """The nodes whose bits are set in `mask`, in order; O(n) per set bit."""
         out = []

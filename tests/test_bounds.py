@@ -22,6 +22,7 @@ from conftest import (
     side_nodes,
     tilde_icp_bounds,
 )
+import sicps.bounds as bounds
 import sicps.cli as cli
 from sicps.bounds import (
     MAX_ORACLE_USERS,
@@ -172,13 +173,14 @@ def relabel_users(graph, perm):
 @settings(max_examples=150, deadline=None)
 @given(spec=gap_vectors(max_nodes=26), data=st.data())
 def test_bruteforce_symmetric_path_matches_plain_dp(spec, data):
-    # The union takes the orbit DP's user-shift path; a random relabelling
-    # generally breaks the symmetry, so the copy takes its plain DP.  The
-    # level DP must match both, on the union and on the copy.
+    # The union takes the user-shift path of both the orbit DP and the level
+    # DP; a random relabelling generally breaks the symmetry, so the copy
+    # takes each one's full DP over all K users.  All four must agree.
     graph = build_union_icp(spec)
     perm = data.draw(st.permutations(range(1, spec.K + 1)))
     value = orbit_dp_mais(graph)
     plain = relabel_users(graph, perm)
+    assert graph.has_user_shift and plain.has_user_shift == has_user_shift(plain)
     assert mais_bruteforce(graph) == mais_bruteforce(plain) == orbit_dp_mais(plain) == value
 
 
@@ -199,7 +201,8 @@ def has_user_shift(graph):
 def test_bruteforce_orbit_fill_on_composite_K(gaps, L, K, value):
     # With K composite, user sets such as {1, 3} (K = 4) repeat under fewer
     # than K shifts, so the test oracle's orbit fill writes some of them more
-    # than once; the level DP has no orbits and must agree on both graphs.
+    # than once.  The level DP takes its user-shift path on the union and its
+    # full DP on the relabelled copy, and must agree on both graphs.
     graph = graph_of(gaps, L)
     plain = relabel_users(graph, [1, 3, 2] + list(range(4, K + 1)))
     assert graph.K == K and has_user_shift(graph) and not has_user_shift(plain)
@@ -211,13 +214,32 @@ def test_bruteforce_orbit_fill_on_composite_K(gaps, L, K, value):
 
 def test_bruteforce_finds_the_user_shift_of_a_union():
     # K = 16 and 32 nodes: the union has the user shift, so the test oracle
-    # fills one entry per orbit; a relabelled copy has none.  The level DP
-    # runs one path on both and must give the oracle's value on each.
+    # fills one entry per orbit and the level DP runs over users 1..15; a
+    # relabelled copy has none, and both run their full DP.  The level DP
+    # must give the oracle's value on each.
     graph = graph_of((7, 7), 1)
     plain = relabel_users(graph, [1, 3, 2] + list(range(4, 17)))
     assert has_user_shift(graph) and not has_user_shift(plain)
     assert orbit_dp_mais(graph) == orbit_dp_mais(plain) == 16
     assert mais_bruteforce(graph) == mais_bruteforce(plain) == 16
+
+
+@pytest.mark.parametrize("gaps, L", [((7, 7), 1), ((2, 1, 0), 2), ((1, 0), 2), ((2, 0, 0), 1)])
+def test_bruteforce_table_drops_user_K_on_a_union(monkeypatch, gaps, L):
+    # Spy on the users the level DP's table covers: K - 1 on the union, whose
+    # sets are then 2^(K-1) bits wide, and all K on a relabelled copy.
+    table, users = bounds._first_users_mais, []
+
+    def spy(sides, K, i):
+        users.append(K)
+        return table(sides, K, i)
+
+    monkeypatch.setattr(bounds, "_first_users_mais", spy)
+    graph = graph_of(gaps, L)
+    plain = relabel_users(graph, [1, 3, 2] + list(range(4, graph.K + 1)))
+    assert graph.has_user_shift and not plain.has_user_shift
+    assert mais_bruteforce(graph) == mais_bruteforce(plain) == orbit_dp_mais(graph)
+    assert users == [graph.K - 1, graph.K]
 
 
 def test_bruteforce_raised_cap_values():

@@ -19,6 +19,7 @@ from conftest import (
 )
 from sicps.coloring import (
     Coloring,
+    _shift_carries_classes,
     local_chromatic_value,
     theorem1_coloring,
     theorem5_coloring,
@@ -258,3 +259,39 @@ def test_properness_and_value_against_naive_oracles():
             num_colors=max(1, good.num_colors // 2),
         )
         assert verify_proper(icp, squashed) == naive_violations(icp, squashed)
+
+
+def circulant_coloring(icp, n, shifts):
+    """color(k, v) = (k - s_v) mod n, as colors 1..n; both theorems' colorings have this form."""
+    return Coloring({(k, v): (k - shifts[v - 1]) % n + 1 for k, v in icp.nodes}, n)
+
+
+def assert_matches_references(icp, coloring):
+    violations = verify_proper(icp, coloring)
+    assert violations == naive_violations(icp, coloring)
+    if violations:
+        with pytest.raises(ValueError, match="not proper"):
+            local_chromatic_value(icp, coloring)
+    else:
+        assert local_chromatic_value(icp, coloring) == naive_local_chromatic(icp, coloring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=40), data=st.data())
+def test_circulant_colorings_match_per_user_references(spec, data):
+    # A circulant coloring with n | K is carried onto itself by the user shift,
+    # so properness and chi come from user 1's row; many drawn ones are
+    # improper.  Swapping two nodes' colors generally breaks the symmetry and
+    # sends both functions down their per-user path.
+    icp = build_union_icp(spec)
+    n = data.draw(st.sampled_from([d for d in range(1, spec.K + 1) if spec.K % d == 0]))
+    shifts = data.draw(st.lists(st.integers(0, n - 1), min_size=spec.i, max_size=spec.i))
+    coloring = circulant_coloring(icp, n, shifts)
+    assert _shift_carries_classes(icp, coloring)
+    assert_matches_references(icp, coloring)
+
+    u, v = data.draw(st.lists(st.sampled_from(icp.nodes), min_size=2, max_size=2, unique=True)
+                     if len(icp) > 1 else st.just([icp.nodes[0]] * 2))
+    swapped = dict(coloring.assignment)
+    swapped[u], swapped[v] = swapped[v], swapped[u]
+    assert_matches_references(icp, Coloring(swapped, n))
