@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, wrap
+from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_mask, wrap
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def _shift_carries_classes(graph: SuicpGraph, coloring: Coloring) -> bool:
     if not graph.has_user_shift:
         return False
     masks, n, i = coloring.masks, len(graph), graph.num_columns
-    full = (1 << n) - 1
-    return all((a << i | a >> n - i) & full == b for a, b in zip(masks, masks[1:] + masks[:1]))
+    return all(rotate_mask(a, i, n) == b for a, b in zip(masks, masks[1:] + masks[:1]))
 
 
 def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Node]]:
@@ -91,24 +90,18 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
 
     An empty list means the coloring is proper.  Within one color class two
     nodes are compatible exactly when each is side information for the other,
-    so one mask test per node finds its violations.  When the user shift maps
-    the graph onto itself and each color class onto the next, only user 1's
-    nodes are tested, and their violations are shifted to every user.  The
+    so only same-color pairs need checking, one mask test per node.  The
     coloring must cover exactly the graph's nodes.
     """
-    nodes = graph.nodes
-    if odd := sorted(set(nodes) ^ set(coloring.assignment)):
+    if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    side, bit, masks, K = graph.user_side, graph.bit, coloring.masks, graph.K
-    users = 1 if _shift_carries_classes(graph, coloring) else K
+    side, bit = graph.user_side, graph.bit
     violations: list[tuple[Node, Node]] = []
-    for u in nodes[:users * graph.num_columns]:
-        # A node never interferes with itself: clear its own bit too.
-        if outside := masks[coloring.assignment[u] - 1] & ~(side[u[0] - 1] | bit(u)):
-            violations += [(u, v) for v in graph.nodes_of(outside)]
-    if users == 1:
-        violations = [((wrap(k + s, K), t), (wrap(l + s, K), r))
-                      for s in range(K) for (k, t), (l, r) in violations]
+    for members, mask in zip(coloring.classes, coloring.masks):
+        for u in members:
+            # A node never interferes with itself: clear its own bit too.
+            if outside := mask & ~(side[u[0] - 1] | bit(u)):
+                violations += [(u, v) for v in graph.nodes_of(outside)]
     return sorted(violations)
 
 

@@ -12,6 +12,7 @@ bound engines operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 Node = tuple[int, int]  # (user, column), both 1-based
@@ -129,16 +130,15 @@ class SuicpGraph:
         k, t = node
         return 1 << (k - 1) * self.num_columns + t - 1
 
-    @property
+    @cached_property
     def has_user_shift(self) -> bool:
         """Whether user k's side information is user 1's rotated by (k-1)*num_columns bits.
 
         Then shifting every user by one maps the graph onto itself, as on every
-        union instance.  Each rotation is a window of user 1's doubled mask.
+        union instance.  Computed once per graph.
         """
         n, first = len(self), self.user_side[0]
-        doubled, full = first | first << n, (1 << n) - 1
-        return all(side == doubled >> n - k * self.num_columns & full
+        return all(side == rotate_mask(first, k * self.num_columns, n)
                    for k, side in enumerate(self.user_side))
 
     def nodes_of(self, mask: int) -> list[Node]:
