@@ -58,6 +58,11 @@ class BoundReport:
         if any(v is not None and v < lower for v in uppers):
             raise ValueError("a lower bound exceeds a local chromatic value")
 
+    @property
+    def gap_ratio(self) -> Fraction:
+        """Upper bound divided by the constructive lower bound; at most 2."""
+        return Fraction(self.upper, self.lower_constructive)
+
     def to_json(self) -> dict:
         return {
             "upper": self.upper,
@@ -212,11 +217,6 @@ def _first_users_mais(sides: tuple[int, ...], K: int, i: int) -> int:
     return v - 1
 
 
-def gap_ratio(spec: GapVector) -> Fraction:
-    """Upper bound divided by the constructive lower bound; at most 2."""
-    return Fraction(upper_bound_Ru(spec), mais_lower(spec))
-
-
 def build_report(icp: UnionIcp) -> BoundReport:
     """Compute every bound for one union instance; `lower_brute` where the oracle runs.
 
@@ -258,6 +258,5 @@ __all__ = [
     "lower_bound_mais_constructive",
     "is_acyclic_induced",
     "mais_bruteforce",
-    "gap_ratio",
     "build_report",
 ]

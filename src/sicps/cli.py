@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .bounds import build_report, gap_ratio
+from .bounds import build_report
 from .coloring import theorem1_coloring
 from .icp import GapVector, build_union_icp
 from .macc import (
@@ -77,7 +77,7 @@ def cmd_icp_analyze(args) -> int:
     spec, shift = GapVector(tuple(args.gaps), args.L).canonicalize()
     report = build_report(build_union_icp(spec))
     lcv = report.local_chromatic
-    ratio = gap_ratio(spec)
+    ratio = report.gap_ratio
     payload = {
         "gaps": list(spec.gaps),
         "rotation_shift": shift,

@@ -1,16 +1,18 @@
 """Proper colorings of the virtual single-unicast graph and the rate bound they yield.
 
-Two constructions are provided: the general K-color scheme (one occurrence of
-each color per column, shifted so that repeats land only on side-information
-nodes) and the tighter (a1+a2+2)-color scheme available for two-column
-instances whose user count is a multiple of a1+a2+2.  The number of distinct
-colors seen in any node's closed anti-outneighborhood upper-bounds the
-broadcast rate.
+Both of the paper's constructions are circulant colorings, one shift per
+column: the general K-color scheme (each color once per column, shifted so
+that repeats land only on side-information nodes) and the tighter
+(a1+a2+2)-color scheme for two-column instances whose user count is a
+multiple of a1+a2+2.  The number of distinct colors seen in any node's closed
+anti-outneighborhood upper-bounds the broadcast rate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_mask, wrap
 
@@ -42,20 +44,27 @@ class Coloring:
         object.__setattr__(self, "masks", tuple(masks))
 
 
+def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Coloring:
+    """Color node (k, v) with <k - shifts[v-1]>_n, for n dividing K.
+
+    Both theorems' colorings have this form; the user shift carries class c onto c+1.
+    """
+    if n < 1:
+        raise ValueError(f"color count {n} must be at least 1")
+    if graph.K % n:
+        raise ValueError(f"user count {graph.K} is not a multiple of {n}")
+    if len(shifts) != graph.num_columns:
+        raise ValueError(f"{len(shifts)} shifts for {graph.num_columns} columns")
+    assignment = {(k, v): wrap(k - s, n)
+                  for k in range(1, graph.K + 1) for v, s in enumerate(shifts, start=1)}
+    return Coloring(assignment=assignment, num_colors=n)
+
+
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
     """K-color scheme: color c sits at row <c + a_1 + ... + a_{v-1} + (v-1)L>_K of column v."""
-    K, i, L = icp.K, icp.i, icp.spec.L
-    shifts = []
-    acc = 0
-    for v in range(1, i + 1):
-        shifts.append(acc)
-        acc += icp.spec.gap(v) + L  # a_v joins the shift of column v+1
-    assignment = {
-        (k, v): wrap(k - shifts[v - 1], K)
-        for k in range(1, K + 1)
-        for v in range(1, i + 1)
-    }
-    return Coloring(assignment=assignment, num_colors=K)
+    L = icp.spec.L  # a_v + L joins the shift of column v+1; reversed(gaps[1:]) is a_1, a_2, ...
+    shifts = list(accumulate((a + L for a in reversed(icp.spec.gaps[1:])), initial=0))
+    return circulant_coloring(icp, icp.K, shifts)
 
 
 def theorem5_coloring(icp: UnionIcp) -> Coloring:
@@ -63,20 +72,13 @@ def theorem5_coloring(icp: UnionIcp) -> Coloring:
     if icp.i != 2:
         raise ValueError("this coloring needs exactly two columns")
     a2, a1 = icp.spec.gaps
-    n = a1 + a2 + 2
-    if icp.K % n != 0:
-        raise ValueError(f"user count {icp.K} is not a multiple of {n}")
-    assignment: dict[Node, int] = {}
-    for k in range(1, icp.K + 1):
-        assignment[(k, 1)] = wrap(k, n)
-        assignment[(k, 2)] = wrap(k + a2 + 1, n)
-    return Coloring(assignment=assignment, num_colors=n)
+    return circulant_coloring(icp, a1 + a2 + 2, (0, -(a2 + 1)))
 
 
 def _shift_carries_classes(graph: SuicpGraph, coloring: Coloring) -> bool:
     """Whether the graph has the user shift and it maps color class c onto class c+1 mod n.
 
-    Both of the paper's colorings do: color(k+1, v) = color(k, v) + 1.  Then
+    Every `circulant_coloring` does: color(k+1, v) = color(k, v) + 1.  Then
     every user's view of the colors is user 1's, shifted.
     """
     if not graph.has_user_shift:
@@ -134,6 +136,7 @@ def upper_bound_Ru(spec: GapVector) -> int:
 
 __all__ = [
     "Coloring",
+    "circulant_coloring",
     "theorem1_coloring",
     "theorem5_coloring",
     "verify_proper",

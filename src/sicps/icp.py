@@ -83,10 +83,6 @@ class GapVector:
     def K(self) -> int:
         return (self.i - 1) * self.L + sum(self.gaps) + 1
 
-    def gap(self, j: int) -> int:
-        """a_j with 1-based paper indexing: gap(i) is the leading entry."""
-        return self.gaps[self.i - j]
-
     @property
     def is_leading_max(self) -> bool:
         return self.gaps[0] == max(self.gaps)

@@ -40,9 +40,10 @@ MAX_RATE_BIT_OPS = 1_500_000_000
 # Most placement sets, and most user-node pairs (K per delivery cell), that
 # `end_to_end_simulate` accepts; it refuses more before building anything.  A
 # class's union has about K pairs per cell (more when its representative is
-# periodic), about 0.3 us each to simulate (2-core Xeon, Python 3.11.7; 1 us on
-# small ones): (20,2,4) 546,000 pairs, 0.3-0.6 s; (80,1,2) 19.7 million, 5-6 s,
-# 19 MB.  `icp.MAX_UNION_PAIRS` bounds a class.
+# periodic), about 0.2 us each to simulate (2-core Xeon, Python 3.11.7; 1 us
+# on small ones): (20,2,4) 546,000 pairs, 0.4-0.6 s; (60,1,2) 6.2 million,
+# 1.3-1.7 s; (80,1,2) 19.7 million, 3.2-4.3 s; 18-19 MB each.
+# `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
 

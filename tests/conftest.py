@@ -187,7 +187,7 @@ def eq2_known_set(spec: GapVector, user: int) -> frozenset[Node]:
     out: set[Node] = set()
     for t in range(1, i + 1):
         for v in range(1, i):
-            s = sum(spec.gap(wrap(i + t - j, i)) for j in range(1, v + 1))
+            s = sum(spec.gaps[i - wrap(i + t - j, i)] for j in range(1, v + 1))
             for r in range(1, L + 1):
                 out.add((wrap(user + s + (v - 1) * L + r, K), t))
     return frozenset(out)
@@ -336,6 +336,31 @@ def greedy_colored_graphs(draw):
     """Arbitrary side information under a greedy coloring in a drawn node order."""
     graph = draw(side_info_graphs())
     return graph, greedy_coloring(graph, draw(st.permutations(graph.nodes)))
+
+
+def reference_theorem1_assignment(spec: GapVector) -> dict[Node, int]:
+    """Theorem 1's coloring node by node, column v shifted by a_1 + ... + a_{v-1} + (v-1)L."""
+    K, i, L = spec.K, spec.i, spec.L
+    shifts, acc = [], 0
+    for v in range(1, i + 1):
+        shifts.append(acc)
+        acc += spec.gaps[i - v] + L  # a_v
+    return {(k, v): wrap(k - shifts[v - 1], K) for k in range(1, K + 1) for v in range(1, i + 1)}
+
+
+def reference_theorem5_assignment(spec: GapVector) -> dict[Node, int]:
+    """Theorem 5's coloring, user by user: (k, 1) gets <k>_n and (k, 2) gets <k+a2+1>_n."""
+    if spec.i != 2:
+        raise ValueError("this coloring needs exactly two columns")
+    a2, a1 = spec.gaps
+    n = a1 + a2 + 2
+    if spec.K % n != 0:
+        raise ValueError(f"user count {spec.K} is not a multiple of {n}")
+    assignment: dict[Node, int] = {}
+    for k in range(1, spec.K + 1):
+        assignment[(k, 1)] = wrap(k, n)
+        assignment[(k, 2)] = wrap(k + a2 + 1, n)
+    return assignment
 
 
 def theorem1_colored_unions(spec):

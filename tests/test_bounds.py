@@ -28,7 +28,6 @@ from sicps.bounds import (
     MAX_ORACLE_USERS,
     BoundReport,
     build_report,
-    gap_ratio,
     is_acyclic_induced,
     lower_bound_mais_constructive,
     mais_bruteforce,
@@ -301,16 +300,16 @@ def test_exact_is_where_computed_bounds_meet(spec):
 
 
 def test_gap_ratio_examples():
-    assert gap_ratio(GapVector((2, 1, 0), 2)) == Fraction(7, 6)
-    assert gap_ratio(GapVector((3, 2, 1), 2)) == Fraction(11, 9)
-    assert gap_ratio(GapVector((6, 0, 0, 0), 2)) == 1
+    for gaps, ratio in [((2, 1, 0), Fraction(7, 6)), ((3, 2, 1), Fraction(11, 9)),
+                        ((6, 0, 0, 0), 1)]:
+        assert build_report(build_union_icp(GapVector(gaps, 2))).gap_ratio == ratio
 
 
 def test_gap_ratio_at_most_two_sweep():
     rng = random.Random(47)
     for _ in range(150):
         spec = random_canonical_gap_vector(rng, max_K=30)
-        assert gap_ratio(spec) <= 2, spec
+        assert Fraction(upper_bound_Ru(spec), mais_lower(spec)) <= 2, spec
 
 
 def test_tilde_bounds_examples():

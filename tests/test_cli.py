@@ -627,9 +627,11 @@ GOLDEN_RUNS = {
     "decode_test": ["icp", "decode-test", "--gaps", "9,7,5,3,1", "--L", "3",
                     "--trials", "2", "--seed", "4"],
     # The oracle runs and `exact` is unknown; Theorem 5 applies and `exact`
-    # is 5; the oracle is skipped.
+    # is 5; Theorem 5's 6 beats Theorem 1's 8 and meets the oracle, so
+    # `exact` is 6; the oracle is skipped.
     "analyze_2_1_0_L2": ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"],
     "analyze_2_1_L1": ["icp", "analyze", "--gaps", "2,1", "--L", "1"],
+    "analyze_2_2_L7": ["icp", "analyze", "--gaps", "2,2", "--L", "7"],
     "analyze_9_7_5_3_1_L3": ["icp", "analyze", "--gaps", "9,7,5,3,1", "--L", "3"],
     # The README example, and a fractional K/L whose top corner is appended.
     "tradeoff_100_40_4": ["macc", "tradeoff", "--N", "100", "--K", "40", "--L", "4",

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    canonical_gap_vectors,
     gap_vectors,
     greedy_colored_graphs,
     naive_local_chromatic,
     random_canonical_gap_vector,
+    reference_theorem1_assignment,
+    reference_theorem5_assignment,
     side_nodes,
     small_gap_vectors,
     theorem1_colored_unions,
@@ -20,6 +23,7 @@ from conftest import (
 from sicps.coloring import (
     Coloring,
     _shift_carries_classes,
+    circulant_coloring,
     local_chromatic_value,
     theorem1_coloring,
     theorem5_coloring,
@@ -145,6 +149,32 @@ def test_two_column_coloring_rejections():
         theorem5_coloring(icp_bad)
 
 
+def test_theorem_colorings_match_per_node_formulas():
+    # Both circulant builders give the per-node formulas' assignments, and
+    # Theorem 5 refuses exactly where the formula does, with the same message.
+    for spec in canonical_gap_vectors(48):
+        icp = build_union_icp(spec)
+        assert theorem1_coloring(icp).assignment == reference_theorem1_assignment(spec), spec
+        try:
+            expected = reference_theorem5_assignment(spec)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                theorem5_coloring(icp)
+            assert str(refused.value) == str(exc), spec
+        else:
+            assert theorem5_coloring(icp).assignment == expected, spec
+
+
+def test_circulant_coloring_refusals():
+    _, icp = make((2, 1), 1)  # K = 5, two columns
+    with pytest.raises(ValueError, match="color count 0 must be at least 1"):
+        circulant_coloring(icp, 0, (0, 0))
+    with pytest.raises(ValueError, match="user count 5 is not a multiple of 2"):
+        circulant_coloring(icp, 2, (0, 0))
+    with pytest.raises(ValueError, match="3 shifts for 2 columns"):
+        circulant_coloring(icp, 5, (0, 0, 0))
+
+
 def test_verify_proper_flags_conflicts():
     _, icp = make((2, 1, 0), 2)
     all_one = Coloring(assignment={node: 1 for node in icp.nodes}, num_colors=1)
@@ -259,11 +289,6 @@ def test_properness_and_value_against_naive_oracles():
             num_colors=max(1, good.num_colors // 2),
         )
         assert verify_proper(icp, squashed) == naive_violations(icp, squashed)
-
-
-def circulant_coloring(icp, n, shifts):
-    """color(k, v) = (k - s_v) mod n, as colors 1..n; both theorems' colorings have this form."""
-    return Coloring({(k, v): (k - shifts[v - 1]) % n + 1 for k, v in icp.nodes}, n)
 
 
 def assert_matches_references(icp, coloring):

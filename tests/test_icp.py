@@ -227,7 +227,7 @@ def test_interference_shift_property():
         for k in range(1, K + 1):
             known = side_nodes(icp, k)
             for n in range(1, spec.i):
-                a_n = spec.gap(n)
+                a_n = spec.gaps[spec.i - n]
                 for m in range(a_n + L + 1, K):
                     upper = (wrap(k + m, K), n + 1) in known
                     lower = (wrap(k + m - a_n - L, K), n) in known
