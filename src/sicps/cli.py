@@ -25,8 +25,7 @@ from .macc import (
     rate_rk,
     tradeoff_curve,
 )
-from .scheme import (DecodeError, MdsCode, TransmissionScheme, build_mds_scheme, plan_decode,
-                     simulate_decode)
+from .scheme import MdsCode, TransmissionScheme, build_mds_scheme, plan_decode, simulate_decode
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
@@ -125,12 +124,12 @@ def cmd_icp_decode_test(args) -> int:
     spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()
     icp = build_union_icp(spec)
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, args.field))
-    plans = [plan_decode(scheme, icp, k) for k in range(1, icp.K + 1)]
+    plans = [plan_decode(scheme, k) for k in range(1, icp.K + 1)]
     q, failures = scheme.field_order, 0
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
         messages = {node: rng.randrange(q) for node in icp.nodes}
-        decoded = simulate_decode(scheme, icp, messages, plans)
+        decoded = simulate_decode(scheme, messages, plans)
         failures += sum(decoded[node] != messages[node] for node in icp.nodes)
     payload = {
         "gaps": list(spec.gaps),
@@ -299,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VERIFICATION_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

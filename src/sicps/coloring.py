@@ -114,10 +114,13 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     complement of the user's side information): count the classes meeting it.
     When the user shift maps the graph onto itself and each color class onto
     the next, every user meets as many classes as user 1, so only user 1's
-    complement is counted.
+    complement is counted.  An improper coloring is refused, naming its
+    first violating pair.
     """
-    if verify_proper(graph, coloring):
-        raise ValueError("coloring is not proper")
+    if violations := verify_proper(graph, coloring):
+        u, v = violations[0]
+        raise ValueError(f"coloring is not proper: {u} and {v} share color "
+                         f"{coloring.assignment[u]}, but user {u[0]} does not know {v}")
     sides = graph.user_side[:1] if _shift_carries_classes(graph, coloring) else graph.user_side
     outsides = [~side for side in sides]
     return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)

@@ -409,7 +409,6 @@ def end_to_end_simulate(
         raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_sets} placement sets and "
                          f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
                          f"above the limit {MAX_SIMULATION_SIZE}")
-    num_subfiles = len(placement_map(cfg, w).sets)
     # Every Theorem-1 coloring has K colors, so one code serves every class
     # of this call, each basis and weight tuple built once.
     code = MdsCode(K, field_order)
@@ -432,7 +431,7 @@ def end_to_end_simulate(
                   for k, cell in enumerate(columns[(p - 1) % period], start=1)}
         symbols = {piece: rng.randrange(q) for piece in dict.fromkeys(pieces.values())}
         messages = dict(zip(pieces, map(symbols.__getitem__, pieces.values())))
-        decoded = simulate_decode(scheme, bar, messages)
+        decoded = simulate_decode(scheme, messages)
         for node in bar.nodes:
             if decoded[node] != messages[node]:
                 (file, cache_set), part = pieces[node]
@@ -447,7 +446,7 @@ def end_to_end_simulate(
                         "decoded": decoded[node],
                     }
                 )
-        total += Fraction(scheme.chi, split * num_subfiles)
+        total += Fraction(scheme.chi, split * num_sets)
         reports.append(ClassReport(rep, columns=period, split=split, chi=scheme.chi, field=q))
     return SimulationReport(
         decoded_ok=not failures,

@@ -16,10 +16,13 @@ P(p_c)*a_c + sum_{f in F} P(p_f)*a_f = sum_{x in F+c} P(p_x)*u_x, and
     a_c = u_c + sum_{f in F} w_f * (u_f - a_f),   w_f = P(p_f) / P(p_c).
 
 That is the whole aggregate of c's class; properness lets the user know the
-node's classmates, subtracted last.  Each u_x depends only on the broadcast,
-the code and m, so it reads no message and is computed once per trial and
-(m, x) for every user (`Broadcast`).  The a_f are classes the user fully
-knows, so decode reads no message outside the user's side information.
+node's classmates, subtracted last.  An own node the user already knows has
+its color in F, and its weights, -1 at c and 0 elsewhere, give
+a_c = u_c - (u_c - a_c) from side information alone.  Each u_x depends only
+on the broadcast, the code and m, so it reads no message and is computed
+once per trial and (m, x) for every user (`Broadcast`).  The a_f are classes
+the user fully knows, so decode reads no message outside the user's side
+information.
 
 Only the w_f depend on the user, on F and c alone, so the `MdsCode` that
 the caller passes to `build_mds_scheme`, which chooses and checks the field
@@ -36,7 +39,7 @@ builds each plan, applies it and drops it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
@@ -45,23 +48,6 @@ from typing import NamedTuple
 from .coloring import Coloring, local_chromatic_value
 from .field import default_field_order, validate_field
 from .icp import Node, SuicpGraph
-
-
-class DecodeError(Exception):
-    """A user's unknown aggregates cannot be recovered from the broadcast.
-
-    Not a ValueError: the CLI reports it as a verification failure, not as
-    a usage error.
-    """
-
-    def __init__(self, user: int, unknown: list[int], chi: int, reason: str) -> None:
-        self.user = user
-        self.unknown = tuple(unknown)
-        self.chi = chi
-        super().__init__(
-            f"decode failed for user {user}: {reason} "
-            f"(unknown colors {list(self.unknown)}, chi={chi})"
-        )
 
 
 class MdsCode:
@@ -131,7 +117,8 @@ class MdsCode:
         With d_x = prod_{y != x} (p_x - p_y) and h_f = prod_{y in full, y != f}
         (p_f - p_y) / d_f, once per `full`, w_f = prod_{y in full} (p_c - p_y)
         / (d_c * h_f * (p_f - p_c)): O(|full|) per color plus one inverse per
-        weight.
+        weight.  A color c in `full` is known outright: w_c = -1 and every
+        other weight is 0.
         """
         q, key, scales = self.field_order, tuple(full), self._scales
         memo = self._by_full.get(key)
@@ -140,7 +127,11 @@ class MdsCode:
             memo = self._by_full[key] = (h, {})
         h, built = memo
         for c in colors:
-            if c not in built:
+            if c in built:
+                continue
+            if c in key:
+                built[c] = tuple([q - 1 if f == c else 0 for f in full])
+            else:
                 scale = math.prod([c - y for y in full]) * scales[c - 1]
                 built[c] = tuple([scale * pow(hf * (f - c), -1, q) % q for f, hf in zip(full, h)])
         return [built[c] for c in colors]
@@ -178,17 +169,22 @@ class TransmissionScheme:
     """chi MDS combinations, over its code's field, of the per-color message sums.
 
     Color c sits on the code's point c mod q, so the scheme is exactly its
-    coloring, row count and code, whose color count must be the coloring's.
+    graph, coloring and code, whose color count must be the coloring's.  chi
+    is the coloring's local chromatic value on the graph, the most unknown
+    colors any user has; computing it refuses a coloring that is improper or
+    does not cover the graph exactly.
     """
 
+    graph: SuicpGraph
     coloring: Coloring
-    chi: int
     code: MdsCode
+    chi: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.code.num_colors != self.num_colors:
             raise ValueError(f"a code over {self.code.num_colors} colors cannot carry "
                              f"a coloring with {self.num_colors}")
+        object.__setattr__(self, "chi", local_chromatic_value(self.graph, self.coloring))
 
     @property
     def num_colors(self) -> int:
@@ -214,13 +210,12 @@ class TransmissionScheme:
 
 
 def build_mds_scheme(graph: SuicpGraph, coloring: Coloring, code: MdsCode) -> TransmissionScheme:
-    """The scheme of `coloring` over `code`, sending exactly chi rows.
+    """The scheme of `coloring` on `graph` over `code`, sending exactly chi rows.
 
-    chi is the coloring's local chromatic value, the fewest symbols that
-    still decode.  The code fixes the field and must have the coloring's
-    color count; schemes sharing one build each basis and weight tuple once.
+    The code fixes the field and must have the coloring's color count;
+    schemes sharing one build each basis and weight tuple once.
     """
-    return TransmissionScheme(coloring, local_chromatic_value(graph, coloring), code)
+    return TransmissionScheme(graph, coloring, code)
 
 
 class DecodePlan(NamedTuple):
@@ -242,38 +237,25 @@ class DecodePlan(NamedTuple):
     classmates: list[list[Node]]
 
 
-def plan_decode(scheme: TransmissionScheme, graph: SuicpGraph, user: int) -> DecodePlan:
+def plan_decode(scheme: TransmissionScheme, user: int) -> DecodePlan:
     """The decode plan of `user`, built once per scheme and reused across message sets.
 
     A color is unknown when its class mask meets the complement of the
-    user's side information; its m unknown colors must not exceed chi.  The
-    weights come from the scheme's code, which builds each tuple once and
-    shares it.  Properness is checked where decoding relies on it, by
-    one mask compare per own node: a node whose class has another member the
-    user does not know raises DecodeError naming the node and those members.
+    user's side information; there are m <= chi of them, chi being the most
+    any user has.  The scheme's coloring is proper, so the user knows every
+    classmate of its own nodes.  The weights come from the scheme's code,
+    which builds each tuple once and shares it.
     """
-    coloring = scheme.coloring
+    graph, coloring = scheme.graph, scheme.coloring
     outside = ~graph.user_side[user - 1]
     own = [(user, t) for t in range(1, graph.num_columns + 1)]
     own_colors = [coloring.assignment[nd] for nd in own]
     full = [c for c, mask in enumerate(coloring.masks, start=1) if not mask & outside]
-    m = coloring.num_colors - len(full)
-
-    def failure(reason: str) -> DecodeError:
-        unknown = [c for c in range(1, coloring.num_colors + 1) if c not in full]
-        return DecodeError(user, unknown, scheme.chi, reason)
-
-    if m > scheme.chi:
-        raise failure("more unknown colors than rows")
-    classmates = [list(coloring.classes[c - 1]) for c in own_colors]
-    for nd, c, mates in zip(own, own_colors, classmates):
-        if coloring.masks[c - 1] & outside != graph.bit(nd):
-            unseen = graph.nodes_of(coloring.masks[c - 1] & outside)
-            raise failure(f"improper coloring: color {c} of node {nd} "
-                          f"has unknown members {unseen}")
-        mates.remove(nd)
+    classmates = [[v for v in coloring.classes[c - 1] if v != nd]
+                  for nd, c in zip(own, own_colors)]
     weights = scheme.code.weights(full, own_colors)
-    return DecodePlan(scheme, m, own, own_colors, full, weights, classmates)
+    return DecodePlan(scheme, coloring.num_colors - len(full), own, own_colors, full,
+                      weights, classmates)
 
 
 def decode_node(
@@ -302,7 +284,6 @@ def decode_node(
 
 def simulate_decode(
     scheme: TransmissionScheme,
-    graph: SuicpGraph,
     messages: dict[Node, int],
     plans: list[DecodePlan] | None = None,
 ) -> dict[Node, int]:
@@ -313,18 +294,18 @@ def simulate_decode(
     built, applied and dropped.  One broadcast serves every user, so each
     shared dot is computed once.
     """
+    graph = scheme.graph
     if set(messages) != set(graph.nodes):
         raise ValueError("messages must assign exactly one symbol per node")
     broadcast = scheme.transmit(messages)
     decoded: dict[Node, int] = {}
     for k in range(1, graph.K + 1):
-        plan = plan_decode(scheme, graph, k) if plans is None else plans[k - 1]
+        plan = plan_decode(scheme, k) if plans is None else plans[k - 1]
         decoded.update(decode_node(plan, messages, broadcast))
     return decoded
 
 
 __all__ = [
-    "DecodeError",
     "MdsCode",
     "Broadcast",
     "TransmissionScheme",

@@ -222,9 +222,9 @@ def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
     built = []
 
     def spy(real):
-        def counted(scheme_, graph, user):
+        def counted(scheme_, user):
             built.append(user)
-            return real(scheme_, graph, user)
+            return real(scheme_, user)
         return counted
 
     # Both the CLI's own calls and any fallback inside simulate_decode count.
@@ -238,27 +238,6 @@ def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
     assert code == 0
     assert json.loads(out)["failures"] == 0
     assert built == list(range(1, 9))  # K = 8 users, whatever the trial count
-
-
-def test_decode_error_exits_three(capsys, monkeypatch):
-    from sicps.scheme import TransmissionScheme
-
-    real_build = cli.build_mds_scheme
-
-    def short_of_rows(graph, coloring, code):
-        # One row below the local chromatic value: some user cannot decode.
-        return TransmissionScheme(coloring, real_build(graph, coloring, code).chi - 1, code)
-
-    monkeypatch.setattr(cli, "build_mds_scheme", short_of_rows)
-    code, out, err = run(
-        capsys,
-        ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
-         "--trials", "1", "--seed", "1"],
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: decode failed for user 1:")
-    assert "unknown colors [1, 2, 3, 4, 5, 6, 7], chi=6" in err
 
 
 def test_macc_rate_values(capsys):

@@ -804,9 +804,9 @@ def test_simulation_sends_one_symbol_per_subfile_part(monkeypatch, N, demands):
     cfg = CcdnConfig(N, 8, 2)
     sent = []
 
-    def spy(scheme, graph, messages, plans=None):
-        sent.append((graph.spec.gaps, dict(messages)))
-        return simulate_decode(scheme, graph, messages, plans)
+    def spy(scheme, messages, plans=None):
+        sent.append((scheme.graph.spec.gaps, dict(messages)))
+        return simulate_decode(scheme, messages, plans)
 
     monkeypatch.setattr(macc, "simulate_decode", spy)
     assert end_to_end_simulate(cfg, 2, demands, seed=4).decoded_ok
@@ -868,9 +868,9 @@ def test_simulation_builds_one_code_before_its_first_class(monkeypatch, K, L, w,
         events.append("class")
         return build_delivery_icp(*args)
 
-    def spy_decode(scheme, graph, messages, plans=None):
+    def spy_decode(scheme, messages, plans=None):
         assert scheme.code is codes[0]
-        return simulate_decode(scheme, graph, messages, plans)
+        return simulate_decode(scheme, messages, plans)
 
     monkeypatch.setattr(macc, "MdsCode", spy_code)
     monkeypatch.setattr(macc, "build_delivery_icp", spy_class)

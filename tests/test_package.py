@@ -75,6 +75,8 @@ def test_every_benchmark_stage_resolves_to_a_library_function():
             with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
                 code = sicps.cli.main(op.argv)
             op.check(code, out.getvalue(), op.expect)
+        # The simulation only counts the placement sets, so no op builds them.
+        sicps.macc.placement_map(sicps.macc.CcdnConfig(8, 8, 2), 2)
     finally:
         tracer.uninstall()
     hooked = set(tracer._hooks) - {"field.solve_mod"}  # the tests' reference solve only

@@ -46,7 +46,6 @@ from sicps.icp import GapVector, build_union_icp
 from sicps.macc import CcdnConfig, end_to_end_simulate
 from sicps.scheme import (
     Broadcast,
-    DecodeError,
     DecodePlan,
     MdsCode,
     TransmissionScheme,
@@ -109,7 +108,7 @@ def test_scheme_single_node():
     assert vandermonde_matrix(scheme.num_colors, scheme.chi, scheme.field_order) == [[1]]
     messages = {(1, 1): 1}
     assert scheme.transmit(messages) == [1]
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 def test_scheme_two_column_coloring():
@@ -186,7 +185,7 @@ def test_decode_eight_user_fixed_seed():
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(8, 251))
     rng = random.Random("decode:0")
     messages = {node: rng.randrange(251) for node in icp.nodes}
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 def test_decode_no_side_information():
@@ -196,7 +195,7 @@ def test_decode_no_side_information():
     assert scheme.chi == scheme.num_colors == 5
     rng = random.Random(2)
     messages = {node: rng.randrange(11) for node in icp.nodes}
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 def test_decode_eleven_user_repeated_trials():
@@ -206,7 +205,7 @@ def test_decode_eleven_user_repeated_trials():
     for trial in range(100):
         rng = random.Random(f"trial:{trial}")
         messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
-        decoded = simulate_decode(scheme, icp, messages)
+        decoded = simulate_decode(scheme, messages)
         failures += sum(decoded[node] != messages[node] for node in icp.nodes)
     assert failures == 0
 
@@ -224,14 +223,14 @@ def test_decode_across_fields_and_colorings():
             scheme = build_mds_scheme(icp, coloring, MdsCode(coloring.num_colors, q))
             rng = random.Random(f"{gaps}:{q}")
             messages = {node: rng.randrange(q) for node in icp.nodes}
-            assert simulate_decode(scheme, icp, messages) == messages
+            assert simulate_decode(scheme, messages) == messages
 
 
 def test_decode_requires_full_message_map():
     icp = setup((2, 1), 1)
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K))
     with pytest.raises(ValueError):
-        simulate_decode(scheme, icp, {})
+        simulate_decode(scheme, {})
 
 
 def test_solve_mod_rejects_singular():
@@ -245,34 +244,13 @@ def test_decode_node_returns_every_node_of_the_user():
     rng = random.Random(3)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     broadcast = scheme.transmit(messages)
-    decoded = decode_node(plan_decode(scheme, icp, 4), messages, broadcast)
+    decoded = decode_node(plan_decode(scheme, 4), messages, broadcast)
     assert decoded == {(4, t): messages[(4, t)] for t in (1, 2, 3)}
 
 
 def _unknown_colors(graph, coloring, user):
     unknown = frozenset(graph.nodes) - side_nodes(graph, user)
     return tuple(sorted({coloring.assignment[nd] for nd in unknown}))
-
-
-def test_decode_error_when_rows_below_local_chromatic_value():
-    icp = setup((2, 1, 0), 2)
-    coloring = theorem1_coloring(icp)
-    rows = build_mds_scheme(icp, coloring, MdsCode(8)).chi - 1
-    scheme = TransmissionScheme(coloring, rows, MdsCode(8, 257))
-    messages = {node: 1 for node in icp.nodes}
-    with pytest.raises(DecodeError) as exc:
-        simulate_decode(scheme, icp, messages)
-    err = exc.value
-    assert not isinstance(err, ValueError)
-    # Users decode in order; the first one short of rows is reported.
-    first = next(k for k in range(1, icp.K + 1)
-                 if len(_unknown_colors(icp, coloring, k)) > rows)
-    assert err.user == first
-    assert err.unknown == _unknown_colors(icp, coloring, first)
-    assert err.chi == rows
-    assert f"user {first}" in str(err)
-    assert str(list(err.unknown)) in str(err)
-    assert f"chi={rows}" in str(err)
 
 
 def test_decode_error_on_zero_denominator():
@@ -291,7 +269,7 @@ def test_decode_error_on_zero_denominator():
     # The smallest admissible prime decodes the same instance.
     messages = {node: (node[0] + 3 * node[1]) % 11 for node in icp.nodes}
     scheme = build_mds_scheme(icp, coloring, MdsCode(8, 11))
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 def test_transposed_vandermonde_rows_reject_a_repeated_point():
@@ -308,27 +286,38 @@ def test_transposed_vandermonde_rows_reject_a_repeated_point():
             MdsCode(q + 1, q)
 
 
-def test_decode_error_on_improper_coloring():
+def test_scheme_over_an_improper_coloring_is_refused_by_name():
     # Node (2,1) joins the class of (1,1), though user 1 does not know it:
-    # subtracting the class less (1,1) would silently decode a wrong value.
+    # subtracting the class less (1,1) would silently decode a wrong value,
+    # so no scheme is built over that coloring, by either route.
     icp = setup((2, 1, 0), 2)
     assignment = dict(theorem1_coloring(icp).assignment)
     assignment[(2, 1)] = assignment[(1, 1)]
     coloring = Coloring(assignment, 8)
-    assert verify_proper(icp, coloring)
-    scheme = TransmissionScheme(coloring, 8, MdsCode(8, 251))
-    plain = {node: node[0] + 10 * node[1] for node in icp.nodes}
-    broadcast = scheme.transmit(plain)
+    assert verify_proper(icp, coloring)[0] == ((1, 1), (2, 1))
+    message = (r"coloring is not proper: \(1, 1\) and \(2, 1\) share color 1, "
+               r"but user 1 does not know \(2, 1\)")
+    with pytest.raises(ValueError, match=message):
+        build_mds_scheme(icp, coloring, MdsCode(8, 251))
+    with pytest.raises(ValueError, match=message):
+        TransmissionScheme(icp, coloring, MdsCode(8, 251))
+
+
+def test_user_that_knows_its_own_node_decodes_it():
+    # User 1 knows its own node (1,1), and its class is fully known: the
+    # node decodes to its own message, read from side information.
+    graph = graph_from_sides(2, 1, ({(1, 1), (2, 1)}, set()))
+    coloring = Coloring({(1, 1): 1, (2, 1): 2}, 2)
+    assert verify_proper(graph, coloring) == []
+    scheme = build_mds_scheme(graph, coloring, MdsCode(2))
+    assert scheme.chi == 2
+    plan = plan_decode(scheme, 1)
+    assert (plan.m, plan.full, plan.colors) == (0, [1, 2], [1])
+    plain = {(1, 1): 5, (2, 1): 9}
     messages = RecordingMessages(plain)
-    with pytest.raises(DecodeError, match="improper coloring") as exc:
-        decode_node(plan_decode(scheme, icp, 1), messages, broadcast)
-    err = exc.value
-    assert (err.user, err.unknown, err.chi) == (1, _unknown_colors(icp, coloring, 1), 8)
-    assert "node (1, 1)" in str(err) and "(2, 1)" in str(err)
-    assert messages.read <= side_nodes(icp, 1)
-    # The whole decode stops at the same user, not with a wrong value.
-    with pytest.raises(DecodeError, match=r"user 1: improper coloring: color 1 of node \(1, 1\)"):
-        simulate_decode(scheme, icp, plain)
+    assert decode_node(plan, messages, scheme.transmit(plain)) == {(1, 1): 5}
+    assert messages.read <= side_nodes(graph, 1)
+    assert simulate_decode(scheme, plain) == plain
 
 
 SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
@@ -377,23 +366,18 @@ def test_transposed_vandermonde_matches_gaussian_elimination(system):
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=small_gap_vectors(), budget=st.sampled_from(["lcv", "Ru"]),
-       small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(spec=GapVector((2, 2, 0), 2), budget="Ru", small_field=False, seed=17)  # chi 8, Ru 9
-def test_decode_round_trips_on_generated_gap_vectors(spec, budget, small_field, seed):
+@given(spec=small_gap_vectors(), small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(spec=GapVector((2, 2, 0), 2), small_field=False, seed=17)  # chi 8, Ru 9
+def test_decode_round_trips_on_generated_gap_vectors(spec, small_field, seed):
     assert spec.K * spec.i <= 60
     icp = build_union_icp(spec)
     # The smallest admissible prime puts color K at point 0 whenever K is prime.
     q = next_prime_at_least(spec.K) if small_field else None
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(spec.K, q))
-    if budget == "Ru":
-        # More rows than chi, as many as the closed-form rate accounts for,
-        # still decode.
-        assert scheme.chi <= upper_bound_Ru(spec)
-        scheme = TransmissionScheme(scheme.coloring, upper_bound_Ru(spec), scheme.code)
+    assert scheme.chi <= upper_bound_Ru(spec)
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in icp.nodes}
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,7 +392,7 @@ def test_local_chromatic_value_and_decode_on_arbitrary_side_information(graph, s
     assert scheme.chi == chi
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in nodes}
-    assert simulate_decode(scheme, graph, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 MUTUAL_PAIR = graph_from_sides(2, 2, ({(2, 1), (2, 2)}, {(1, 1), (1, 2)}))
@@ -432,33 +416,53 @@ def test_decode_round_trips_under_greedy_coloring_on_arbitrary_side_information(
     assert scheme.chi == naive_local_chromatic(graph, coloring)
     rng = random.Random(seed)
     messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-    assert simulate_decode(scheme, graph, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
 
 
 @settings(max_examples=100, deadline=None)
-@given(source=st.one_of(small_gap_vectors(), greedy_colored_graphs()), pad=st.booleans(),
+@given(graph=side_info_graphs(self_knowledge=True), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_round_trips_when_users_know_their_own_nodes(graph, data, seed):
+    # A known own node's class may be fully known; it decodes from side information.
+    coloring = greedy_coloring(graph, data.draw(st.permutations(graph.nodes)))
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
+    assert scheme.chi == naive_local_chromatic(graph, coloring)
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+    assert simulate_decode(scheme, messages) == messages
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored=st.one_of(small_gap_vectors().map(theorem1_colored_unions),
+                         greedy_colored_graphs()))
+def test_chi_is_the_most_unknown_colors_of_any_user(colored):
+    # Every user's m is at most chi, so the first m rows always exist, and
+    # some user needs all chi of them.
+    graph, coloring = colored
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
+    assert max(plan_decode(scheme, k).m for k in range(1, graph.K + 1)) == scheme.chi
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.one_of(small_gap_vectors(), greedy_colored_graphs()),
        small_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(source=GapVector((2, 1), 3), pad=True, small_field=True, seed=0)  # q = n = 7
+@example(source=GapVector((2, 1), 3), small_field=True, seed=0)  # q = n = 7
 @example(source=(MUTUAL_PAIR, greedy_coloring(MUTUAL_PAIR, MUTUAL_PAIR.nodes)),
-         pad=False, small_field=True, seed=1)  # q = n = 2
+         small_field=True, seed=1)  # q = n = 2
 def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
-    source, pad, small_field, seed
+    source, small_field, seed
 ):
     # The broadcast symbols themselves, not only the round trip: symbol r is
     # sum_c (c mod q)**r times the sum of the messages of color c.
     if isinstance(source, GapVector):
         graph, coloring = theorem1_colored_unions(source)
-        rows = upper_bound_Ru(source) if pad else None
     else:
         graph, coloring = source
-        rows = coloring.num_colors if pad else None
     n = coloring.num_colors
     # The smallest admissible prime puts color n at point 0 whenever n is prime.
     q = next_prime_at_least(n) if small_field else None
     scheme = build_mds_scheme(graph, coloring, MdsCode(n, q))
     q = scheme.field_order
-    if rows is not None:
-        scheme = TransmissionScheme(coloring, rows, scheme.code)
     rng = random.Random(seed)
     messages = {node: rng.randrange(q) for node in graph.nodes}
     aggregates = [0] * n
@@ -502,7 +506,7 @@ def test_decode_reads_only_the_users_side_information(colored, seed):
     graph, coloring = colored
     scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
     rng = random.Random(seed)
-    plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
+    plans = [plan_decode(scheme, k) for k in range(1, graph.K + 1)]
     for _ in range(3):
         plain = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
         broadcast = scheme.transmit(plain)
@@ -511,7 +515,7 @@ def test_decode_reads_only_the_users_side_information(colored, seed):
             decoded = decode_node(plan, messages, broadcast)
             assert decoded == {(k, t): plain[(k, t)] for t in range(1, graph.num_columns + 1)}
             assert messages.read <= side_nodes(graph, k), k
-        assert simulate_decode(scheme, graph, plain, plans) == plain
+        assert simulate_decode(scheme, plain, plans) == plain
 
 
 def live_plans():
@@ -525,10 +529,10 @@ def test_one_trial_decode_retains_no_plan():
     rng = random.Random(5)
     messages = {node: rng.randrange(251) for node in icp.nodes}
     before = live_plans()
-    plans = [plan_decode(scheme, icp, k) for k in range(1, icp.K + 1)]
+    plans = [plan_decode(scheme, k) for k in range(1, icp.K + 1)]
     assert live_plans() == before + icp.K  # the count sees plans that are kept
     del plans
-    assert simulate_decode(scheme, icp, messages) == messages
+    assert simulate_decode(scheme, messages) == messages
     assert live_plans() == before
 
 
@@ -537,8 +541,8 @@ def test_simulation_builds_each_weight_list_once_and_plans_share_it(monkeypatch)
     # colors: 56 (F, own color) keys serve the 96 own nodes of every class's users.
     plans = []
 
-    def spy_plan(scheme, graph, user):
-        plans.append(plan_decode(scheme, graph, user))
+    def spy_plan(scheme, user):
+        plans.append(plan_decode(scheme, user))
         return plans[-1]
 
     monkeypatch.setattr(scheme_module, "plan_decode", spy_plan)
@@ -603,14 +607,14 @@ def test_each_shared_dot_is_computed_once_per_trial(monkeypatch, graph, coloring
     monkeypatch.setattr(Broadcast, "dots", spy_dots)
     monkeypatch.setattr(MdsCode, "basis", spy_basis)
     scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
-    plans = [plan_decode(scheme, graph, k) for k in range(1, graph.K + 1)]
+    plans = [plan_decode(scheme, k) for k in range(1, graph.K + 1)]
     read = sorted({(plan.m, x) for plan in plans for x in plan.full + plan.colors})
     assert len({plan.m for plan in plans}) == (1 if graph.K > 3 else 3)
     rng = random.Random(4)
     for _ in range(3):
         computed.clear()
         messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
-        assert simulate_decode(scheme, graph, messages, plans) == messages
+        assert simulate_decode(scheme, messages, plans) == messages
         assert sorted(computed) == read
 
 
@@ -672,10 +676,9 @@ def test_schemes_sharing_one_code_decode_as_with_fresh_codes(family, seed):
     shared = MdsCode(K, q)
     rng = random.Random(seed)
     for graph, coloring in instances:
-        chi = local_chromatic_value(graph, coloring)
         messages = {node: rng.randrange(q) for node in graph.nodes}
-        outcome = simulate_decode(TransmissionScheme(coloring, chi, shared), graph, messages)
-        fresh = simulate_decode(TransmissionScheme(coloring, chi, MdsCode(K, q)), graph, messages)
+        outcome = simulate_decode(TransmissionScheme(graph, coloring, shared), messages)
+        fresh = simulate_decode(TransmissionScheme(graph, coloring, MdsCode(K, q)), messages)
         assert outcome == fresh == messages
 
 
