@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import local_chromatic_value, theorem1_coloring, theorem5_coloring, upper_bound_Ru
+from .coloring import (VerificationError, local_chromatic_value, theorem1_coloring,
+                       theorem5_coloring, upper_bound_Ru)
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
 
 MAX_ORACLE_USERS = 22
@@ -29,10 +30,10 @@ MAX_ORACLE_USERS = 22
 class BoundReport:
     """Bundle of the bounds computed for one instance.
 
-    `colors` and `local_chromatic` (None if not proper) are the Theorem-1
-    coloring's; `local_chromatic_t5` is None where Theorem 5 does not apply.
-    Construction refuses a lower bound above either local chromatic value,
-    the paper's sandwich MAIS <= broadcast rate <= local chromatic value.
+    `colors` and `local_chromatic` are the Theorem-1 coloring's, and
+    `local_chromatic_t5` is None where Theorem 5 does not apply.  Bounds out
+    of order raise VerificationError, as does a lower bound above either local
+    chromatic value: the paper's sandwich MAIS <= rate <= local chromatic value.
     """
 
     upper: int
@@ -41,22 +42,22 @@ class BoundReport:
     exact: Fraction | None
     witness: frozenset[Node]
     colors: int
-    local_chromatic: int | None
+    local_chromatic: int
     local_chromatic_t5: int | None
 
     def __post_init__(self) -> None:
         if self.lower_constructive > self.upper:
-            raise ValueError("bounds out of order")
+            raise VerificationError("bounds out of order")
         if self.lower_brute is not None:
             if not self.lower_constructive <= self.lower_brute <= self.upper:
-                raise ValueError("bounds out of order")
+                raise VerificationError("bounds out of order")
         if self.exact is not None:
             if not self.lower_constructive <= self.exact <= self.upper:
-                raise ValueError("exact rate outside bound interval")
+                raise VerificationError("exact rate outside bound interval")
         lower = max(self.lower_constructive, self.lower_brute or 0)
         uppers = (self.local_chromatic, self.local_chromatic_t5)
         if any(v is not None and v < lower for v in uppers):
-            raise ValueError("a lower bound exceeds a local chromatic value")
+            raise VerificationError("a lower bound exceeds a local chromatic value")
 
     @property
     def gap_ratio(self) -> Fraction:
@@ -221,6 +222,7 @@ def build_report(icp: UnionIcp) -> BoundReport:
     """Compute every bound for one union instance; `lower_brute` where the oracle runs.
 
     `exact` is the best coloring value wherever it meets the best lower bound.
+    An improper coloring, of either theorem, raises VerificationError.
     """
     spec = icp.spec
     lower, witness = lower_bound_mais_constructive(spec)
@@ -229,15 +231,14 @@ def build_report(icp: UnionIcp) -> BoundReport:
     except ValueError:  # above the user limit: skipped
         brute = None
     coloring = theorem1_coloring(icp)
+    lcv = local_chromatic_value(icp, coloring)
     try:
-        lcv = local_chromatic_value(icp, coloring)
-    except ValueError:  # the coloring is not proper
-        lcv = None
-    try:
-        lcv_t5 = local_chromatic_value(icp, theorem5_coloring(icp))
-    except ValueError:  # Theorem 5 does not apply, or its coloring is not proper
+        t5 = theorem5_coloring(icp)
+    except ValueError:  # Theorem 5 does not apply
         lcv_t5 = None
-    best_upper = min((v for v in (lcv, lcv_t5) if v is not None), default=None)
+    else:
+        lcv_t5 = local_chromatic_value(icp, t5)
+    best_upper = lcv if lcv_t5 is None else min(lcv, lcv_t5)
     best_lower = lower if brute is None else brute
     return BoundReport(
         upper=upper_bound_Ru(spec),

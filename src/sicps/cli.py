@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import build_report
-from .coloring import theorem1_coloring
+from .coloring import VerificationError, theorem1_coloring
 from .icp import GapVector, build_union_icp
 from .macc import (
     CcdnConfig,
@@ -87,7 +87,7 @@ def cmd_icp_analyze(args) -> int:
         "gap_ratio": _exact(ratio),
         "coloring": {
             "colors": report.colors,
-            "proper": lcv is not None,
+            "proper": True,  # an improper coloring raised VerificationError
             "local_chromatic": lcv,
         },
     }
@@ -102,7 +102,7 @@ def cmd_icp_analyze(args) -> int:
         print(f"lower_brute: {report.lower_brute if report.lower_brute is not None else 'skipped'}")
         print(f"exact: {report.exact if report.exact is not None else 'unknown'}")
         print(f"gap_ratio: {_exact(ratio)} ({_decimal(ratio)})")
-        print(f"coloring_proper: {str(lcv is not None).lower()}")
+        print("coloring_proper: true")
         print(f"local_chromatic: {lcv}")
     return 0
 
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return VERIFICATION_FAILURE if isinstance(exc, VerificationError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

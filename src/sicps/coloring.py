@@ -17,6 +17,10 @@ from itertools import accumulate
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_mask, wrap
 
 
+class VerificationError(ValueError):
+    """A check of what the library built failed: an improper coloring, or bounds out of order."""
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Assignment of colors 1..num_colors to every virtual node.
@@ -119,8 +123,8 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
     """
     if violations := verify_proper(graph, coloring):
         u, v = violations[0]
-        raise ValueError(f"coloring is not proper: {u} and {v} share color "
-                         f"{coloring.assignment[u]}, but user {u[0]} does not know {v}")
+        raise VerificationError(f"coloring is not proper: {u} and {v} share color "
+                                f"{coloring.assignment[u]}, but user {u[0]} does not know {v}")
     sides = graph.user_side[:1] if _shift_carries_classes(graph, coloring) else graph.user_side
     outsides = [~side for side in sides]
     return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)
@@ -138,6 +142,7 @@ def upper_bound_Ru(spec: GapVector) -> int:
 
 
 __all__ = [
+    "VerificationError",
     "Coloring",
     "circulant_coloring",
     "theorem1_coloring",

@@ -37,13 +37,13 @@ MAX_SAMPLES = 100_000
 # --K 3000 --L 1` at 1.0e9 in all and 0.83 s, output included.
 MAX_RATE_BIT_OPS = 1_500_000_000
 
-# Most placement sets, and most user-node pairs (K per delivery cell), that
-# `end_to_end_simulate` accepts; it refuses more before building anything.  A
-# class's union has about K pairs per cell (more when its representative is
-# periodic), about 0.2 us each to simulate (2-core Xeon, Python 3.11.7; 1 us
-# on small ones): (20,2,4) 546,000 pairs, 0.4-0.6 s; (60,1,2) 6.2 million,
-# 1.3-1.7 s; (80,1,2) 19.7 million, 3.2-4.3 s; 18-19 MB each.
-# `icp.MAX_UNION_PAIRS` bounds a class.
+# Most user-node pairs (K per delivery cell) that `end_to_end_simulate`
+# accepts; it refuses more before building anything, and only counts the
+# placement sets.  A class's union has about K pairs per cell (more when its
+# representative is periodic), about 0.2 us each to simulate (2-core Xeon,
+# Python 3.11.7; 1 us on small ones): (20,2,4) 546,000 pairs, 0.4-0.6 s;
+# (60,1,2) 6.2 million, 1.3-1.7 s; (80,1,2) 19.7 million, 3.2-4.3 s; 18-19 MB
+# each.  `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
 
@@ -387,8 +387,8 @@ def end_to_end_simulate(
     """Place, broadcast per rotation class of the delivery columns, decode all users.
 
     Demands are checked, and a family with more than MAX_SIMULATION_SIZE
-    placement sets or K * cells user-node pairs is refused, before anything
-    is built.  Then one MdsCode(K, field_order) is built, which refuses a bad
+    user-node pairs, K per delivery cell, is refused before anything is
+    built.  Then one MdsCode(K, field_order) is built, which refuses a bad
     field even where w*L = K leaves no class, and every class's scheme shares
     it.  A class's columns are its representative's rotations, their
     cells read off the labels.  A representative of period p < len(rep)
@@ -405,7 +405,7 @@ def end_to_end_simulate(
     K, L = cfg.K, cfg.L
     num_sets = placement_set_count(K, L, w)
     num_cells = K * math.comb(K - w * L + w - 1, w)
-    if max(num_sets, K * num_cells) > MAX_SIMULATION_SIZE:
+    if K * num_cells > MAX_SIMULATION_SIZE:
         raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_sets} placement sets and "
                          f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
                          f"above the limit {MAX_SIMULATION_SIZE}")

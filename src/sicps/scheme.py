@@ -19,19 +19,20 @@ That is the whole aggregate of c's class; properness lets the user know the
 node's classmates, subtracted last.  An own node the user already knows has
 its color in F, and its weights, -1 at c and 0 elsewhere, give
 a_c = u_c - (u_c - a_c) from side information alone.  Each u_x depends only
-on the broadcast, the code and m, so it reads no message and is computed
-once per trial and (m, x) for every user (`Broadcast`).  The a_f are classes
+on the broadcast, the code and m, so it reads no message: per trial and m,
+one vector of all n dots serves every user (`Broadcast`).  The a_f are classes
 the user fully knows, so decode reads no message outside the user's side
 information.
 
 Only the w_f depend on the user, on F and c alone, so the `MdsCode` that
 the caller passes to `build_mds_scheme`, which chooses and checks the field
 and serves every scheme with n colors in one command, memoizes them.  Costs:
-O(n^2) for the master and O(n) per basis, once per code; per plan, n
-class-mask tests, O(|F|^2) once per distinct F, and O(|F|) plus |F| inverses
-once per distinct (F, own color), equal keys sharing one weight tuple.  Per
-trial: O(n*chi) to transmit, m terms per shared dot, and per user its |F|
-known aggregates, a dot of |F| terms and the classmates' sum per own node.
+O(n^2) for the table of all n bases, once per code; per plan, n class-mask
+tests, O(|F|^2) once per distinct F, and O(|F|) plus |F| inverses once per
+distinct (F, own color), equal keys sharing one weight tuple.  Per trial:
+O(n*chi) to transmit, O(n*m) for the dot vector of each distinct m, and per
+user its |F| known aggregates, a dot of |F| terms and the classmates' sum
+per own node.
 A caller decoding many message sets keeps the K plans; a single decode
 builds each plan, applies it and drops it.
 """
@@ -55,13 +56,13 @@ class MdsCode:
 
     The one place that chooses and checks the field: q defaults to
     `default_field_order(n)` and must be a prime at least n, so the points
-    are distinct; anything else raises ValueError.  `basis(x)` is the
-    Lagrange basis polynomial of color x over all n points; `weights` gives a
-    user's barycentric weights, which depend only on the colors F it fully
-    knows and the own color, not on the graph or the coloring, so every
-    scheme with n colors over GF(q) can share one code.  Both are memoized
-    for as long as the code lives, which a caller shares within one command
-    and then drops.  Memoized bases are shared: callers must not change them.
+    are distinct; anything else raises ValueError.  `bases` holds the
+    Lagrange basis polynomial of every color over all n points, built whole
+    on first use; `weights` gives a user's barycentric weights, which depend
+    only on the colors F it fully knows and the own color, not on the graph
+    or the coloring, so every scheme with n colors over GF(q) can share one
+    code.  Both are memoized for as long as the code lives, which a caller
+    shares within one command and then drops; callers must not change them.
     """
 
     def __init__(self, num_colors: int, field_order: int | None = None) -> None:
@@ -74,41 +75,31 @@ class MdsCode:
         fact = list(accumulate(range(1, n), lambda a, k: a * k % q, initial=1))
         self._scales = [pow((-1) ** (n - x) * fact[x - 1] * fact[n - x], -1, q)
                         for x in range(1, n + 1)]
-        self._basis: dict[int, list[int]] = {}
-        # Where q <= 2n, as the default field is for n >= 257, one int object
-        # per residue for every basis coefficient to share: the table costs
-        # at most two bases, and each coefficient then costs only its slot.
-        self._residues = list(range(q)) if q <= 2 * n else None
         # Per tuple of full colors: the h_f of `weights`, and the weights by own color.
         self._by_full: dict[tuple[int, ...], tuple[list[int], dict[int, tuple[int, ...]]]] = {}
 
     @cached_property
-    def master(self) -> tuple[int, ...]:
-        """prod_x (X - p_x), highest degree first: O(n^2), so built by the first basis."""
+    def bases(self) -> list[list[int]]:
+        """Per color x, l_x = prod_{y != x} (X - p_y) / (p_x - p_y), lowest degree first.
+
+        The master prod_x (X - p_x), O(n^2), divided by each (X - p_x) by
+        synthetic division, O(n), over prod_{y != x} (p_x - p_y).  Where
+        q <= 2n, as the default field is for n >= 257, the coefficients share
+        one int object per residue, so each costs only its slot.
+        """
         q, master = self.field_order, [1]
         for p in self.points:
             master = [(hi - p * lo) % q for hi, lo in zip(master + [0], [0] + master)]
-        return tuple(master)
-
-    def basis(self, color: int) -> list[int]:
-        """l_x = prod_{y != x} (X - p_y) / (p_x - p_y) for x = color, lowest degree first.
-
-        The master divided by (X - p_x) by synthetic division, O(n), over
-        prod_{y != x} (p_x - p_y).
-        """
-        basis = self._basis.get(color)
-        if basis is None:
-            q, point, scale = self.field_order, self.points[color - 1], self._scales[color - 1]
-            b = 1  # the master is monic
-            quotient = [b]
-            for a in self.master[1:-1]:
+        residues = list(range(q)) if q <= 2 * self.num_colors else None
+        bases = []
+        for point, scale in zip(self.points, self._scales):
+            b, quotient = 1, [1]  # the master is monic
+            for a in master[1:-1]:
                 b = (a + point * b) % q
                 quotient.append(b)
             basis = [b * scale % q for b in reversed(quotient)]
-            if self._residues is not None:
-                basis = list(map(self._residues.__getitem__, basis))
-            self._basis[color] = basis
-        return basis
+            bases.append(basis if residues is None else list(map(residues.__getitem__, basis)))
+        return bases
 
     def weights(self, full: list[int], colors: list[int]) -> list[tuple[int, ...]]:
         """Per color c of `colors`, the weights w_f = P(p_f) / P(p_c) over f in `full`.
@@ -142,26 +133,22 @@ class Broadcast(list):
 
     A user with m unknown colors reads u_x = sum_{r<m} l_x[r] * B_r for its
     fully known and own colors x.  That depends on the symbols, the code and
-    m only, so it reads no message; `dots` computes it once per (m, x) and
-    every later user of the trial reuses it.
+    m only, so it reads no message; `dots` computes it for every color once
+    per m and every later user of the trial reuses it.
     """
 
     def __init__(self, symbols: list[int], code: MdsCode) -> None:
         super().__init__(symbols)
         self.code = code
-        # Per m: the first m symbols, and u_x at index x once computed.
-        self._by_rows: dict[int, tuple[list[int], list[int | None]]] = {}
+        self._by_rows: dict[int, list[int]] = {}
 
-    def dots(self, m: int, colors: list[int]) -> list[int]:
-        """u_x for each color x of `colors`, over the first m symbols, not reduced mod q."""
-        memo = self._by_rows.get(m)
-        if memo is None:
-            memo = self._by_rows[m] = (self[:m], [None] * (self.code.num_colors + 1))
-        head, done = memo
-        for x in colors:
-            if done[x] is None:
-                done[x] = sum(map(mul, self.code.basis(x), head))
-        return [done[x] for x in colors]
+    def dots(self, m: int) -> list[int]:
+        """u_x at index x - 1 for every color x, over the first m symbols, not reduced mod q."""
+        dots = self._by_rows.get(m)
+        if dots is None:
+            head = self[:m]
+            dots = self._by_rows[m] = [sum(map(mul, basis, head)) for basis in self.code.bases]
+        return dots
 
 
 @dataclass(frozen=True)
@@ -213,7 +200,7 @@ def build_mds_scheme(graph: SuicpGraph, coloring: Coloring, code: MdsCode) -> Tr
     """The scheme of `coloring` on `graph` over `code`, sending exactly chi rows.
 
     The code fixes the field and must have the coloring's color count;
-    schemes sharing one build each basis and weight tuple once.
+    schemes sharing one build its bases and each weight tuple once.
     """
     return TransmissionScheme(graph, coloring, code)
 
@@ -270,15 +257,11 @@ def decode_node(
     of the node's class.  Subtracting the node's classmates leaves its
     message.  Reads only messages the user knows.
     """
-    m, q, classes = plan.m, plan.scheme.field_order, plan.scheme.coloring.classes
-    excess = [
-        u - sum(map(messages.__getitem__, classes[f - 1]))
-        for f, u in zip(plan.full, broadcast.dots(m, plan.full))
-    ]
+    q, classes, u = plan.scheme.field_order, plan.scheme.coloring.classes, broadcast.dots(plan.m)
+    excess = [u[f - 1] - sum(map(messages.__getitem__, classes[f - 1])) for f in plan.full]
     return {
-        nd: (u + sum(map(mul, weights, excess)) - sum(map(messages.__getitem__, mates))) % q
-        for nd, u, weights, mates in zip(plan.own, broadcast.dots(m, plan.colors),
-                                         plan.weights, plan.classmates)
+        nd: (u[c - 1] + sum(map(mul, weights, excess)) - sum(map(messages.__getitem__, mates))) % q
+        for nd, c, weights, mates in zip(plan.own, plan.colors, plan.weights, plan.classmates)
     }
 
 

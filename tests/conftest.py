@@ -380,7 +380,7 @@ def vandermonde_matrix(n: int, rows: int, q: int) -> list[list[int]]:
 def master_product(points: list[int], q: int) -> list[int]:
     """prod_j (X - points[j]) over GF(q), highest degree first, multiplied out directly.
 
-    The product that a plan's weighted `MdsCode.basis` polynomials must equal.
+    The product that a plan's weighted rows of `MdsCode.bases` must equal.
     """
     master = [1]  # lowest degree first
     for p in points:

@@ -33,7 +33,7 @@ from sicps.bounds import (
     mais_bruteforce,
     mais_lower,
 )
-from sicps.coloring import upper_bound_Ru
+from sicps.coloring import VerificationError, upper_bound_Ru
 from sicps.icp import GapVector, build_union_icp, rotate_mask
 
 
@@ -361,17 +361,17 @@ def test_bound_report_assembly_and_json():
 
 def test_bound_report_rejects_inconsistent_values():
     colorings = dict(colors=8, local_chromatic=7, local_chromatic_t5=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         BoundReport(upper=5, lower_constructive=6, lower_brute=None,
                     exact=None, witness=frozenset(), **colorings)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         BoundReport(upper=7, lower_constructive=6, lower_brute=5,
                     exact=None, witness=frozenset(), **colorings)
     # MAIS <= broadcast rate <= local chromatic value, for either coloring
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         BoundReport(upper=9, lower_constructive=6, lower_brute=8,
                     exact=None, witness=frozenset(), **colorings)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         BoundReport(upper=9, lower_constructive=6, lower_brute=None, exact=None,
                     witness=frozenset(), colors=8, local_chromatic=None, local_chromatic_t5=5)
     BoundReport(upper=9, lower_constructive=6, lower_brute=7, exact=Fraction(7),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import shlex
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_delivery_table
 import sicps.cli as cli
+from sicps.coloring import Coloring
 
 
 def run(capsys, argv):
@@ -213,6 +215,42 @@ def test_decode_failure_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["failures"] == 2 * 10
+
+
+def improper(build):
+    """`build` with every node put in color 1, which some user does not know."""
+    def built(icp):
+        coloring = build(icp)
+        return Coloring(dict.fromkeys(coloring.assignment, 1), coloring.num_colors)
+    return built
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    # An improper coloring of either theorem is a verification failure: never a
+    # usage error, and never reported as "proper: false" or a skipped value.
+    ("bounds", "theorem1_coloring", ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"]),
+    ("bounds", "theorem5_coloring", ["icp", "analyze", "--gaps", "2,1", "--L", "6"]),
+    ("cli", "theorem1_coloring",
+     ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--trials", "2", "--seed", "1"]),
+    ("macc", "theorem1_coloring",
+     ["macc", "simulate", "--K", "8", "--L", "2", "--w", "2",
+      "--demands", "1,2,3,4,5,6,7,8", "--seed", "1"]),
+])
+def test_improper_coloring_exits_three(capsys, monkeypatch, module, name, argv):
+    target = importlib.import_module(f"sicps.{module}")
+    monkeypatch.setattr(target, name, improper(getattr(target, name)))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: coloring is not proper: (1, 1) and ")
+
+
+def test_bounds_out_of_order_exit_three(capsys, monkeypatch):
+    import sicps.bounds as bounds
+
+    # A MAIS oracle below the staircase bound is a verification failure.
+    monkeypatch.setattr(bounds, "mais_bruteforce", lambda graph: 1)
+    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"])
+    assert (code, out, err) == (3, "", "error: bounds out of order\n")
 
 
 @pytest.mark.parametrize("trials", [1, 3])

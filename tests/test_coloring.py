@@ -22,6 +22,7 @@ from conftest import (
 )
 from sicps.coloring import (
     Coloring,
+    VerificationError,
     _shift_carries_classes,
     circulant_coloring,
     local_chromatic_value,
@@ -295,7 +296,7 @@ def assert_matches_references(icp, coloring):
     violations = verify_proper(icp, coloring)
     assert violations == naive_violations(icp, coloring)
     if violations:
-        with pytest.raises(ValueError, match="not proper"):
+        with pytest.raises(VerificationError, match="not proper"):
             local_chromatic_value(icp, coloring)
     else:
         assert local_chromatic_value(icp, coloring) == naive_local_chromatic(icp, coloring)

@@ -880,8 +880,8 @@ def test_simulation_builds_one_code_before_its_first_class(monkeypatch, K, L, w,
     assert report.decoded_ok and len(report.classes) == classes
     assert events == ["code"] + ["class"] * classes
     assert codes[0].field_order == 11
-    # Only a basis needs the O(K^2) master, so a call with no class never builds it.
-    assert ("master" in vars(codes[0])) == (classes > 0)
+    # Only decoding reads the O(K^2) table of bases, so a call with no class never builds it.
+    assert ("bases" in vars(codes[0])) == (classes > 0)
 
 
 def test_simulation_report_json():

@@ -358,10 +358,10 @@ def test_transposed_vandermonde_matches_gaussian_elimination(system):
     matrix = [[pow(points[u - 1], r, q) for u in unknown] for r in range(m)]
     expected = dict(zip(unknown, solve_mod(matrix, residual, q)))
     assert all(expected[u] == aggregates[u - 1] for u in unknown)
-    broadcast = Broadcast(symbols, code)
-    excess = [u - aggregates[f - 1] for f, u in zip(full, broadcast.dots(m, full))]
-    solved = [(u + sum(map(mul, weights, excess))) % q
-              for u, weights in zip(broadcast.dots(m, own), code.weights(full, own))]
+    u = Broadcast(symbols, code).dots(m)
+    excess = [u[f - 1] - aggregates[f - 1] for f in full]
+    solved = [(u[c - 1] + sum(map(mul, weights, excess))) % q
+              for c, weights in zip(own, code.weights(full, own))]
     assert solved == [expected[c] for c in own]
 
 
@@ -564,18 +564,44 @@ def test_simulation_builds_each_weight_list_once_and_plans_share_it(monkeypatch)
     assert sorted(map(id, built)) == sorted(map(id, lists.values()))
 
 
+def horner(poly, x, q):
+    """The value at x over GF(q) of a polynomial given lowest degree first."""
+    value = 0
+    for c in reversed(poly):
+        value = (value * x + c) % q
+    return value
+
+
 def test_bases_share_one_int_per_residue_where_the_field_is_small():
-    # GF(307) for 300 colors: Python caches no int above 256, so the bases'
-    # 1,500 coefficients would be as many objects without the shared residues.
+    # GF(307) for 300 colors: Python caches no int above 256, so the table's
+    # 90,000 coefficients would be as many objects without the shared residues.
     code = MdsCode(300, 307)
-    bases = [code.basis(x) for x in range(1, 6)]
+    bases = code.bases
+    assert len(bases) == 300 and {len(basis) for basis in bases} == {300}
     assert len({id(c) for basis in bases for c in basis}) <= 307
     equal = [(a, b) for a, b in zip(bases[0], bases[1]) if a == b]
     assert equal and all(a is b for a, b in equal)
     # Each is still the Lagrange polynomial: 1 at its own point, 0 at the others.
-    for x, basis in enumerate(bases, start=1):
-        values = [sum(c * pow(y, r, 307) for r, c in enumerate(basis)) % 307 for y in (1, 2, 300)]
-        assert values == [int(y == x) for y in (1, 2, 300)]
+    for x in (1, 2, 150, 300):
+        values = [horner(bases[x - 1], y, 307) for y in (1, 2, 150, 300)]
+        assert values == [int(y == x) for y in (1, 2, 150, 300)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), smallest=st.booleans())
+@example(n=7, smallest=True)  # q = n: color 7 sits at point 0
+@example(n=1, smallest=False)
+def test_every_row_of_bases_is_its_lagrange_polynomial(n, smallest):
+    # l_x(p_y) = [x = y] over all n points.  The smallest prime at least n is
+    # at most 2n (Bertrand), so it shares residues, and it is n itself when n
+    # is prime; the default field for n < 257 is above 2n.
+    code = MdsCode(n, next_prime_at_least(n) if smallest else None)
+    q = code.field_order
+    assert (q <= 2 * n) == smallest
+    assert len(code.bases) == n
+    for x, basis in enumerate(code.bases, start=1):
+        assert len(basis) == n and all(0 <= c < q for c in basis)
+        assert [horner(basis, p, q) for p in code.points] == [int(y == x) for y in range(1, n + 1)]
 
 
 THREE_USERS = graph_from_sides(3, 2, ({(2, 1), (2, 2), (3, 1), (3, 2)}, {(3, 1)}, set()))
@@ -586,36 +612,37 @@ THREE_USERS = graph_from_sides(3, 2, ({(2, 1), (2, 2), (3, 1), (3, 2)}, {(3, 1)}
     (THREE_USERS, Coloring({nd: c for c, nd in enumerate(THREE_USERS.nodes, start=1)}, 6)),
 ])
 def test_each_shared_dot_is_computed_once_per_trial(monkeypatch, graph, coloring):
-    # A dot of the first m symbols with a color's basis reads no message, so
-    # per trial it is computed when the first user reads that (m, color) and
-    # reused by the rest: exactly once per pair that some user reads.
-    real_dots, real_basis = Broadcast.dots, MdsCode.basis
-    rows, computed = [], []
+    # The dots of the first m symbols with the bases read no message, so per
+    # trial one vector of all n dots is built when the first user with that
+    # m reads it, and every later user with that m gets the same list.
+    real_dots = Broadcast.dots
+    reads = []
 
-    def spy_dots(self, m, colors):
-        rows.append(m)
-        try:
-            return real_dots(self, m, colors)
-        finally:
-            rows.pop()
-
-    def spy_basis(self, color):
-        if rows:
-            computed.append((rows[-1], color))
-        return real_basis(self, color)
+    def spy_dots(self, m):
+        reads.append((self, m, real_dots(self, m)))
+        return reads[-1][2]
 
     monkeypatch.setattr(Broadcast, "dots", spy_dots)
-    monkeypatch.setattr(MdsCode, "basis", spy_basis)
-    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
+    code = MdsCode(coloring.num_colors)
+    scheme = build_mds_scheme(graph, coloring, code)
     plans = [plan_decode(scheme, k) for k in range(1, graph.K + 1)]
-    read = sorted({(plan.m, x) for plan in plans for x in plan.full + plan.colors})
-    assert len({plan.m for plan in plans}) == (1 if graph.K > 3 else 3)
-    rng = random.Random(4)
+    rows = {plan.m for plan in plans}
+    assert len(rows) == (1 if graph.K > 3 else 3)
+    q, n, rng = code.field_order, code.num_colors, random.Random(4)
     for _ in range(3):
-        computed.clear()
-        messages = {node: rng.randrange(scheme.field_order) for node in graph.nodes}
+        reads.clear()
+        messages = {node: rng.randrange(q) for node in graph.nodes}
         assert simulate_decode(scheme, messages, plans) == messages
-        assert sorted(computed) == read
+        assert len(reads) == graph.K and len({id(b) for b, _, _ in reads}) == 1
+        vectors = {m: {id(u) for _, m_, u in reads if m_ == m} for m in rows}
+        assert all(len(ids) == 1 for ids in vectors.values())
+        # sum_x l_x[r] * p_x**j = [r = j] for j < n, so the vector's moments
+        # give back the first m symbols, then zeros.
+        for broadcast, m, u in reads:
+            assert len(u) == n
+            moments = [sum(d * pow(p, j, q) for d, p in zip(u, code.points)) % q
+                       for j in range(n)]
+            assert moments == broadcast[:m] + [0] * (n - m)
 
 
 def live_codes():
@@ -709,8 +736,8 @@ def test_divided_master_equals_product_over_unknown_colors(spec, small_field, da
             others = [code.points[u - 1] for u in range(1, n + 1) if u not in full and u != c]
             expected = master_product(others, q)[::-1] + [0] * len(full)
             scale = math.prod(code.points[c - 1] - p for p in others)
-            combined = [(lc + sum(w * code.basis(f)[r] for f, w in zip(full, weights))) * scale % q
-                        for r, lc in enumerate(code.basis(c))]
+            combined = [(lc + sum(w * code.bases[f - 1][r] for f, w in zip(full, weights)))
+                        * scale % q for r, lc in enumerate(code.bases[c - 1])]
             assert combined == expected
 
 
