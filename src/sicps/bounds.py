@@ -26,6 +26,10 @@ from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rot
 MAX_ORACLE_USERS = 22
 
 
+class OracleLimitError(ValueError):
+    """The MAIS oracle's refusal of a graph above MAX_ORACLE_USERS users."""
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Bundle of the bounds computed for one instance.
@@ -164,13 +168,13 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
 
     A graph in which no user knows anything is acyclic and returns its size.  Any
     other graph above MAX_ORACLE_USERS users, and no other, is refused before any
-    2^K-bit set is allocated, rather than approximated.
+    2^K-bit set is allocated, rather than approximated, by OracleLimitError.
     """
     sides, K, i = graph.user_side, graph.K, graph.num_columns
     if not any(sides):
         return len(graph)
     if K > MAX_ORACLE_USERS:
-        raise ValueError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
+        raise OracleLimitError(f"graph has {K} users, above the oracle's limit {MAX_ORACLE_USERS}")
     if not graph.has_user_shift:
         return _first_users_mais(sides, K, i)
     known = 0
@@ -228,7 +232,7 @@ def build_report(icp: UnionIcp) -> BoundReport:
     lower, witness = lower_bound_mais_constructive(spec)
     try:
         brute = mais_bruteforce(icp)
-    except ValueError:  # above the user limit: skipped
+    except OracleLimitError:  # above the user limit: skipped
         brute = None
     coloring = theorem1_coloring(icp)
     lcv = local_chromatic_value(icp, coloring)
@@ -254,6 +258,7 @@ def build_report(icp: UnionIcp) -> BoundReport:
 
 __all__ = [
     "MAX_ORACLE_USERS",
+    "OracleLimitError",
     "BoundReport",
     "mais_lower",
     "lower_bound_mais_constructive",

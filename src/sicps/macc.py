@@ -31,10 +31,10 @@ MAX_SAMPLES = 100_000
 
 # Most estimated bit operations (`rate_new_cost`) that one `rate_new`, or all
 # the corners of one `tradeoff_curve`, may spend; each refuses more before
-# building a binomial.  Measured at 0.02-0.57 ns each over (K, L, w) with
-# K <= 150,000 (Intel Xeon, Python 3.11), so the limit is about 1 s:
-# (40000,3,10666) is estimated at 1.5e9 and takes 0.74 s, and `macc tradeoff
-# --K 3000 --L 1` at 1.0e9 in all and 0.83 s, output included.
+# building a binomial.  At 0.02-0.57 ns each over single corners with K <=
+# 150,000 (Intel Xeon, Python 3.11), the limit is about 1 s: (40000,3,10666)
+# is estimated at 1.5e9 and takes 0.58 s.  A curve walks its corners, so at L = 1
+# the sum overestimates it: `macc tradeoff --K 3000 --L 1` (1.0e9) takes 0.03 s.
 MAX_RATE_BIT_OPS = 1_500_000_000
 
 # Most user-node pairs (K per delivery cell) that `end_to_end_simulate`
@@ -192,31 +192,48 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
     C(r+m-1, m-1), and swapping the sums: s = 0, 1 give (n-a+1)*A - m*C(n-a+m, m)
     by the hockey stick, and s >= 2 needs only s <= min(m, n//a), t <= n//s,
     i.e. O(n log m) big-integer additions over one table of col.  Refused
-    before any binomial is built above MAX_RATE_BIT_OPS (`rate_new_cost`).
+    before any binomial is built above MAX_RATE_BIT_OPS (`rate_new_cost`);
+    otherwise the one corner of `_rate_walk`, the walk `tradeoff_curve` takes.
     """
     _check_w(K, L, w)
     if _over_rate_budget(K, L, range(w, w + 1)):
         raise ValueError(f"R_new at (K, L, w) = ({K}, {L}, {w}) would take more than "
                          f"{MAX_RATE_BIT_OPS:.2g} bit operations")
-    n = K - w * L - 1
-    m = w + 1
-    cap = ru_cap(K, m, L)
-    a = max(1, cap - K + 1)
-    A = math.comb(n + m - 1, m - 1)
-    total = A * min(cap - n, K)
-    if a <= n:
-        total += (n - a + 1) * A - m * math.comb(n - a + m, m)
-        # The s >= 2 terms read col[r] only for r <= n - 2a.
-        col = [1] * max(0, n - 2 * a + 1)
-        for r in range(1, len(col)):
-            col[r] = col[r - 1] * (r + m - 1) // r
-        binom = m
-        for s in range(2, min(m, n // a) + 1):
-            binom = binom * (m - s + 1) // s
-            # col[n - t*s] for t = a .. n//s, as one strided slice
-            term = binom * sum(col[n % s : n - s * a + 1 : s])
-            total += -term if s % 2 else term
-    return Fraction(total, placement_set_count(K, L, w) * m)
+    return next(_rate_walk(K, L, range(w, w + 1)))
+
+
+def _rate_walk(K: int, L: int, ws: range):
+    """Yield rate_new(K, L, w) for each w of `ws` in turn, unchecked and unbudgeted.
+
+    Each corner's column table is the running sum of the previous corner's (the
+    hockey stick), and its P = C(n+m-1, w-1) is the previous P times L factors.
+    """
+    col: list[int] = []
+    for w in ws:
+        n, m = K - w * L - 1, w + 1
+        if w == ws.start:
+            P = math.comb(n + m - 1, w - 1)
+        else:  # C(n+L+w-1, w-2) -> C(n+L+w-1, w-1) -> C(n+w, w-1)
+            P = P * (n + L + 1) // (w - 1)
+            for x in range(n + L + w - 1, n + w, -1):
+                P = P * (x - w + 1) // x
+        A = P * (n + 1) // w  # C(n+m-1, m-1), 0 at n = -1
+        cap = ru_cap(K, m, L)
+        a = max(1, cap - K + 1)
+        total = A * min(cap - n, K)
+        # The s >= 2 terms read col[r] = C(r+m-1, m-1) only for r <= n - 2a.
+        col = list(itertools.accumulate(col[:max(0, n - 2 * a + 1)]))
+        for r in range(len(col), n - 2 * a + 1):
+            col.append(col[-1] * (r + m - 1) // r if r else 1)
+        if a <= n:
+            total += (n - a + 1) * A - m * math.comb(n - a + m, m)
+            binom = m
+            for s in range(2, min(m, n // a) + 1):
+                binom = binom * (m - s + 1) // s
+                # col[n - t*s] for t = a .. n//s, as one strided slice
+                term = binom * sum(col[n % s : n - s * a + 1 : s])
+                total += -term if s % 2 else term
+        yield Fraction(total, K * P // w * m)  # placement_set_count = K*P/w
 
 
 def rate_hkd(K: int, L: int, w: int) -> Fraction:
@@ -249,8 +266,7 @@ def _corners(cfg: CcdnConfig, s: int) -> list[tuple[int, int, int, str]]:
     """(x, rate numerator, rate denominator, source) of each corner M = x*N/(K*s)."""
     K, L = cfg.K, cfg.L
     corners = [(0, K, 1, "EXTREME")]
-    for w in range(1, K // L + 1):
-        rate = rate_new(K, L, w)
+    for w, rate in enumerate(_rate_walk(K, L, range(1, K // L + 1)), start=1):
         corners.append((w * s, rate.numerator, rate.denominator, "NEW"))
     if K % L:  # the zero-rate corner at ceil(K/L)*N/K is not a w*N/K one
         corners.append((-(-K // L) * s, 0, 1, "EXTREME"))
@@ -435,17 +451,9 @@ def end_to_end_simulate(
         for node in bar.nodes:
             if decoded[node] != messages[node]:
                 (file, cache_set), part = pieces[node]
-                failures.append(
-                    {
-                        "representative": list(rep),
-                        "user": node[0],
-                        "file": file,
-                        "cache_set": list(cache_set),
-                        "part": part + 1,
-                        "expected": messages[node],
-                        "decoded": decoded[node],
-                    }
-                )
+                failures.append({"representative": list(rep), "user": node[0], "file": file,
+                                 "cache_set": list(cache_set), "part": part + 1,
+                                 "expected": messages[node], "decoded": decoded[node]})
         total += Fraction(scheme.chi, split * num_sets)
         reports.append(ClassReport(rep, columns=period, split=split, chi=scheme.chi, field=q))
     return SimulationReport(

@@ -27,6 +27,7 @@ import sicps.cli as cli
 from sicps.bounds import (
     MAX_ORACLE_USERS,
     BoundReport,
+    OracleLimitError,
     build_report,
     is_acyclic_induced,
     lower_bound_mais_constructive,
@@ -115,7 +116,7 @@ def test_bruteforce_eight_user_value():
 def test_bruteforce_cap(capsys):
     # 23 users: refused before the 2^K table
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(OracleLimitError):
         mais_bruteforce(complete_side_info_graph(23))
     assert time.perf_counter() - start < 0.5
     # the CLI reports a refused oracle as skipped: K = 24

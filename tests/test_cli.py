@@ -253,6 +253,19 @@ def test_bounds_out_of_order_exit_three(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: bounds out of order\n")
 
 
+def test_oracle_fault_is_not_reported_as_skipped(capsys, monkeypatch):
+    import sicps.bounds as bounds
+
+    # Only the oracle's user-limit refusal reads as a skipped lower_brute.
+    def faulty(graph):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(bounds, "mais_bruteforce", faulty)
+    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"])
+    assert code != 0 and "skipped" not in out
+    assert err == "error: an internal fault\n"
+
+
 @pytest.mark.parametrize("trials", [1, 3])
 def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
     import sicps.scheme as scheme

@@ -30,7 +30,6 @@ from conftest import (
     single_known_files,
     user_caches,
 )
-import conftest
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.coloring import theorem1_coloring
@@ -323,6 +322,46 @@ def test_rate_new_matches_per_t_sum_at_benchmark_sizes():
             assert rate_new(K, L, w) == rate_new_per_t(K, L, w), (K, L, w)
 
 
+@st.composite
+def walk_ranges(draw, Ks, max_corners):
+    """(K, L, ws): a random sub-range of at most max_corners of the corners 1..K//L."""
+    K = draw(Ks)
+    L = draw(st.one_of(st.integers(1, min(3, K)), st.integers(1, K)))
+    w0 = draw(st.integers(1, K // L))
+    w1 = draw(st.integers(w0, min(K // L, w0 + max_corners - 1)))
+    return K, L, range(w0, w1 + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_ranges(st.integers(1, 18), max_corners=18))
+@example((18, 1, range(1, 19)))  # L = 1, from the first corner to the n = -1 top
+@example((18, 2, range(4, 10)))  # a start in mid-range, to the n = -1 top
+@example((17, 2, range(1, 9)))  # the table grows from empty, then shrinks and empties
+def test_rate_walk_matches_enumeration_on_any_sub_range(walk):
+    K, L, ws = walk
+    assert list(macc._rate_walk(K, L, ws)) == [rate_new_direct(K, L, w) for w in ws]
+
+
+@settings(max_examples=25, deadline=None)
+@given(walk_ranges(st.sampled_from([600, 1000, 2000]), max_corners=8))
+@example((600, 3, range(84, 92)))  # the table grows from empty: n-2a+1 = 7w-600
+@example((600, 3, range(116, 124)))  # it peaks at w = 120, where a = 1, then shrinks
+@example((600, 3, range(193, 201)))  # as n-2a+1 = 598-3w, and empties at w = 200
+@example((2000, 1, range(1993, 2001)))  # L = 1, up to the n = -1 top
+@example((1000, 10, range(95, 101)))  # K = wL at the top
+def test_rate_walk_matches_per_t_sum_at_benchmark_sizes(walk):
+    K, L, ws = walk
+    assert list(macc._rate_walk(K, L, ws)) == [rate_new_per_t(K, L, w) for w in ws]
+
+
+def test_tradeoff_corners_at_L_1_are_the_known_optimum():
+    # At L = 1 every s >= 2 term vanishes and the rate is (K-w)/(w+1), a convex
+    # sequence, so each of the 3,000 corners is an envelope vertex.
+    K = 3000
+    corners = [(p.M, p.rate) for p in tradeoff_curve(CcdnConfig(K, K, 1)) if p.source == "NEW"]
+    assert corners == [(w, Fraction(K - w, w + 1)) for w in range(1, K + 1)]
+
+
 def test_rate_new_rejects_bad_w():
     with pytest.raises(ValueError):
         rate_new(8, 2, 5)
@@ -471,8 +510,9 @@ def test_tradeoff_curve_matches_reference_on_any_corner_rates(cfg, samples, data
     # where the hull test's tie rule decides which corners are vertices.
     rates = data.draw(st.lists(st.fractions(0, 6, max_denominator=3),
                                min_size=cfg.K // cfg.L, max_size=cfg.K // cfg.L))
-    fake = lambda K, L, w: rates[w - 1]  # noqa: E731
-    with mock.patch.object(macc, "rate_new", fake), mock.patch.object(conftest, "rate_new", fake):
+    fake = lambda K, L, ws: (rates[w - 1] for w in ws)  # noqa: E731
+    # The curve walks its corners, and the reference's rate_new walks one each.
+    with mock.patch.object(macc, "_rate_walk", fake):
         assert tradeoff_curve(cfg, samples) == reference_tradeoff_curve(cfg, samples)
 
 
