@@ -16,8 +16,8 @@ levels x (K-1) x (i+1) operations on 2^(K-1)-bit sets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coloring import (VerificationError, local_chromatic_value, theorem1_coloring,
                        theorem5_coloring, upper_bound_Ru)
@@ -30,8 +30,10 @@ class OracleLimitError(ValueError):
     """The MAIS oracle's refusal of a graph above MAX_ORACLE_USERS users."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple("BoundReport", [
+        ("upper", int), ("lower_constructive", int), ("lower_brute", int | None),
+        ("exact", Fraction | None), ("witness", frozenset), ("colors", int),
+        ("local_chromatic", int), ("local_chromatic_t5", int | None)])):
     """Bundle of the bounds computed for one instance.
 
     `colors` and `local_chromatic` are the Theorem-1 coloring's, and
@@ -40,28 +42,20 @@ class BoundReport:
     chromatic value: the paper's sandwich MAIS <= rate <= local chromatic value.
     """
 
-    upper: int
-    lower_constructive: int
-    lower_brute: int | None
-    exact: Fraction | None
-    witness: frozenset[Node]
-    colors: int
-    local_chromatic: int
-    local_chromatic_t5: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower_constructive > self.upper:
+    def __new__(cls, *args, **kwargs) -> BoundReport:
+        self = super().__new__(cls, *args, **kwargs)
+        lower = self.lower_constructive if self.lower_brute is None else self.lower_brute
+        if not self.lower_constructive <= lower <= self.upper:
             raise VerificationError("bounds out of order")
-        if self.lower_brute is not None:
-            if not self.lower_constructive <= self.lower_brute <= self.upper:
-                raise VerificationError("bounds out of order")
         if self.exact is not None:
             if not self.lower_constructive <= self.exact <= self.upper:
                 raise VerificationError("exact rate outside bound interval")
-        lower = max(self.lower_constructive, self.lower_brute or 0)
         uppers = (self.local_chromatic, self.local_chromatic_t5)
         if any(v is not None and v < lower for v in uppers):
             raise VerificationError("a lower bound exceeds a local chromatic value")
+        return self
 
     @property
     def gap_ratio(self) -> Fraction:

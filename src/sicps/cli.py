@@ -1,7 +1,7 @@
 """Command-line front end: instance analysis, decode tests, rates, curves, simulation.
 
-Exit codes: 0 success, 2 usage error, 3 verification failure.  Output is a
-pure function of the flags (plus the seed for randomized subcommands).
+Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3 verification
+failure.  Output is a pure function of the flags (plus the seed for randomized subcommands).
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -297,7 +298,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # here, so that a closed stdout is caught below
+        return code
+    except BrokenPipeError:  # the reader left: devnull takes the flush at exit (Python's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE if isinstance(exc, VerificationError) else USAGE_ERROR

@@ -11,8 +11,8 @@ anti-outneighborhood upper-bounds the broadcast rate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_mask, wrap
 
@@ -21,8 +21,8 @@ class VerificationError(ValueError):
     """A check of what the library built failed: an improper coloring, or bounds out of order."""
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple("Coloring", [("assignment", dict), ("num_colors", int),
+                                        ("classes", tuple), ("masks", tuple)])):
     """Assignment of colors 1..num_colors to every virtual node.
 
     `classes[c-1]` holds the nodes of color c, sorted (empty for an unused
@@ -30,22 +30,18 @@ class Coloring:
     once here: node masks of any graph the coloring covers exactly.
     """
 
-    assignment: dict[Node, int]
-    num_colors: int
-    classes: tuple[tuple[Node, ...], ...] = field(init=False, repr=False, compare=False)
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bad = [c for c in self.assignment.values() if not 1 <= c <= self.num_colors]
-        if bad:
-            raise ValueError(f"colors out of range [1, {self.num_colors}]: {sorted(set(bad))}")
-        classes: list[list[Node]] = [[] for _ in range(self.num_colors)]
-        masks = [0] * self.num_colors
-        for j, (node, c) in enumerate(sorted(self.assignment.items())):
+    def __new__(cls, assignment: dict[Node, int], num_colors: int) -> Coloring:
+        if bad := [c for c in assignment.values() if not 1 <= c <= num_colors]:
+            raise ValueError(f"colors out of range [1, {num_colors}]: {sorted(set(bad))}")
+        classes: list[list[Node]] = [[] for _ in range(num_colors)]
+        masks = [0] * num_colors
+        for j, (node, c) in enumerate(sorted(assignment.items())):
             classes[c - 1].append(node)
             masks[c - 1] |= 1 << j
-        object.__setattr__(self, "classes", tuple(map(tuple, classes)))
-        object.__setattr__(self, "masks", tuple(masks))
+        return super().__new__(cls, assignment, num_colors,
+                               tuple(map(tuple, classes)), tuple(masks))
 
 
 def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Coloring:

@@ -11,9 +11,10 @@ bound engines operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
+from typing import NamedTuple
 
 Node = tuple[int, int]  # (user, column), both 1-based
 
@@ -55,25 +56,24 @@ def canonical_rotation(gaps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return best, best_shift
 
 
-@dataclass(frozen=True)
-class GapVector:
+class GapVector(NamedTuple("GapVector", [("gaps", tuple), ("L", int)])):
     """Gap pattern (a_i, ..., a_1) plus chunk length L defining an instance family.
 
     The user count K = (i-1)*L + sum(gaps) + 1 is fully determined; gaps[0]
     corresponds to a_i and gaps[-1] to a_1.
     """
 
-    gaps: tuple[int, ...]
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gaps", tuple(int(g) for g in self.gaps))
-        if not self.gaps:
+    def __new__(cls, gaps, L: int) -> GapVector:
+        gaps = tuple(int(g) for g in gaps)
+        if not gaps:
             raise ValueError("gaps must be non-empty")
-        if any(g < 0 for g in self.gaps):
+        if any(g < 0 for g in gaps):
             raise ValueError("gaps must be non-negative")
-        if self.L < 1:
+        if L < 1:
             raise ValueError("chunk length L must be >= 1")
+        return super().__new__(cls, gaps, L)
 
     @property
     def i(self) -> int:
@@ -99,7 +99,6 @@ def require_leading_max(spec: GapVector) -> None:
         )
 
 
-@dataclass(frozen=True)
 class SuicpGraph:
     """Single-unicast side-information graph over (user, column) virtual nodes.
 
@@ -107,12 +106,28 @@ class SuicpGraph:
     information for u; all nodes of one user share the same side-information
     set, and only those sets are stored.  A user's closed anti-outneighborhood
     is every node outside its set.  Each set is a node mask: node (k, t) is
-    bit (k-1)*num_columns + t-1, its position in `nodes`.
+    bit (k-1)*num_columns + t-1, its position in `nodes`.  A graph is a value:
+    its fields are read-only, and it equals only a graph of its type with equal fields.
     """
 
-    K: int
-    num_columns: int
-    user_side: tuple[int, ...]
+    _values = property(attrgetter("K", "num_columns", "user_side"))
+
+    def __init__(self, K: int, num_columns: int, user_side: tuple[int, ...]) -> None:
+        vars(self).update(K=K, num_columns=num_columns, user_side=user_side)
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values!r}"
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -152,7 +167,6 @@ def rotate_mask(mask: int, bits: int, width: int) -> int:
     return (mask << bits | mask >> (width - bits)) & ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
 class UnionIcp(SuicpGraph):
     """Union of a gap instance with its i-1 clockwise rotations, as its own graph.
 
@@ -160,7 +174,12 @@ class UnionIcp(SuicpGraph):
     (p-1)-th clockwise rotation of the defining gaps.
     """
 
-    spec: GapVector
+    _values = property(attrgetter("K", "num_columns", "user_side", "spec"))
+
+    def __init__(self, K: int, num_columns: int, user_side: tuple[int, ...],
+                 spec: GapVector) -> None:
+        super().__init__(K, num_columns, user_side)
+        vars(self)["spec"] = spec
 
     @property
     def i(self) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
@@ -47,19 +46,17 @@ MAX_RATE_BIT_OPS = 1_500_000_000
 MAX_SIMULATION_SIZE = 20_000_000
 
 
-@dataclass(frozen=True)
-class CcdnConfig:
+class CcdnConfig(NamedTuple("CcdnConfig", [("N", int), ("K", int), ("L", int)])):
     """(N files, K caches/users, access degree L) with cyclic cache access."""
 
-    N: int
-    K: int
-    L: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.K < 1:
+    def __new__(cls, N: int, K: int, L: int) -> CcdnConfig:
+        if N < 1 or K < 1:
             raise ValueError("N and K must be positive")
-        if not 1 <= self.L <= self.K:
-            raise ValueError(f"access degree must satisfy 1 <= L <= K, got {self.L}")
+        if not 1 <= L <= K:
+            raise ValueError(f"access degree must satisfy 1 <= L <= K, got {L}")
+        return super().__new__(cls, N, K, L)
 
 
 def _check_w(K: int, L: int, w: int) -> None:
@@ -96,8 +93,7 @@ def placement_set_count(K: int, L: int, w: int) -> int:
     return num // w
 
 
-@dataclass(frozen=True)
-class PlacementPlan:
+class PlacementPlan(NamedTuple):
     """One subfile of every file per placement set, each of size 1/|sets|."""
 
     sets: tuple[tuple[int, ...], ...]
@@ -249,17 +245,15 @@ def rate_rk(N: int, K: int, L: int, M) -> Fraction:
     return K * (1 - load) ** 2
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    M: Fraction
-    rate: Fraction
-    source: str
+class RatePoint(NamedTuple("RatePoint", [("M", Fraction), ("rate", Fraction), ("source", str)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source not in RATE_SOURCES:
-            raise ValueError(f"unknown rate source {self.source!r}")
-        if self.rate.numerator < 0:
+    def __new__(cls, M: Fraction, rate: Fraction, source: str) -> RatePoint:
+        if source not in RATE_SOURCES:
+            raise ValueError(f"unknown rate source {source!r}")
+        if rate.numerator < 0:
             raise ValueError("rates are non-negative")
+        return super().__new__(cls, M, rate, source)
 
 
 def _corners(cfg: CcdnConfig, s: int) -> list[tuple[int, int, int, str]]:
@@ -366,8 +360,7 @@ def build_delivery_icp(cfg: CcdnConfig, rep: tuple[int, ...], period: int,
     return DeliveryClass(build_union_icp(GapVector(rep, cfg.L)), columns)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """One rotation class as broadcast: chi is the number of rows actually sent."""
 
     representative: tuple[int, ...]
@@ -377,20 +370,15 @@ class ClassReport:
     field: int
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     decoded_ok: bool
     total_rate: Fraction
     classes: tuple[ClassReport, ...]
     failures: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
-            "decoded_ok": self.decoded_ok,
-            "total_rate": str(self.total_rate),
-            "classes": [asdict(c) for c in self.classes],
-            "failures": list(self.failures),
-        }
+        return {**self._asdict(), "total_rate": str(self.total_rate),
+                "classes": [c._asdict() for c in self.classes], "failures": list(self.failures)}
 
 
 def end_to_end_simulate(

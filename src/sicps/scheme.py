@@ -40,7 +40,6 @@ builds each plan, applies it and drops it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
@@ -151,8 +150,8 @@ class Broadcast(list):
         return dots
 
 
-@dataclass(frozen=True)
-class TransmissionScheme:
+class TransmissionScheme(NamedTuple("TransmissionScheme", [
+        ("graph", SuicpGraph), ("coloring", Coloring), ("code", MdsCode), ("chi", int)])):
     """chi MDS combinations, over its code's field, of the per-color message sums.
 
     Color c sits on the code's point c mod q, so the scheme is exactly its
@@ -162,16 +161,13 @@ class TransmissionScheme:
     does not cover the graph exactly.
     """
 
-    graph: SuicpGraph
-    coloring: Coloring
-    code: MdsCode
-    chi: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.code.num_colors != self.num_colors:
-            raise ValueError(f"a code over {self.code.num_colors} colors cannot carry "
-                             f"a coloring with {self.num_colors}")
-        object.__setattr__(self, "chi", local_chromatic_value(self.graph, self.coloring))
+    def __new__(cls, graph: SuicpGraph, coloring: Coloring, code: MdsCode) -> TransmissionScheme:
+        if code.num_colors != coloring.num_colors:
+            raise ValueError(f"a code over {code.num_colors} colors cannot carry "
+                             f"a coloring with {coloring.num_colors}")
+        return super().__new__(cls, graph, coloring, code, local_chromatic_value(graph, coloring))
 
     @property
     def num_colors(self) -> int:

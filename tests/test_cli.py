@@ -5,7 +5,9 @@ from __future__ import annotations
 import importlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -498,6 +500,21 @@ def test_macc_tradeoff_unwritable_path(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "macc tradeoff --K 3000 --L 1 --format json",  # written while the command runs
+    "icp analyze --gaps 2,1,0 --L 2",  # still in the stdout buffer when the command returns
+])
+def test_closed_stdout_exits_one_quietly(argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "sicps", *argv.split()], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # long before the interpreter has started
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")
 
 
 def test_macc_simulate_json(capsys):
