@@ -5,12 +5,12 @@ first-chunk interference and collects a staircase of `mais_lower` nodes that
 provably induces no directed cycle.  An exact oracle computes the true maximum
 on graphs of up to MAX_ORACLE_USERS users, so the construction can be
 cross-checked: a dynamic program over orders of the users, run one value level
-at a time, with each level a single big int holding one bit per user set.  Its
-cost is levels x K x (i+1) big-int operations on 2^K bits, with one level per
-value up to the MAIS (at most K on a union), so Python loops over levels, users
-and columns while the 2^K sets are walked at C level.  On a graph with the user
-shift (every union) user K's term follows from the others, and the cost is
-levels x (K-1) x (i+1) operations on 2^(K-1)-bit sets.
+at a time, with each level a single big int holding one bit per user set.  A
+level costs K x i ANDs and ORs plus K shifts of 2^K-bit ints, and the run stops
+at the first empty level, one past the MAIS (at most K on a union), so Python
+loops over levels, users and columns while the 2^K sets are walked at C level.
+On a graph with the user shift (every union) user K's term follows from the
+others, and a level costs (K-1) x i operations on 2^(K-1)-bit sets.
 """
 
 from __future__ import annotations
@@ -143,22 +143,22 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
     onto every other, so f[all] = f[all - K] + c_K(all): the table runs over
     users 1..K-1 only, and user K adds its nodes that no user knows.
 
-    The table is never stored.  Level v is one int S_v with bit A set iff
-    f[A] >= v, and f[A] >= v holds iff some k in A has c_k(A) >= j and
-    f[A - k] >= v - j for some j in 1..i, or f[A - k] >= v (j = 0): the
-    maximizing k with j = min(c_k(A), v) is such a witness, and any witness
-    gives f[A] >= f[A - k] + c_k(A) >= v.  The j = 0 case is the closure of
-    S_v upwards.  With `without[k]` the sets that lack user k and
-    `at_least[k][j]` the sets in which at least j of k's nodes have no knower,
-    adding k to each set of S & without[k] is a shift by 2^k, so
+    The table is never stored.  Level v is one int T_v of witnesses: sets B with
+    f[B] >= v, one within each A with f[A] >= v.  With `without[k]` the sets
+    that lack user k and `down[k][j]` those B in which B + k leaves at least j
+    of k's nodes unknown, adding k is a shift by 2^k, so with T_v = all at v <= 0
 
-        S_v = up-closure of OR over k, j of at_least[k][j] & (S_{v-j} & without[k]) << 2^k
+        T_v = OR over k of (OR over j in 1..i of down[k][j] & T_{v-j}) << 2^k.
 
-    and the table's value is the last v whose S_v holds the set of all its users.
-    There are at most MAIS + 1 levels (K + 1 on a union).  On a graph with the
-    user shift each costs (K-1)*(i+1) big-int operations on 2^(K-1)-bit sets, on
-    any other K*(i+1) operations on 2^K bits, and only the last i levels are
-    kept: at K = 22 users a union's sets take 256 KB each.
+    Sound: B in T_{v-j} gives f[B + k] >= f[B] + c_k(B + k) >= v - j + j.
+    Complete: let f[A] >= v >= 1.  While the maximizing k at A adds c_k(A) = 0,
+    peel it, as f[A - k] = f[A].  At the B left, j = min(c_k(B), v) >= 1 and
+    f[B - k] >= v - j, so by induction some B' within B - k lies in T_{v-j}, and
+    B' + k in T_v, since c_k only grows as users go.  f is monotone, so
+    f[all] >= v iff T_v is nonempty: the run stops at the first empty level,
+    one past the value.  A level costs K*i ANDs and ORs plus K shifts of 2^K-bit
+    sets ((K-1)*i and K-1 on 2^(K-1) bits with the user shift), and only the
+    last i levels are kept: at K = 22 users a union's sets take 256 KB each.
 
     A graph in which no user knows anything is acyclic and returns its size.  Any
     other graph above MAX_ORACLE_USERS users, and no other, is refused before any
@@ -181,7 +181,7 @@ def mais_bruteforce(graph: SuicpGraph) -> int:
 def _first_users_mais(sides: tuple[int, ...], K: int, i: int) -> int:
     """f[users 1..K] of `mais_bruteforce`'s table, built over the first K users only."""
     width = 1 << K  # one bit per user set
-    everything, all_users = (1 << width) - 1, 1 << (width - 1)
+    everything = (1 << width) - 1
     without = []
     for k in range(K):
         # Doubling a block: big-int division would build the same mask in quadratic time.
@@ -190,7 +190,7 @@ def _first_users_mais(sides: tuple[int, ...], K: int, i: int) -> int:
             z |= z << span
             span <<= 1
         without.append(z)
-    at_least = []
+    steps = []
     for k in range(K):
         counts = [everything] + [0] * i  # counts[j]: sets with >= j of k's nodes unknown
         for node in range(k * i, (k + 1) * i):
@@ -200,18 +200,17 @@ def _first_users_mais(sides: tuple[int, ...], K: int, i: int) -> int:
                     free &= without[b]
             for j in range(i, 0, -1):
                 counts[j] |= counts[j - 1] & free
-        at_least.append(counts)
-    steps = [(1 << k, without[k], at_least[k]) for k in range(K)]
-    recent = [everything]  # S_{v-1}, S_{v-2}, ..., at most i levels back
+        steps.append((1 << k, [c >> (1 << k) & without[k] for c in counts[1:]]))
+    recent = [everything]  # T_{v-1}, T_{v-2}, ..., at most i levels back
     v = 0
-    while recent[0] & all_users:
+    while recent[0]:
         v += 1
         level = 0
-        for shift, keep, counts in steps:
-            for j, below in enumerate(recent, start=1):
-                level |= counts[j] & (below & keep) << shift
-        for shift, keep, _ in steps:
-            level |= (level & keep) << shift
+        for shift, down in steps:
+            witnesses = 0
+            for d, below in zip(down, recent):
+                witnesses |= d & below
+            level |= witnesses << shift
         recent = [level] + recent[:i - 1]
     return v - 1
 

@@ -162,6 +162,58 @@ def test_bruteforce_matches_subset_enumeration_on_arbitrary_graphs(graph):
     assert mais_bruteforce(graph) == subset_enumeration_mais(graph)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graph=side_info_graphs(max_users=7, max_columns=6, self_knowledge=True))
+def test_bruteforce_matches_orbit_dp_on_wide_arbitrary_graphs(graph):
+    # Up to six columns, so a witness level reaches up to six levels back.
+    assert mais_bruteforce(graph) == orbit_dp_mais(graph)
+
+
+def spy_on_table_users(monkeypatch):
+    """The list to which every later call of the level DP appends its user count."""
+    table, users = bounds._first_users_mais, []
+
+    def spy(sides, K, i):
+        users.append(K)
+        return table(sides, K, i)
+
+    monkeypatch.setattr(bounds, "_first_users_mais", spy)
+    return users
+
+
+def test_bruteforce_one_user_table_runs_over_no_users(monkeypatch):
+    # The one-user union knows nothing and returns its size without a table.
+    assert mais_bruteforce(graph_of((0,), 1)) == 1
+    # One user that knows its own first node has the user shift, so the table
+    # covers zero users and only the unknown second node counts.
+    users = spy_on_table_users(monkeypatch)
+    graph = graph_from_sides(1, 2, [{(1, 1)}])
+    assert graph.has_user_shift
+    assert mais_bruteforce(graph) == 1 == subset_enumeration_mais(graph)
+    assert users == [0]
+
+
+@pytest.mark.parametrize("K, i", [(1, 1), (3, 2), (5, 3)])
+def test_bruteforce_every_user_knows_its_own_nodes(K, i):
+    # Every node is known by its own user, so none is kept and the first level
+    # is already empty, with or without the user shift.
+    own = [{(k, t) for t in range(1, i + 1)} for k in range(1, K + 1)]
+    graph = graph_from_sides(K, i, own)
+    assert graph.has_user_shift and mais_bruteforce(graph) == 0
+    skewed = graph_from_sides(K, i, [own[0] | {(K, 1)}] + own[1:])
+    assert skewed.has_user_shift == (K == 1)
+    assert mais_bruteforce(skewed) == 0 == orbit_dp_mais(skewed)
+
+
+def test_bruteforce_peels_a_user_that_adds_nothing():
+    # User 3 knows every node, its own included, so it adds no node in any
+    # order; the value is reached only with user 3 placed last, where its
+    # side information costs nothing.  Users 1 and 2 close one 2-cycle.
+    nodes = {(k, t) for k in range(1, 4) for t in range(1, 3)}
+    graph = graph_from_sides(3, 2, [{(2, 1)}, {(1, 1)}, nodes])
+    assert mais_bruteforce(graph) == 3 == orbit_dp_mais(graph) == subset_enumeration_mais(graph)
+
+
 def relabel_users(graph, perm):
     """The same graph with user k renamed perm[k - 1]."""
     side = [frozenset()] * graph.K
@@ -228,13 +280,7 @@ def test_bruteforce_finds_the_user_shift_of_a_union():
 def test_bruteforce_table_drops_user_K_on_a_union(monkeypatch, gaps, L):
     # Spy on the users the level DP's table covers: K - 1 on the union, whose
     # sets are then 2^(K-1) bits wide, and all K on a relabelled copy.
-    table, users = bounds._first_users_mais, []
-
-    def spy(sides, K, i):
-        users.append(K)
-        return table(sides, K, i)
-
-    monkeypatch.setattr(bounds, "_first_users_mais", spy)
+    users = spy_on_table_users(monkeypatch)
     graph = graph_of(gaps, L)
     plain = relabel_users(graph, [1, 3, 2] + list(range(4, graph.K + 1)))
     assert graph.has_user_shift and not plain.has_user_shift
