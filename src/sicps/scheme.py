@@ -46,16 +46,57 @@ from operator import mul
 from typing import NamedTuple
 
 from .coloring import Coloring, local_chromatic_value
-from .field import default_field_order, validate_field
 from .icp import Node, SuicpGraph
+
+# Miller-Rabin with the first thirteen primes as bases is exact below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 2017).  Twelve bases would not reach it: 318665857834031151167461
+# passes 2..37.
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CHECK_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality below PRIME_CHECK_BOUND; ValueError at or above it."""
+    if n >= PRIME_CHECK_BOUND:
+        raise ValueError(f"field order {n} is not below {PRIME_CHECK_BOUND}, "
+                         "the bound under which primality is checked exactly")
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:  # no prime factor up to its square root
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime_at_least(n: int) -> int:
+    p = max(n, 2)
+    while not is_prime(p):
+        p += 1
+    return p
 
 
 class MdsCode:
     """The points 1..n mod q of n colors over GF(q), and the decode weights they give.
 
-    The one place that chooses and checks the field: q defaults to
-    `default_field_order(n)` and must be a prime at least n, so the points
-    are distinct; anything else raises ValueError.  `bases` holds the
+    The one place that chooses and checks the field: q defaults to the least
+    prime above n and at least 257, and must be a prime at least n, so the
+    points are distinct; anything else raises ValueError.  `bases` holds the
     Lagrange basis polynomial of every color over all n points, built whole
     on first use; `weights` gives a user's barycentric weights, which depend
     only on the colors F it fully knows and the own color, not on the graph
@@ -66,8 +107,13 @@ class MdsCode:
 
     def __init__(self, num_colors: int, field_order: int | None = None) -> None:
         n = self.num_colors = num_colors
-        q = self.field_order = default_field_order(n) if field_order is None else field_order
-        validate_field(q, n)
+        if field_order is None:  # the least prime above n, and at least 257
+            q = next_prime_at_least(max(257, n + 1))
+        elif not is_prime(q := field_order):
+            raise ValueError(f"field order {q} is not prime")
+        elif q < n:
+            raise ValueError(f"field order {q} too small for {n} colors")
+        self.field_order = q
         self.points = [c % q for c in range(1, n + 1)]
         # 1 / prod_{y != x} (p_x - p_y) per color x: as p_x - p_y = x - y mod q,
         # the product is (-1)**(n-x) * (x-1)! * (n-x)!, with fact[k] = k! mod q.
@@ -285,6 +331,9 @@ def simulate_decode(
 
 
 __all__ = [
+    "PRIME_CHECK_BOUND",
+    "is_prime",
+    "next_prime_at_least",
     "MdsCode",
     "Broadcast",
     "TransmissionScheme",

@@ -52,8 +52,7 @@ from sicps.macc import (
     rotation_classes,
     tradeoff_curve,
 )
-from sicps.field import default_field_order, is_prime
-from sicps.scheme import MdsCode, simulate_decode
+from sicps.scheme import MdsCode, is_prime, simulate_decode
 
 EXAMPLE_SETS = [
     (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
@@ -892,7 +891,7 @@ def test_simulation_field_changes_only_the_reported_field(config, q, seed):
     assert report.decoded_ok
     assert report.total_rate == default.total_rate
     assert [c.chi for c in report.classes] == [c.chi for c in default.classes]
-    assert {c.field for c in report.classes} <= {default_field_order(K) if q is None else q}
+    assert {c.field for c in report.classes} <= {MdsCode(K).field_order if q is None else q}
 
 
 @pytest.mark.parametrize("K, L, w, classes", [(8, 2, 2, 4), (8, 2, 4, 0)])

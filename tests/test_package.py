@@ -95,10 +95,12 @@ def test_every_benchmark_stage_resolves_to_a_library_function():
 
 def test_startup_loads_neither_dataclasses_nor_inspect():
     # Each CLI command starts a fresh interpreter, and these two modules cost
-    # several milliseconds to import.  -S keeps site's .pth files, which may
-    # import anything, out of the check.
+    # several milliseconds to import; `sicps.field` holds only the tests'
+    # reference solve.  -S keeps site's .pth files, which may import anything,
+    # out of the check.
+    unwanted = "{'dataclasses', 'inspect', 'sicps.field'}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sicps.cli; "
-            "sicps.cli.build_parser(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"sicps.cli.build_parser(); print(sorted({unwanted} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"

@@ -35,22 +35,19 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.field import (
-    PRIME_CHECK_BOUND,
-    default_field_order,
-    is_prime,
-    next_prime_at_least,
-    solve_mod,
-)
+from sicps.field import solve_mod
 from sicps.icp import GapVector, build_union_icp
 from sicps.macc import CcdnConfig, end_to_end_simulate
 from sicps.scheme import (
+    PRIME_CHECK_BOUND,
     Broadcast,
     DecodePlan,
     MdsCode,
     TransmissionScheme,
     build_mds_scheme,
     decode_node,
+    is_prime,
+    next_prime_at_least,
     plan_decode,
     simulate_decode,
 )
@@ -127,10 +124,8 @@ def test_field_validation():
         MdsCode(8, 256)
     with pytest.raises(ValueError, match="a code over 7 colors cannot carry a coloring with 8"):
         build_mds_scheme(icp, coloring, MdsCode(7, 251))
-    assert MdsCode(8).field_order == default_field_order(8)
-    assert is_prime(default_field_order(8))
-    assert default_field_order(8) == 257
-    assert default_field_order(300) == 307
+    assert MdsCode(8).field_order == 257
+    assert MdsCode(300).field_order == 307
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -142,6 +137,23 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), q=st.integers(-3, 3100))
+@example(n=256, q=257)
+@example(n=257, q=257)  # q = n: color n sits at point 0
+@example(n=3000, q=3001)
+def test_mds_code_chooses_and_accepts_the_field(n, q):
+    least = max(257, n + 1)
+    assert MdsCode(n).field_order == next(p for p in itertools.count(least)
+                                          if trial_division_is_prime(p))
+    if trial_division_is_prime(q) and q >= n:
+        assert MdsCode(n, q).field_order == q
+    else:
+        reason = "too small for" if trial_division_is_prime(q) else "is not prime"
+        with pytest.raises(ValueError, match=f"field order {q} {reason}"):
+            MdsCode(n, q)
 
 
 def test_is_prime_matches_trial_division():
@@ -688,7 +700,7 @@ def unions_with_one_color_count(draw):
             if greedy.num_colors <= K:
                 coloring = Coloring(greedy.assignment, K)
         instances.append((graph, coloring))
-    q = draw(st.sampled_from([default_field_order(K), next_prime_at_least(K)]))
+    q = draw(st.sampled_from([MdsCode(K).field_order, next_prime_at_least(K)]))
     return K, q, instances
 
 
