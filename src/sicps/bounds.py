@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coloring import (VerificationError, local_chromatic_value, theorem1_coloring,
-                       theorem5_coloring, upper_bound_Ru)
+                       theorem5_applies, theorem5_coloring, upper_bound_Ru)
 from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_gaps
 
 MAX_ORACLE_USERS = 22
@@ -229,12 +229,7 @@ def build_report(icp: UnionIcp) -> BoundReport:
         brute = None
     coloring = theorem1_coloring(icp)
     lcv = local_chromatic_value(icp, coloring)
-    try:
-        t5 = theorem5_coloring(icp)
-    except ValueError:  # Theorem 5 does not apply
-        lcv_t5 = None
-    else:
-        lcv_t5 = local_chromatic_value(icp, t5)
+    lcv_t5 = local_chromatic_value(icp, theorem5_coloring(icp)) if theorem5_applies(spec) else None
     best_upper = lcv if lcv_t5 is None else min(lcv, lcv_t5)
     best_lower = lower if brute is None else brute
     return BoundReport(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bounds import build_report
 from .coloring import VerificationError, theorem1_coloring
-from .icp import GapVector, build_union_icp
+from .icp import GapVector, UnionIcp, build_union_icp, check_union_size
 from .macc import (
     CcdnConfig,
     RatePoint,
@@ -73,26 +73,34 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _canonical_union(args) -> tuple[UnionIcp, int]:
+    """The union of the gap flags' canonical rotation, and the shift; size checked first."""
+    spec = GapVector(tuple(args.gaps), args.L)
+    check_union_size(spec)
+    spec, shift = spec.canonicalize()
+    return build_union_icp(spec), shift
+
+
 def cmd_icp_analyze(args) -> int:
-    spec, shift = GapVector(tuple(args.gaps), args.L).canonicalize()
-    report = build_report(build_union_icp(spec))
+    icp, shift = _canonical_union(args)
+    spec, report = icp.spec, build_report(icp)
     lcv = report.local_chromatic
     ratio = report.gap_ratio
-    payload = {
-        "gaps": list(spec.gaps),
-        "rotation_shift": shift,
-        "L": spec.L,
-        "K": spec.K,
-        "i": spec.i,
-        "bounds": report.to_json(),
-        "gap_ratio": _exact(ratio),
-        "coloring": {
-            "colors": report.colors,
-            "proper": True,  # an improper coloring raised VerificationError
-            "local_chromatic": lcv,
-        },
-    }
     if args.format == "json":
+        payload = {
+            "gaps": list(spec.gaps),
+            "rotation_shift": shift,
+            "L": spec.L,
+            "K": spec.K,
+            "i": spec.i,
+            "bounds": report.to_json(),
+            "gap_ratio": _exact(ratio),
+            "coloring": {
+                "colors": report.colors,
+                "proper": True,  # an improper coloring raised VerificationError
+                "local_chromatic": lcv,
+            },
+        }
         print(json.dumps(payload, indent=2))
     else:
         print(f"gaps: {','.join(map(str, spec.gaps))} (canonical, shift {shift})")
@@ -122,8 +130,8 @@ def _scheme_json(scheme: TransmissionScheme) -> dict:
 def cmd_icp_decode_test(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    spec, _ = GapVector(tuple(args.gaps), args.L).canonicalize()
-    icp = build_union_icp(spec)
+    icp, _ = _canonical_union(args)
+    spec = icp.spec
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, args.field))
     plans = [plan_decode(scheme, k) for k in range(1, icp.K + 1)]
     q, failures = scheme.field_order, 0
@@ -132,15 +140,15 @@ def cmd_icp_decode_test(args) -> int:
         messages = {node: rng.randrange(q) for node in icp.nodes}
         decoded = simulate_decode(scheme, messages, plans)
         failures += sum(decoded[node] != messages[node] for node in icp.nodes)
-    payload = {
-        "gaps": list(spec.gaps),
-        "L": spec.L,
-        "K": spec.K,
-        "trials": args.trials,
-        "failures": failures,
-        "scheme": _scheme_json(scheme),
-    }
     if args.format == "json":
+        payload = {
+            "gaps": list(spec.gaps),
+            "L": spec.L,
+            "K": spec.K,
+            "trials": args.trials,
+            "failures": failures,
+            "scheme": _scheme_json(scheme),
+        }
         print(json.dumps(payload, indent=2))
     else:
         print(f"gaps: {','.join(map(str, spec.gaps))}")
@@ -195,9 +203,8 @@ def cmd_macc_tradeoff(args) -> int:
 
 
 def cmd_macc_simulate(args) -> int:
-    report = end_to_end_simulate(
-        _config(args), args.w, args.demands, field_order=args.field, seed=args.seed
-    )
+    report = end_to_end_simulate(_config(args), args.w, args.demands,
+                                 field_order=args.field, seed=args.seed)
     if args.format == "text":
         print(f"decoded_ok: {str(report.decoded_ok).lower()}")
         print(f"total_rate: {_exact(report.total_rate)} ({_decimal(report.total_rate)})")

@@ -67,6 +67,11 @@ def theorem1_coloring(icp: UnionIcp) -> Coloring:
     return circulant_coloring(icp, icp.K, shifts)
 
 
+def theorem5_applies(spec: GapVector) -> bool:
+    """Whether Theorem 5's coloring exists: two columns, and (a1+a2+2) | K."""
+    return spec.i == 2 and spec.K % (sum(spec.gaps) + 2) == 0
+
+
 def theorem5_coloring(icp: UnionIcp) -> Coloring:
     """(a1+a2+2)-color scheme for two-column instances with (a1+a2+2) | K."""
     if icp.i != 2:
@@ -142,6 +147,7 @@ __all__ = [
     "Coloring",
     "circulant_coloring",
     "theorem1_coloring",
+    "theorem5_applies",
     "theorem5_coloring",
     "verify_proper",
     "local_chromatic_value",

@@ -11,6 +11,7 @@ bound engines operate on.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import product
 from operator import attrgetter
@@ -83,17 +84,13 @@ class GapVector(NamedTuple("GapVector", [("gaps", tuple), ("L", int)])):
     def K(self) -> int:
         return (self.i - 1) * self.L + sum(self.gaps) + 1
 
-    @property
-    def is_leading_max(self) -> bool:
-        return self.gaps[0] == max(self.gaps)
-
     def canonicalize(self) -> tuple["GapVector", int]:
         canonical, shift = canonical_rotation(self.gaps)
         return GapVector(canonical, self.L), shift
 
 
 def require_leading_max(spec: GapVector) -> None:
-    if not spec.is_leading_max:
+    if spec.gaps[0] != max(spec.gaps):
         raise ValueError(
             f"gap vector {spec.gaps} is not canonical: the leading gap must be maximal"
         )
@@ -186,19 +183,30 @@ class UnionIcp(SuicpGraph):
         return self.spec.i
 
 
+def format_count(n: int) -> str:
+    """`n` in digits below 10^18, else as a power of ten: a refusal stays short enough to print."""
+    return str(n) if n < 10**18 else f"about 10^{math.log10(n):.1f}"
+
+
+def check_union_size(spec: GapVector) -> None:
+    """Refuse more than MAX_UNION_PAIRS user-node pairs, K * (K*i): the same for every rotation."""
+    K, i = spec.K, spec.i
+    if K * K * i > MAX_UNION_PAIRS:
+        raise ValueError(f"union instance with {format_count(K)} users and {i} columns has "
+                         f"{format_count(K * K * i)} user-node pairs, above the limit "
+                         f"{MAX_UNION_PAIRS}")
+
+
 def build_union_icp(spec: GapVector) -> UnionIcp:
     """Construct the union instance: one column per clockwise rotation.
 
     In column t (gaps rotated t-1 times) user 1 knows a chunk of L files after
     each of the first i-1 gaps, at offsets o from file 1; the user shift maps
     the instance onto itself, so user k's mask is user 1's rotated by (k-1)*i
-    bits.  More than MAX_UNION_PAIRS user-node pairs are refused first.
+    bits.  An instance that `check_union_size` refuses is refused first.
     """
+    check_union_size(spec)
     K, L, i = spec.K, spec.L, spec.i
-    pairs = K * K * i
-    if pairs > MAX_UNION_PAIRS:
-        raise ValueError(f"union instance with {K} users and {i} columns has {pairs} "
-                         f"user-node pairs, above the limit {MAX_UNION_PAIRS}")
     first = 0
     for t in range(1, i + 1):
         gap_sum = 0
@@ -219,6 +227,8 @@ __all__ = [
     "rotate_gaps",
     "canonical_rotation",
     "rotate_mask",
+    "format_count",
+    "check_union_size",
     "build_union_icp",
     "require_leading_max",
 ]

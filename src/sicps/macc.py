@@ -19,7 +19,7 @@ from operator import add
 from typing import NamedTuple
 
 from .coloring import ru_cap, theorem1_coloring
-from .icp import GapVector, UnionIcp, build_union_icp, rotate_gaps, wrap
+from .icp import GapVector, UnionIcp, build_union_icp, format_count, rotate_gaps, wrap
 from .scheme import MdsCode, build_mds_scheme, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
@@ -146,11 +146,13 @@ def rate_new_cost(K: int, L: int, w: int) -> float:
     building it costs about b*b/16.  Each of the table's entries and each of
     the O(n log m) strided additions costs at most b more.  A fixed 10^4
     stands for the work of any call, so that a sum over many corners grows
-    with their count.
+    with their count.  Where lgamma's floats end, near 2.5e305, it refuses.
     """
     n, m = K - w * L - 1, w + 1
     if n < 0:
         return 1e4
+    if (n + m).bit_length() > 1000:
+        raise ValueError(f"R_new at K = {format_count(K)} is past the range of its cost estimate")
     bits = (math.lgamma(n + m) - math.lgamma(m) - math.lgamma(n + 1)) / math.log(2)
     a = max(1, ru_cap(K, m, L) - K + 1)
     adds = n - 2 * a + 1 + n * math.log(min(m, n // a)) if 2 * a <= n else 0
@@ -160,11 +162,15 @@ def rate_new_cost(K: int, L: int, w: int) -> float:
 def _over_rate_budget(K: int, L: int, ws: range) -> bool:
     """Whether `rate_new_cost` summed over the w of `ws` passes MAX_RATE_BIT_OPS.
 
-    n+m-1 <= K-1 bounds each binomial's bits by K and its additions by
-    K*(1 + ln K), so a family under len(ws) * (K*K*(2 + ln K) + 10^4) needs no
-    estimate.  Otherwise the sum stops as soon as it passes the limit.
+    Each corner costs at least 10^4, which bounds their count first.  n+m-1 <=
+    K-1 bounds each binomial's bits by K and its additions by K*(1 + ln K), so
+    a family under len(ws) * (K*K*(2 + bit_length(K)) + 10^4), in integers,
+    needs no estimate.  Otherwise the sum stops as soon as it passes the limit.
     """
-    if len(ws) * (K * K * (2 + math.log(K)) + 1e4) <= MAX_RATE_BIT_OPS:
+    count = ws.stop - ws.start  # len() ends at 2^63
+    if count > MAX_RATE_BIT_OPS // 10**4:
+        return True
+    if count * (K * K * (2 + K.bit_length()) + 10**4) <= MAX_RATE_BIT_OPS:
         return False
     total = 0.0
     for w in ws:
@@ -381,13 +387,8 @@ class SimulationReport(NamedTuple):
                 "classes": [c._asdict() for c in self.classes], "failures": list(self.failures)}
 
 
-def end_to_end_simulate(
-    cfg: CcdnConfig,
-    w: int,
-    demands: list[int],
-    field_order: int | None = None,
-    seed: int = 0,
-) -> SimulationReport:
+def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
+                        field_order: int | None = None, seed: int = 0) -> SimulationReport:
     """Place, broadcast per rotation class of the delivery columns, decode all users.
 
     Demands are checked, and a family with more than MAX_SIMULATION_SIZE
@@ -408,11 +409,12 @@ def end_to_end_simulate(
         raise ValueError("demands must be file ids in [1, N]")
     K, L = cfg.K, cfg.L
     num_sets = placement_set_count(K, L, w)
-    num_cells = K * math.comb(K - w * L + w - 1, w)
+    num_cells = num_sets * (K - w * L)  # K * C(K-wL+w-1, w)
     if K * num_cells > MAX_SIMULATION_SIZE:
-        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {num_sets} placement sets and "
-                         f"{num_cells} delivery cells of {K * num_cells} user-node pairs, "
-                         f"above the limit {MAX_SIMULATION_SIZE}")
+        raise ValueError(f"(K, L, w) = ({K}, {L}, {w}) has {format_count(num_sets)} placement "
+                         f"sets and {format_count(num_cells)} delivery cells of "
+                         f"{format_count(K * num_cells)} user-node pairs, above the limit "
+                         f"{MAX_SIMULATION_SIZE}")
     # Every Theorem-1 coloring has K colors, so one code serves every class
     # of this call, each basis and weight tuple built once.
     code = MdsCode(K, field_order)

@@ -287,9 +287,8 @@ def plan_decode(scheme: TransmissionScheme, user: int) -> DecodePlan:
                       weights, classmates)
 
 
-def decode_node(
-    plan: DecodePlan, messages: dict[Node, int], broadcast: Broadcast
-) -> dict[Node, int]:
+def decode_node(plan: DecodePlan, messages: dict[Node, int],
+                broadcast: Broadcast) -> dict[Node, int]:
     """Recover the messages of every virtual node of the plan's user.
 
     `broadcast` is what the plan's scheme transmitted.  The user's nodes
@@ -307,11 +306,8 @@ def decode_node(
     }
 
 
-def simulate_decode(
-    scheme: TransmissionScheme,
-    messages: dict[Node, int],
-    plans: list[DecodePlan] | None = None,
-) -> dict[Node, int]:
+def simulate_decode(scheme: TransmissionScheme, messages: dict[Node, int],
+                    plans: list[DecodePlan] | None = None) -> dict[Node, int]:
     """Decode every node, one plan per user; the result must reproduce `messages`.
 
     `plans` are the users' plans in order, built once by `plan_decode` for

@@ -610,6 +610,99 @@ def test_oversized_union_refused_before_building(capsys, argv):
     assert err.startswith("error:") and "user-node pairs" in err
 
 
+ONES = {K: ",".join(["1"] * K) for K in (12000, 16000)}
+HUGE_UNION = ("error: union instance with about 10^3000.0 users and 2 columns has about "
+              "10^6000.3 user-node pairs, above the limit 2000000\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["macc", "tradeoff", "--K", str(10**19), "--L", "1"], 2,
+     f"error: the {10**19} corners at (K, L) = ({10**19}, 1) would take more than "
+     "1.5e+09 bit operations\n"),
+    (["macc", "rate", "--K", str(10**155), "--L", "1", "--w", "1"], 0, ""),
+    (["macc", "tradeoff", "--K", str(10**200), "--L", str(10**200)], 0, ""),
+    (["macc", "rate", "--K", str(10**400), "--L", "1", "--w", "1"], 2,
+     "error: R_new at K = about 10^400.0 is past the range of its cost estimate\n"),
+    (["icp", "analyze", "--gaps", f"{10**3000},0", "--L", "1"], 2, HUGE_UNION),
+    (["icp", "decode-test", "--gaps", f"{10**3000},0", "--L", "1", "--seed", "1"], 2,
+     HUGE_UNION),
+    (["macc", "simulate", "--K", "16000", "--L", "1", "--w", "8000",
+      "--demands", ONES[16000], "--seed", "1"], 2,
+     "error: (K, L, w) = (16000, 1, 8000) has about 10^4814.3 placement sets and about "
+     "10^4818.2 delivery cells of about 10^4822.4 user-node pairs, above the limit 20000000\n"),
+    (["macc", "simulate", "--K", "12000", "--L", "1", "--w", "6000",
+      "--demands", ONES[12000], "--seed", "1"], 2,
+     "error: (K, L, w) = (12000, 1, 6000) has about 10^3610.2 placement sets and about "
+     "10^3614.0 delivery cells of about 10^3618.1 user-node pairs, above the limit 20000000\n"),
+])
+def test_huge_inputs_print_a_value_or_a_short_refusal(capsys, argv, code, message):
+    # Counts past 10^18 print as powers of ten, and no estimate leaves the
+    # float range: each exits 0 or 2 at once, never with a traceback.
+    start = time.perf_counter()
+    got, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert (got, err) == (code, message)
+    assert len(err.encode()) < 300
+    assert (out == "") == (code == 2)
+
+
+def test_macc_rate_prints_past_the_float_range_of_k_squared(capsys):
+    K = 10**155  # K * K is past the floats; the rate's estimate is not
+    code, out, _ = run(capsys, ["macc", "rate", "--K", str(K), "--L", "1", "--w", "1"])
+    assert code == 0
+    assert f"R_HKD: {K - 1}/2 (5e+154)" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["decode-test", "--seed", "1"]])
+def test_oversized_gaps_refused_before_canonicalizing(capsys, monkeypatch, command):
+    # 20,000 zero gaps: K = i = 20,000, so 8e12 user-node pairs.  The count is
+    # the same for every rotation, so the O(i^2) canonical rotation never runs.
+    import sicps.icp as icp
+
+    rotated = []
+    monkeypatch.setattr(icp, "canonical_rotation", rotated.append)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["icp", *command, "--gaps", ",".join(["0"] * 20000),
+                                  "--L", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, rotated) == (2, "", [])
+    assert err == ("error: union instance with 20000 users and 20000 columns has "
+                   "8000000000000 user-node pairs, above the limit 2000000\n")
+
+
+def test_a_fault_inside_theorem5_is_not_read_as_inapplicable(capsys, monkeypatch):
+    # Theorem 5 applies to (2,2)/L=7 (K = 12, six colors); a ValueError raised
+    # inside its coloring must surface, not turn "exact: 6" into "unknown".
+    import sicps.coloring as coloring
+
+    original = coloring.circulant_coloring
+
+    def faulty(graph, n, shifts):
+        if n != graph.K:
+            raise ValueError("an internal fault")
+        return original(graph, n, shifts)
+
+    monkeypatch.setattr(coloring, "circulant_coloring", faulty)
+    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,2", "--L", "7"])
+    assert (code, out, err) == (2, "", "error: an internal fault\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["icp", "analyze", "--gaps", "2,2", "--L", "7"],
+    ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--trials", "2"],
+])
+def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv):
+    from sicps.bounds import BoundReport
+
+    def unused(*_):
+        raise AssertionError("the text branch built a JSON payload")
+
+    monkeypatch.setattr(BoundReport, "to_json", unused)
+    monkeypatch.setattr(cli, "_scheme_json", unused)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("gaps: ")
+
+
 def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     import sicps.macc as macc
     import sicps.scheme as scheme

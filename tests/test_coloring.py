@@ -27,6 +27,7 @@ from sicps.coloring import (
     circulant_coloring,
     local_chromatic_value,
     theorem1_coloring,
+    theorem5_applies,
     theorem5_coloring,
     upper_bound_Ru,
     verify_proper,
@@ -152,17 +153,20 @@ def test_two_column_coloring_rejections():
 
 def test_theorem_colorings_match_per_node_formulas():
     # Both circulant builders give the per-node formulas' assignments, and
-    # Theorem 5 refuses exactly where the formula does, with the same message.
+    # Theorem 5 refuses exactly where the formula does, with the same message,
+    # which is exactly where `theorem5_applies` says it does not apply.
     for spec in canonical_gap_vectors(48):
         icp = build_union_icp(spec)
         assert theorem1_coloring(icp).assignment == reference_theorem1_assignment(spec), spec
         try:
             expected = reference_theorem5_assignment(spec)
         except ValueError as exc:
+            assert not theorem5_applies(spec), spec
             with pytest.raises(ValueError) as refused:
                 theorem5_coloring(icp)
             assert str(refused.value) == str(exc), spec
         else:
+            assert theorem5_applies(spec), spec
             assert theorem5_coloring(icp).assignment == expected, spec
 
 

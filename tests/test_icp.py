@@ -25,6 +25,7 @@ from sicps.icp import (
     GapVector,
     build_union_icp,
     canonical_rotation,
+    format_count,
     rotate_gaps,
     wrap,
 )
@@ -302,3 +303,10 @@ def test_tilde_bar_equivalent():
                 assert GapVector(s * l, L).K == K
                 upper = Fraction(min(2 * (K - (i - 1) * L) + i - 2 - s[0], K), l)
                 assert tilde_icp_bounds(s, l, L) == (sum(s) + m, upper), (s, l, L)
+
+
+def test_format_count_writes_powers_of_ten_from_10_18():
+    assert format_count(0) == "0"
+    assert format_count(10**18 - 1) == "999999999999999999"
+    assert format_count(10**18) == "about 10^18.0"
+    assert format_count(2 * 10**6000) == "about 10^6000.3"  # past the int-to-str limit

@@ -403,11 +403,46 @@ def test_tradeoff_curve_refuses_corners_that_sum_past_the_budget():
 @given(K=st.integers(1, 10**7), data=st.data())
 @example(K=1, data=None)
 def test_rate_new_cost_is_bounded_by_the_cheap_test(K, data):
-    # The guards skip the estimate below K*K*(2 + ln K) + 10^4 per corner,
-    # so that bound must hold for every w.
+    # The guards skip the estimate below K*K*(2 + bit_length(K)) + 10^4 per
+    # corner, so that bound, here the tighter one with ln K, must hold for every w.
     L = 1 if data is None else data.draw(st.integers(1, K))
     w = 1 if data is None else data.draw(st.integers(1, K // L))
     assert rate_new_cost(K, L, w) <= K * K * (2 + math.log(K)) + 1e4
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 3000), data=st.data())
+@example(K=3000, data=None)  # 3,000 corners, over the limit only in their sum
+def test_rate_budget_decides_as_the_summed_estimate(K, data):
+    L = 1 if data is None else data.draw(st.integers(1, K))
+    start = 1 if data is None else data.draw(st.integers(1, K // L))
+    stop = K // L if data is None else data.draw(st.integers(start, K // L))
+    ws = range(start, stop + 1)
+    summed = sum(rate_new_cost(K, L, w) for w in ws)
+    assert macc._over_rate_budget(K, L, ws) == (summed > MAX_RATE_BIT_OPS)
+
+
+def test_rate_budget_is_decided_in_integers_past_the_floats():
+    # Past 150,000 corners the budget is spent on their 10^4 floors alone,
+    # and K*K of a long int is never made a float.
+    with mock.patch.object(macc, "rate_new_cost", side_effect=AssertionError("estimated")):
+        assert macc._over_rate_budget(10**19, 1, range(1, 10**19 + 1))
+        assert macc._over_rate_budget(10**6, 1, range(1, 150_002))
+    assert not macc._over_rate_budget(10**155, 1, range(1, 2))
+    assert rate_new(10**155, 1, 1) == Fraction(10**155 - 1, 2)
+    # w*L >= K costs the floor; anything else past lgamma's floats is refused.
+    assert rate_new_cost(10**400, 10**400, 1) == 1e4
+    for L, w in [(1, 1), (1, 10**400 - 1), (3, 10**399)]:
+        with pytest.raises(ValueError, match="past the range of its cost estimate"):
+            rate_new_cost(10**400, L, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(1, 60), data=st.data())
+def test_delivery_cells_are_the_placement_sets_times_k_minus_wl(K, data):
+    L = data.draw(st.integers(1, K))
+    w = data.draw(st.integers(1, K // L))
+    assert placement_set_count(K, L, w) * (K - w * L) == K * math.comb(K - w * L + w - 1, w)
 
 
 def test_rate_hkd_values():
