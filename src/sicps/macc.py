@@ -146,7 +146,7 @@ def rate_new_cost(K: int, L: int, w: int) -> float:
     building it costs about b*b/16.  Each of the table's entries and each of
     the O(n log m) strided additions costs at most b more.  A fixed 10^4
     stands for the work of any call, so that a sum over many corners grows
-    with their count.  Where lgamma's floats end, near 2.5e305, it refuses.
+    with their count.  It refuses n+m >= 2^1000, short of lgamma's float limit near 2.5e305.
     """
     n, m = K - w * L - 1, w + 1
     if n < 0:
