@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bounds import build_report
 from .coloring import VerificationError, theorem1_coloring
-from .icp import GapVector, UnionIcp, build_union_icp, check_union_size
+from .icp import GapVector, UnionIcp, build_union_icp, check_union_size, format_count
 from .macc import (
     CcdnConfig,
     RatePoint,
@@ -129,7 +129,7 @@ def _scheme_json(scheme: TransmissionScheme) -> dict:
 
 def cmd_icp_decode_test(args) -> int:
     if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+        raise ValueError(f"--trials must be >= 0, got {format_count(args.trials)}")
     icp, _ = _canonical_union(args)
     spec = icp.spec
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, args.field))

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import NamedTuple
 
-from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, rotate_mask, wrap
+from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, wrap
 
 
 class VerificationError(ValueError):
@@ -22,12 +22,14 @@ class VerificationError(ValueError):
 
 
 class Coloring(NamedTuple("Coloring", [("assignment", dict), ("num_colors", int),
-                                        ("classes", tuple), ("masks", tuple)])):
+                                        ("classes", tuple), ("masks", tuple),
+                                        ("shifts", tuple)])):
     """Assignment of colors 1..num_colors to every virtual node.
 
     `classes[c-1]` holds the nodes of color c, sorted (empty for an unused
     color), and `masks[c-1]` their positions in sorted order as bits, built
-    once here: node masks of any graph the coloring covers exactly.
+    once here: node masks of any graph the coloring covers exactly.  `shifts`
+    is the rule of a `circulant_coloring`, set only there, and () otherwise.
     """
 
     __slots__ = ()
@@ -41,7 +43,7 @@ class Coloring(NamedTuple("Coloring", [("assignment", dict), ("num_colors", int)
             classes[c - 1].append(node)
             masks[c - 1] |= 1 << j
         return super().__new__(cls, assignment, num_colors,
-                               tuple(map(tuple, classes)), tuple(masks))
+                               tuple(map(tuple, classes)), tuple(masks), ())
 
 
 def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Coloring:
@@ -57,7 +59,7 @@ def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Colo
         raise ValueError(f"{len(shifts)} shifts for {graph.num_columns} columns")
     assignment = {(k, v): wrap(k - s, n)
                   for k in range(1, graph.K + 1) for v, s in enumerate(shifts, start=1)}
-    return Coloring(assignment=assignment, num_colors=n)
+    return Coloring(assignment=assignment, num_colors=n)._replace(shifts=tuple(shifts))
 
 
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
@@ -80,16 +82,9 @@ def theorem5_coloring(icp: UnionIcp) -> Coloring:
     return circulant_coloring(icp, a1 + a2 + 2, (0, -(a2 + 1)))
 
 
-def _shift_carries_classes(graph: SuicpGraph, coloring: Coloring) -> bool:
-    """Whether the graph has the user shift and it maps color class c onto class c+1 mod n.
-
-    Every `circulant_coloring` does: color(k+1, v) = color(k, v) + 1.  Then
-    every user's view of the colors is user 1's, shifted.
-    """
-    if not graph.has_user_shift:
-        return False
-    masks, n, i = coloring.masks, len(graph), graph.num_columns
-    return all(rotate_mask(a, i, n) == b for a, b in zip(masks, masks[1:] + masks[:1]))
+def _user1_stands_for_all(graph: SuicpGraph, coloring: Coloring) -> bool:
+    """Whether the user shift maps the graph onto itself and class c onto c+1: a circulant rule."""
+    return bool(coloring.shifts) and graph.has_user_shift
 
 
 def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Node]]:
@@ -97,18 +92,23 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
 
     An empty list means the coloring is proper.  Within one color class two
     nodes are compatible exactly when each is side information for the other,
-    so only same-color pairs need checking, one mask test per node.  The
-    coloring must cover exactly the graph's nodes.
+    so only same-color pairs need checking, one mask test per node, and for
+    a circulant coloring on a graph with the user shift only user 1's nodes,
+    each pair shifted onto every user.  It must cover exactly the graph's nodes.
     """
-    if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
+    nodes = graph.nodes
+    if odd := sorted(set(nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    side, bit = graph.user_side, graph.bit
+    side, bit, masks, color = graph.user_side, graph.bit, coloring.masks, coloring.assignment
+    one = _user1_stands_for_all(graph, coloring)
     violations: list[tuple[Node, Node]] = []
-    for members, mask in zip(coloring.classes, coloring.masks):
-        for u in members:
-            # A node never interferes with itself: clear its own bit too.
-            if outside := mask & ~(side[u[0] - 1] | bit(u)):
-                violations += [(u, v) for v in graph.nodes_of(outside)]
+    for u in nodes[:graph.num_columns] if one else nodes:
+        # A node never interferes with itself: clear its own bit too.
+        if outside := masks[color[u] - 1] & ~(side[u[0] - 1] | bit(u)):
+            violations += [(u, v) for v in graph.nodes_of(outside)]
+    if one:
+        violations = [((1 + s, t), (wrap(k + s, graph.K), w))
+                      for s in range(graph.K) for (_, t), (k, w) in violations]
     return sorted(violations)
 
 
@@ -117,16 +117,14 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
 
     All nodes of a user share the same closed anti-outneighborhood (the
     complement of the user's side information): count the classes meeting it.
-    When the user shift maps the graph onto itself and each color class onto
-    the next, every user meets as many classes as user 1, so only user 1's
-    complement is counted.  An improper coloring is refused, naming its
-    first violating pair.
+    For a circulant coloring on a graph with the user shift, user 1's count is
+    every user's.  An improper coloring is refused, naming its first pair.
     """
     if violations := verify_proper(graph, coloring):
         u, v = violations[0]
         raise VerificationError(f"coloring is not proper: {u} and {v} share color "
                                 f"{coloring.assignment[u]}, but user {u[0]} does not know {v}")
-    sides = graph.user_side[:1] if _shift_carries_classes(graph, coloring) else graph.user_side
+    sides = graph.user_side[:1] if _user1_stands_for_all(graph, coloring) else graph.user_side
     outsides = [~side for side in sides]
     return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)
 

@@ -184,8 +184,8 @@ class UnionIcp(SuicpGraph):
 
 
 def format_count(n: int) -> str:
-    """`n` in digits below 10^18, else as a power of ten: a refusal stays short enough to print."""
-    return str(n) if n < 10**18 else f"about 10^{math.log10(n):.1f}"
+    """`n` in digits if |n| < 10^18, else as a signed power of ten: short enough to print."""
+    return str(n) if abs(n) < 10**18 else f"about {'-' * (n < 0)}10^{math.log10(abs(n)):.1f}"
 
 
 def check_union_size(spec: GapVector) -> None:

@@ -55,13 +55,14 @@ class CcdnConfig(NamedTuple("CcdnConfig", [("N", int), ("K", int), ("L", int)]))
         if N < 1 or K < 1:
             raise ValueError("N and K must be positive")
         if not 1 <= L <= K:
-            raise ValueError(f"access degree must satisfy 1 <= L <= K, got {L}")
+            raise ValueError(f"access degree must satisfy 1 <= L <= K, got {format_count(L)}")
         return super().__new__(cls, N, K, L)
 
 
 def _check_w(K: int, L: int, w: int) -> None:
     if not 1 <= w <= K // L:
-        raise ValueError(f"memory multiplier w={w} outside [1, {K // L}]")
+        raise ValueError(f"memory multiplier w={format_count(w)} outside "
+                         f"[1, {format_count(K // L)}]")
 
 
 def iter_placement_sets(K: int, L: int, w: int):
@@ -199,8 +200,8 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
     """
     _check_w(K, L, w)
     if _over_rate_budget(K, L, range(w, w + 1)):
-        raise ValueError(f"R_new at (K, L, w) = ({K}, {L}, {w}) would take more than "
-                         f"{MAX_RATE_BIT_OPS:.2g} bit operations")
+        raise ValueError(f"R_new at (K, L, w) = ({', '.join(map(format_count, (K, L, w)))}) "
+                         f"would take more than {MAX_RATE_BIT_OPS:.2g} bit operations")
     return next(_rate_walk(K, L, range(w, w + 1)))
 
 
@@ -286,10 +287,11 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
     refused first.
     """
     if not 0 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {samples}")
+        raise ValueError(f"samples must be in [0, {MAX_SAMPLES}], got {format_count(samples)}")
     K, N = cfg.K, cfg.N
     if _over_rate_budget(K, cfg.L, range(1, K // cfg.L + 1)):
-        raise ValueError(f"the {K // cfg.L} corners at (K, L) = ({K}, {cfg.L}) would take "
+        raise ValueError(f"the {format_count(K // cfg.L)} corners at (K, L) = "
+                         f"({format_count(K)}, {format_count(cfg.L)}) would take "
                          f"more than {MAX_RATE_BIT_OPS:.2g} bit operations")
     top = -(-K // cfg.L)
     s = max(samples - 1, 1)
@@ -404,7 +406,7 @@ def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
     over classes, in file units, is at most rate_new: Ru bounds each chi.
     """
     if len(demands) != cfg.K:
-        raise ValueError(f"need exactly {cfg.K} demands, got {len(demands)}")
+        raise ValueError(f"need exactly {format_count(cfg.K)} demands, got {len(demands)}")
     if any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError("demands must be file ids in [1, N]")
     K, L = cfg.K, cfg.L

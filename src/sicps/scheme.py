@@ -46,7 +46,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .coloring import Coloring, local_chromatic_value
-from .icp import Node, SuicpGraph
+from .icp import Node, SuicpGraph, format_count
 
 # Miller-Rabin with the first thirteen primes as bases is exact below the
 # smallest strong pseudoprime to all of them (Sorenson and Webster, Math.
@@ -59,7 +59,7 @@ PRIME_CHECK_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Exact primality below PRIME_CHECK_BOUND; ValueError at or above it."""
     if n >= PRIME_CHECK_BOUND:
-        raise ValueError(f"field order {n} is not below {PRIME_CHECK_BOUND}, "
+        raise ValueError(f"field order {format_count(n)} is not below {PRIME_CHECK_BOUND}, "
                          "the bound under which primality is checked exactly")
     if n < 2:
         return False

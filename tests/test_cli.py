@@ -617,7 +617,7 @@ HUGE_UNION = ("error: union instance with about 10^3000.0 users and 2 columns ha
 
 @pytest.mark.parametrize("argv, code, message", [
     (["macc", "tradeoff", "--K", str(10**19), "--L", "1"], 2,
-     f"error: the {10**19} corners at (K, L) = ({10**19}, 1) would take more than "
+     "error: the about 10^19.0 corners at (K, L) = (about 10^19.0, 1) would take more than "
      "1.5e+09 bit operations\n"),
     (["macc", "rate", "--K", str(10**155), "--L", "1", "--w", "1"], 0, ""),
     (["macc", "tradeoff", "--K", str(10**200), "--L", str(10**200)], 0, ""),
@@ -644,6 +644,28 @@ def test_huge_inputs_print_a_value_or_a_short_refusal(capsys, argv, code, messag
     assert (got, err) == (code, message)
     assert len(err.encode()) < 300
     assert (out == "") == (code == 2)
+
+
+BIG = str(10**4000)  # argparse reads up to 4,300 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["macc", "tradeoff", "--K", BIG, "--L", "1"],
+    ["macc", "rate", "--K", BIG, "--L", "1", "--w", "0"],
+    ["macc", "rate", "--K", "100", "--L", BIG, "--w", "1"],
+    ["macc", "simulate", "--K", BIG, "--L", "1", "--w", "1", "--demands", "1", "--seed", "1"],
+    ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--field", BIG],
+    ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--trials", "-" + BIG],
+    ["macc", "tradeoff", "--K", "100", "--L", "1", "--samples", BIG],
+    ["macc", "rate", "--K", str(10**300), "--L", "1", "--w", str(10**299)],
+])
+def test_refusals_print_typed_integers_as_counts(capsys, argv):
+    # Each refusal echoes a typed integer of 300 to 4,001 digits: as a power
+    # of ten, the message stays one short line.
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert len(err.encode()) < 300
 
 
 def test_macc_rate_prints_past_the_float_range_of_k_squared(capsys):

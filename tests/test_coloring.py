@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from conftest import (
 from sicps.coloring import (
     Coloring,
     VerificationError,
-    _shift_carries_classes,
     circulant_coloring,
     local_chromatic_value,
     theorem1_coloring,
@@ -32,7 +32,7 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, build_union_icp
+from sicps.icp import GapVector, SuicpGraph, build_union_icp
 from sicps.scheme import MdsCode, build_mds_scheme
 
 
@@ -296,14 +296,15 @@ def test_properness_and_value_against_naive_oracles():
         assert verify_proper(icp, squashed) == naive_violations(icp, squashed)
 
 
-def assert_matches_references(icp, coloring):
-    violations = verify_proper(icp, coloring)
-    assert violations == naive_violations(icp, coloring)
+def assert_matches_references(graph, coloring):
+    violations = naive_violations(graph, coloring)
+    assert verify_proper(graph, coloring) == violations
     if violations:
-        with pytest.raises(VerificationError, match="not proper"):
-            local_chromatic_value(icp, coloring)
+        (u, v), *_ = violations
+        with pytest.raises(VerificationError, match=re.escape(f"not proper: {u} and {v} share")):
+            local_chromatic_value(graph, coloring)
     else:
-        assert local_chromatic_value(icp, coloring) == naive_local_chromatic(icp, coloring)
+        assert local_chromatic_value(graph, coloring) == naive_local_chromatic(graph, coloring)
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,17 +312,30 @@ def assert_matches_references(icp, coloring):
 def test_circulant_colorings_match_per_user_references(spec, data):
     # A circulant coloring with n | K is carried onto itself by the user shift,
     # so properness and chi come from user 1's row; many drawn ones are
-    # improper.  Swapping two nodes' colors generally breaks the symmetry and
-    # sends both functions down their per-user path.
+    # improper.  A coloring built from a bare assignment claims no rule, and
+    # a graph without the user shift has none to follow: both take the
+    # per-user path and must still match the per-node references.
     icp = build_union_icp(spec)
     n = data.draw(st.sampled_from([d for d in range(1, spec.K + 1) if spec.K % d == 0]))
     shifts = data.draw(st.lists(st.integers(0, n - 1), min_size=spec.i, max_size=spec.i))
     coloring = circulant_coloring(icp, n, shifts)
-    assert _shift_carries_classes(icp, coloring)
+    assert coloring.shifts
     assert_matches_references(icp, coloring)
 
     u, v = data.draw(st.lists(st.sampled_from(icp.nodes), min_size=2, max_size=2, unique=True)
                      if len(icp) > 1 else st.just([icp.nodes[0]] * 2))
     swapped = dict(coloring.assignment)
     swapped[u], swapped[v] = swapped[v], swapped[u]
-    assert_matches_references(icp, Coloring(swapped, n))
+    swapped = Coloring(swapped, n)
+    assert swapped.shifts == ()
+    assert_matches_references(icp, swapped)
+
+    if spec.K > 1:
+        # One user knows one node more or less than the union says.
+        k = data.draw(st.integers(1, spec.K))
+        node = data.draw(st.sampled_from([nd for nd in icp.nodes if nd[0] != k]))
+        sides = list(icp.user_side)
+        sides[k - 1] ^= icp.bit(node)
+        graph = SuicpGraph(spec.K, spec.i, tuple(sides))
+        assert not graph.has_user_shift
+        assert_matches_references(graph, coloring)

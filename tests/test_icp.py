@@ -310,3 +310,6 @@ def test_format_count_writes_powers_of_ten_from_10_18():
     assert format_count(10**18 - 1) == "999999999999999999"
     assert format_count(10**18) == "about 10^18.0"
     assert format_count(2 * 10**6000) == "about 10^6000.3"  # past the int-to-str limit
+    assert format_count(1 - 10**18) == "-999999999999999999"
+    assert format_count(-(10**18)) == "about -10^18.0"
+    assert format_count(-2 * 10**6000) == "about -10^6000.3"
