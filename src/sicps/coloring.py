@@ -29,7 +29,8 @@ class Coloring(NamedTuple("Coloring", [("assignment", dict), ("num_colors", int)
     `classes[c-1]` holds the nodes of color c, sorted (empty for an unused
     color), and `masks[c-1]` their positions in sorted order as bits, built
     once here: node masks of any graph the coloring covers exactly.  `shifts`
-    is the rule of a `circulant_coloring`, set only there, and () otherwise.
+    is the rule of a `circulant_coloring`, set there, and () otherwise; it is
+    trusted, not checked, so a rule set by hand (`_replace`) can miscount chi.
     """
 
     __slots__ = ()
@@ -92,23 +93,19 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
 
     An empty list means the coloring is proper.  Within one color class two
     nodes are compatible exactly when each is side information for the other,
-    so only same-color pairs need checking, one mask test per node, and for
-    a circulant coloring on a graph with the user shift only user 1's nodes,
-    each pair shifted onto every user.  It must cover exactly the graph's nodes.
+    so only same-color pairs need checking, one mask test per node; every
+    node is tested, whatever rule built the coloring.  The coloring must
+    cover exactly the graph's nodes.
     """
-    nodes = graph.nodes
-    if odd := sorted(set(nodes) ^ set(coloring.assignment)):
+    if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    side, bit, masks, color = graph.user_side, graph.bit, coloring.masks, coloring.assignment
-    one = _user1_stands_for_all(graph, coloring)
+    side, bit = graph.user_side, graph.bit
     violations: list[tuple[Node, Node]] = []
-    for u in nodes[:graph.num_columns] if one else nodes:
-        # A node never interferes with itself: clear its own bit too.
-        if outside := masks[color[u] - 1] & ~(side[u[0] - 1] | bit(u)):
-            violations += [(u, v) for v in graph.nodes_of(outside)]
-    if one:
-        violations = [((1 + s, t), (wrap(k + s, graph.K), w))
-                      for s in range(graph.K) for (_, t), (k, w) in violations]
+    for members, mask in zip(coloring.classes, coloring.masks):
+        for u in members:
+            # A node never interferes with itself: clear its own bit too.
+            if outside := mask & ~(side[u[0] - 1] | bit(u)):
+                violations += [(u, v) for v in graph.nodes_of(outside)]
     return sorted(violations)
 
 
@@ -117,8 +114,9 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
 
     All nodes of a user share the same closed anti-outneighborhood (the
     complement of the user's side information): count the classes meeting it.
-    For a circulant coloring on a graph with the user shift, user 1's count is
-    every user's.  An improper coloring is refused, naming its first pair.
+    An improper coloring is refused, naming its first pair, after every node
+    is checked; then for a circulant coloring on a graph with the user shift,
+    user 1's count is every user's.
     """
     if violations := verify_proper(graph, coloring):
         u, v = violations[0]

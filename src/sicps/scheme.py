@@ -109,8 +109,8 @@ class MdsCode:
         n = self.num_colors = num_colors
         if field_order is None:  # the least prime above n, and at least 257
             q = next_prime_at_least(max(257, n + 1))
-        elif not is_prime(q := field_order):
-            raise ValueError(f"field order {q} is not prime")
+        elif not is_prime(q := field_order):  # q >= 0 here is below PRIME_CHECK_BOUND: in full
+            raise ValueError(f"field order {format_count(q) if q < 0 else q} is not prime")
         elif q < n:
             raise ValueError(f"field order {q} too small for {n} colors")
         self.field_order = q

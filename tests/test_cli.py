@@ -655,6 +655,7 @@ BIG = str(10**4000)  # argparse reads up to 4,300 digits
     ["macc", "rate", "--K", "100", "--L", BIG, "--w", "1"],
     ["macc", "simulate", "--K", BIG, "--L", "1", "--w", "1", "--demands", "1", "--seed", "1"],
     ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--field", BIG],
+    ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--field", "-" + BIG],
     ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--trials", "-" + BIG],
     ["macc", "tradeoff", "--K", "100", "--L", "1", "--samples", BIG],
     ["macc", "rate", "--K", str(10**300), "--L", "1", "--w", str(10**299)],
