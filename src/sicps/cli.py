@@ -26,10 +26,12 @@ from .macc import (
     rate_rk,
     tradeoff_curve,
 )
-from .scheme import MdsCode, TransmissionScheme, build_mds_scheme, plan_decode, simulate_decode
+from .scheme import MdsCode, TransmissionScheme, build_mds_scheme, decode_plans, simulate_decode
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
+# Most failing nodes `icp decode-test` names on stderr before it gives their count.
+MAX_FAILURE_LINES = 10
 
 
 def _decimal(x: Fraction) -> str:
@@ -133,13 +135,22 @@ def cmd_icp_decode_test(args) -> int:
     icp, _ = _canonical_union(args)
     spec = icp.spec
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K, args.field))
-    plans = [plan_decode(scheme, k) for k in range(1, icp.K + 1)]
+    plans = decode_plans(scheme)
     q, failures = scheme.field_order, 0
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
         messages = {node: rng.randrange(q) for node in icp.nodes}
         decoded = simulate_decode(scheme, messages, plans)
-        failures += sum(decoded[node] != messages[node] for node in icp.nodes)
+        for node in icp.nodes:
+            if decoded[node] != messages[node]:
+                if failures < MAX_FAILURE_LINES:
+                    plan = plans[node[0] - 1]
+                    print(f"decode failure: trial {trial}, node {node}, unknown colors "
+                          f"{plan.unknown_colors}, m={plan.m}, chi={scheme.chi}", file=sys.stderr)
+                failures += 1
+    if failures:
+        print(f"decode failures: {failures} nodes over {args.trials} trials, "
+              f"{min(failures, MAX_FAILURE_LINES)} shown", file=sys.stderr)
     if args.format == "json":
         payload = {
             "gaps": list(spec.gaps),

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import NamedTuple
 
-from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max, wrap
+from .icp import GapVector, Node, SuicpGraph, UnionIcp, require_leading_max
 
 
 class VerificationError(ValueError):
@@ -50,7 +50,9 @@ class Coloring(NamedTuple("Coloring", [("assignment", dict), ("num_colors", int)
 def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Coloring:
     """Color node (k, v) with <k - shifts[v-1]>_n, for n dividing K.
 
-    Both theorems' colorings have this form; the user shift carries class c onto c+1.
+    Both theorems' colorings have this form; the user shift carries class c
+    onto c+1.  One pass in node order fills the assignment, the sorted
+    classes and the masks, as `Coloring` would from the assignment alone.
     """
     if n < 1:
         raise ValueError(f"color count {n} must be at least 1")
@@ -58,9 +60,15 @@ def circulant_coloring(graph: SuicpGraph, n: int, shifts: Sequence[int]) -> Colo
         raise ValueError(f"user count {graph.K} is not a multiple of {n}")
     if len(shifts) != graph.num_columns:
         raise ValueError(f"{len(shifts)} shifts for {graph.num_columns} columns")
-    assignment = {(k, v): wrap(k - s, n)
-                  for k in range(1, graph.K + 1) for v, s in enumerate(shifts, start=1)}
-    return Coloring(assignment=assignment, num_colors=n)._replace(shifts=tuple(shifts))
+    assignment: dict[Node, int] = {}
+    classes: list[list[Node]] = [[] for _ in range(n)]
+    masks = [0] * n
+    for j, node in enumerate(graph.nodes):
+        c = (node[0] - shifts[node[1] - 1] - 1) % n
+        assignment[node] = c + 1
+        classes[c].append(node)
+        masks[c] |= 1 << j
+    return Coloring._make((assignment, n, tuple(map(tuple, classes)), tuple(masks), tuple(shifts)))
 
 
 def theorem1_coloring(icp: UnionIcp) -> Coloring:
@@ -83,8 +91,11 @@ def theorem5_coloring(icp: UnionIcp) -> Coloring:
     return circulant_coloring(icp, a1 + a2 + 2, (0, -(a2 + 1)))
 
 
-def _user1_stands_for_all(graph: SuicpGraph, coloring: Coloring) -> bool:
-    """Whether the user shift maps the graph onto itself and class c onto c+1: a circulant rule."""
+def user1_stands_for_all(graph: SuicpGraph, coloring: Coloring) -> bool:
+    """Whether the user shift maps the graph onto itself and class c onto c+1: a circulant rule.
+
+    Then user 1's class count, and its decode plan moved k-1 users on, are user k's.
+    """
     return bool(coloring.shifts) and graph.has_user_shift
 
 
@@ -99,13 +110,13 @@ def verify_proper(graph: SuicpGraph, coloring: Coloring) -> list[tuple[Node, Nod
     """
     if odd := sorted(set(graph.nodes) ^ set(coloring.assignment)):
         raise ValueError(f"coloring leaves uncovered or colors outside the graph: {odd[:5]}")
-    side, bit = graph.user_side, graph.bit
+    side, i = graph.user_side, graph.num_columns
     violations: list[tuple[Node, Node]] = []
     for members, mask in zip(coloring.classes, coloring.masks):
-        for u in members:
+        for k, t in members:
             # A node never interferes with itself: clear its own bit too.
-            if outside := mask & ~(side[u[0] - 1] | bit(u)):
-                violations += [(u, v) for v in graph.nodes_of(outside)]
+            if outside := mask & ~(side[k - 1] | 1 << (k - 1) * i + t - 1):
+                violations += [((k, t), v) for v in graph.nodes_of(outside)]
     return sorted(violations)
 
 
@@ -122,7 +133,7 @@ def local_chromatic_value(graph: SuicpGraph, coloring: Coloring) -> int:
         u, v = violations[0]
         raise VerificationError(f"coloring is not proper: {u} and {v} share color "
                                 f"{coloring.assignment[u]}, but user {u[0]} does not know {v}")
-    sides = graph.user_side[:1] if _user1_stands_for_all(graph, coloring) else graph.user_side
+    sides = graph.user_side[:1] if user1_stands_for_all(graph, coloring) else graph.user_side
     outsides = [~side for side in sides]
     return max((sum(1 for mask in coloring.masks if mask & out) for out in outsides), default=0)
 
@@ -145,6 +156,7 @@ __all__ = [
     "theorem1_coloring",
     "theorem5_applies",
     "theorem5_coloring",
+    "user1_stands_for_all",
     "verify_proper",
     "local_chromatic_value",
     "ru_cap",

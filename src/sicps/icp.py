@@ -22,8 +22,9 @@ Node = tuple[int, int]  # (user, column), both 1-based
 # Most user-node pairs, K * (K*i), that `build_union_icp` accepts: the pairs
 # that the local chromatic value and decode scan, as bitmasks.  Larger
 # instances are refused before anything is built.  1.7 million pairs
-# ((120,1,119) in `macc simulate`) take 0.75-0.81 s and 25 MB (2-core Intel
-# Xeon, Python 3.11.7, on a CPU whose speed varies by up to 2x).
+# ((120,1,119) in `macc simulate`) take 0.55-0.66 s and 41 MB as a whole
+# process, 16 MB of it the 120 users' decode plans, held at once (2-core
+# Intel Xeon, Python 3.11.7, on a CPU whose speed varies by up to 2x).
 MAX_UNION_PAIRS = 2_000_000
 
 
@@ -126,17 +127,13 @@ class SuicpGraph:
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self._values!r}"
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[Node, ...]:
+        """Every node in mask-bit order, built once per graph."""
         return tuple(product(range(1, self.K + 1), range(1, self.num_columns + 1)))
 
     def __len__(self) -> int:
         return self.K * self.num_columns
-
-    def bit(self, node: Node) -> int:
-        """The mask bit of `node`: the one-node inverse of `nodes_of`."""
-        k, t = node
-        return 1 << (k - 1) * self.num_columns + t - 1
 
     @cached_property
     def has_user_shift(self) -> bool:

@@ -19,8 +19,8 @@ from operator import add
 from typing import NamedTuple
 
 from .coloring import ru_cap, theorem1_coloring
-from .icp import GapVector, UnionIcp, build_union_icp, format_count, rotate_gaps, wrap
-from .scheme import MdsCode, build_mds_scheme, simulate_decode
+from .icp import GapVector, UnionIcp, build_union_icp, format_count, rotate_gaps
+from .scheme import MdsCode, build_mds_scheme, decode_plans, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
 
@@ -39,10 +39,11 @@ MAX_RATE_BIT_OPS = 1_500_000_000
 # Most user-node pairs (K per delivery cell) that `end_to_end_simulate`
 # accepts; it refuses more before building anything, and only counts the
 # placement sets.  A class's union has about K pairs per cell (more when its
-# representative is periodic), about 0.2 us each to simulate (2-core Xeon,
-# Python 3.11.7; 1 us on small ones): (20,2,4) 546,000 pairs, 0.4-0.6 s;
-# (60,1,2) 6.2 million, 1.3-1.7 s; (80,1,2) 19.7 million, 3.2-4.3 s; 18-19 MB
-# each.  `icp.MAX_UNION_PAIRS` bounds a class.
+# representative is periodic), about 0.15 us each to simulate as a whole
+# process (2-core Xeon, Python 3.11.7, on a CPU whose speed varies; 0.6 us on
+# small ones): (20,2,4) 546,000 pairs, 0.3 s; (60,1,2) 6.2 million,
+# 1.1-1.4 s; (80,1,2) 19.7 million, 2.4-2.9 s; 17-18 MB each.
+# `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
 
@@ -344,10 +345,12 @@ def delivery_cells(cfg: CcdnConfig, label: tuple[int, ...],
     for gap in reversed(label[1:]):
         c += L + gap
         anchor.append(c)
-    return tuple(
-        (demands[row - 1], tuple(sorted(wrap(s + row - 1, K) for s in anchor)))
-        for row in range(1, K + 1)
-    )
+    cells = []
+    for row in range(K):
+        cache_set = [(s + row - 1) % K + 1 for s in anchor]
+        cache_set.sort()
+        cells.append((demands[row], tuple(cache_set)))
+    return tuple(cells)
 
 
 def group_rotation_classes(cfg: CcdnConfig, w: int) -> list[tuple[tuple[int, ...], int]]:
@@ -404,6 +407,8 @@ def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
     instance.  Each class sends chi rows, the local chromatic value of its
     Theorem-1 coloring, so the transmitted size sum(chi / (split * |sets|))
     over classes, in file units, is at most rate_new: Ru bounds each chi.
+    Each node that decodes wrong is a failure, naming its subfile and part
+    and its user's m and unknown colors, from the class's decode plans.
     """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {format_count(cfg.K)} demands, got {len(demands)}")
@@ -439,13 +444,17 @@ def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
                   for k, cell in enumerate(columns[(p - 1) % period], start=1)}
         symbols = {piece: rng.randrange(q) for piece in dict.fromkeys(pieces.values())}
         messages = dict(zip(pieces, map(symbols.__getitem__, pieces.values())))
-        decoded = simulate_decode(scheme, messages)
-        for node in bar.nodes:
-            if decoded[node] != messages[node]:
-                (file, cache_set), part = pieces[node]
-                failures.append({"representative": list(rep), "user": node[0], "file": file,
-                                 "cache_set": list(cache_set), "part": part + 1,
-                                 "expected": messages[node], "decoded": decoded[node]})
+        plans = decode_plans(scheme)
+        decoded = simulate_decode(scheme, messages, plans)
+        # One comparison in C on success; a failed decode is then scanned node by node.
+        failed = [] if decoded == messages else [v for v in bar.nodes if decoded[v] != messages[v]]
+        for node in failed:
+            (file, cache_set), part = pieces[node]
+            plan = plans[node[0] - 1]
+            failures.append({"representative": list(rep), "user": node[0], "file": file,
+                             "cache_set": list(cache_set), "part": part + 1,
+                             "expected": messages[node], "decoded": decoded[node],
+                             "m": plan.m, "unknown_colors": plan.unknown_colors})
         total += Fraction(scheme.chi, split * num_sets)
         reports.append(ClassReport(rep, columns=period, split=split, chi=scheme.chi, field=q))
     return SimulationReport(

@@ -27,14 +27,15 @@ information.
 Only the w_f depend on the user, on F and c alone, so the `MdsCode` that
 the caller passes to `build_mds_scheme`, which chooses and checks the field
 and serves every scheme with n colors in one command, memoizes them.  Costs:
-O(n^2) for the table of all n bases, once per code; per plan, n class-mask
-tests, O(|F|^2) once per distinct F, and O(|F|) plus |F| inverses once per
-distinct (F, own color), equal keys sharing one weight tuple.  Per trial:
-O(n*chi) to transmit, O(n*m) for the dot vector of each distinct m, and per
-user its |F| known aggregates, a dot of |F| terms and the classmates' sum
-per own node.
-A caller decoding many message sets keeps the K plans; a single decode
-builds each plan, applies it and drops it.
+O(n^2) for each of the code's two tables, the n bases and the n rows of
+powers, once per code.  Per scheme, `decode_plans` builds user 1's plan from
+n class-mask tests and, where the user shift carries the coloring's classes,
+moves it to every other user in time linear in the plan; otherwise each
+plan takes its own n tests.  Weights cost O(|F|^2) once per distinct F, and
+O(|F|) plus |F| inverses once per distinct (F, own color), equal keys
+sharing one weight tuple.  Per trial: chi dots of n terms to transmit,
+O(n*m) for the dot vector of each distinct m, and per user its |F| known
+aggregates, a dot of |F| terms and the classmates' sum per own node.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .coloring import Coloring, local_chromatic_value
+from .coloring import Coloring, local_chromatic_value, user1_stands_for_all
 from .icp import Node, SuicpGraph, format_count
 
 # Miller-Rabin with the first thirteen primes as bases is exact below the
@@ -97,12 +98,13 @@ class MdsCode:
     The one place that chooses and checks the field: q defaults to the least
     prime above n and at least 257, and must be a prime at least n, so the
     points are distinct; anything else raises ValueError.  `bases` holds the
-    Lagrange basis polynomial of every color over all n points, built whole
-    on first use; `weights` gives a user's barycentric weights, which depend
-    only on the colors F it fully knows and the own color, not on the graph
-    or the coloring, so every scheme with n colors over GF(q) can share one
-    code.  Both are memoized for as long as the code lives, which a caller
-    shares within one command and then drops; callers must not change them.
+    Lagrange basis polynomial of every color over all n points, and `powers`
+    the rows p_x**r, r < n, each built whole on first use; `weights` gives a
+    user's barycentric weights, which depend only on the colors F it fully
+    knows and the own color, not on the graph or the coloring, so every
+    scheme with n colors over GF(q) can share one code.  All three are
+    memoized for as long as the code lives, which a caller shares within one
+    command and then drops; callers must not change them.
     """
 
     def __init__(self, num_colors: int, field_order: int | None = None) -> None:
@@ -124,27 +126,41 @@ class MdsCode:
         self._by_full: dict[tuple[int, ...], tuple[list[int], dict[int, tuple[int, ...]]]] = {}
 
     @cached_property
+    def _residues(self) -> list[int] | None:
+        q = self.field_order
+        return list(range(q)) if q <= 2 * self.num_colors else None
+
+    def _shared(self, row: list[int]) -> list[int]:
+        """`row` with one int object per residue where q <= 2n: Python caches none above 256."""
+        return row if self._residues is None else list(map(self._residues.__getitem__, row))
+
+    @cached_property
     def bases(self) -> list[list[int]]:
         """Per color x, l_x = prod_{y != x} (X - p_y) / (p_x - p_y), lowest degree first.
 
         The master prod_x (X - p_x), O(n^2), divided by each (X - p_x) by
-        synthetic division, O(n), over prod_{y != x} (p_x - p_y).  Where
-        q <= 2n, as the default field is for n >= 257, the coefficients share
-        one int object per residue, so each costs only its slot.
+        synthetic division, O(n), over prod_{y != x} (p_x - p_y).
         """
         q, master = self.field_order, [1]
         for p in self.points:
             master = [(hi - p * lo) % q for hi, lo in zip(master + [0], [0] + master)]
-        residues = list(range(q)) if q <= 2 * self.num_colors else None
         bases = []
         for point, scale in zip(self.points, self._scales):
             b, quotient = 1, [1]  # the master is monic
             for a in master[1:-1]:
                 b = (a + point * b) % q
                 quotient.append(b)
-            basis = [b * scale % q for b in reversed(quotient)]
-            bases.append(basis if residues is None else list(map(residues.__getitem__, basis)))
+            bases.append(self._shared([b * scale % q for b in reversed(quotient)]))
         return bases
+
+    @cached_property
+    def powers(self) -> list[list[int]]:
+        """Per row r < n, the points' powers p_x**r in color order: the rows `transmit` sends."""
+        q, points = self.field_order, self.points
+        rows = [self._shared([1] * self.num_colors)]
+        for _ in range(1, self.num_colors):
+            rows.append(self._shared([a * p % q for a, p in zip(rows[-1], points)]))
+        return rows
 
     def weights(self, full: list[int], colors: list[int]) -> list[tuple[int, ...]]:
         """Per color c of `colors`, the weights w_f = P(p_f) / P(p_c) over f in `full`.
@@ -226,16 +242,12 @@ class TransmissionScheme(NamedTuple("TransmissionScheme", [
     def transmit(self, messages: dict[Node, int]) -> Broadcast:
         """The chi broadcast symbols for one symbol of payload per node.
 
-        Row by row: symbol r sums each color's aggregate times p**r, and each
-        term is then multiplied by its point for the next row.
+        Symbol r is the dot of the code's row of powers p**r with the colors'
+        aggregates, the sums of their classes' messages.
         """
-        q, points = self.field_order, self.code.points
-        terms = [sum(map(messages.__getitem__, members)) for members in self.coloring.classes]
-        symbols = []
-        for _ in range(self.chi):
-            symbols.append(sum(terms) % q)
-            terms = [t * p % q for t, p in zip(terms, points)]
-        return Broadcast(symbols, self.code)
+        q, rows = self.field_order, self.code.powers[:self.chi]
+        aggregates = [sum(map(messages.__getitem__, members)) for members in self.coloring.classes]
+        return Broadcast([sum(map(mul, row, aggregates)) % q for row in rows], self.code)
 
 
 def build_mds_scheme(graph: SuicpGraph, coloring: Coloring, code: MdsCode) -> TransmissionScheme:
@@ -265,6 +277,12 @@ class DecodePlan(NamedTuple):
     weights: list[tuple[int, ...]]
     classmates: list[list[Node]]
 
+    @property
+    def unknown_colors(self) -> list[int]:
+        """The m colors the user does not fully know, in order."""
+        full = set(self.full)
+        return [c for c in range(1, self.scheme.num_colors + 1) if c not in full]
+
 
 def plan_decode(scheme: TransmissionScheme, user: int) -> DecodePlan:
     """The decode plan of `user`, built once per scheme and reused across message sets.
@@ -278,13 +296,38 @@ def plan_decode(scheme: TransmissionScheme, user: int) -> DecodePlan:
     graph, coloring = scheme.graph, scheme.coloring
     outside = ~graph.user_side[user - 1]
     own = [(user, t) for t in range(1, graph.num_columns + 1)]
-    own_colors = [coloring.assignment[nd] for nd in own]
     full = [c for c, mask in enumerate(coloring.masks, start=1) if not mask & outside]
-    classmates = [[v for v in coloring.classes[c - 1] if v != nd]
-                  for nd, c in zip(own, own_colors)]
-    weights = scheme.code.weights(full, own_colors)
-    return DecodePlan(scheme, coloring.num_colors - len(full), own, own_colors, full,
-                      weights, classmates)
+    return _plan(scheme, coloring.num_colors - len(full), own,
+                 [coloring.assignment[nd] for nd in own], full)
+
+
+def _plan(scheme: TransmissionScheme, m: int, own: list[Node], colors: list[int],
+          full: list[int]) -> DecodePlan:
+    """A user's plan; each own node's classmates are read off its class, not copied."""
+    classes = scheme.coloring.classes
+    classmates = [[v for v in classes[c - 1] if v != nd] for nd, c in zip(own, colors)]
+    return DecodePlan(scheme, m, own, colors, full, scheme.code.weights(full, colors), classmates)
+
+
+def decode_plans(scheme: TransmissionScheme) -> list[DecodePlan]:
+    """Every user's decode plan, in user order.
+
+    Where the user shift maps the graph onto itself and class c onto c+1
+    (`user1_stands_for_all`), user k's plan is user 1's moved k-1 users on,
+    with no class mask tested: its m is user 1's, and its own colors and full
+    colors are user 1's +(k-1) mod n, the full ones sorted so that equal keys
+    share one weight tuple.  Otherwise `plan_decode` builds each user's plan.
+    """
+    graph, coloring = scheme.graph, scheme.coloring
+    if not user1_stands_for_all(graph, coloring):
+        return [plan_decode(scheme, k) for k in range(1, graph.K + 1)]
+    first, n = plan_decode(scheme, 1), coloring.num_colors
+    plans = [first]
+    for d in range(1, graph.K):
+        full = sorted([(f + d - 1) % n + 1 for f in first.full])
+        plans.append(_plan(scheme, first.m, [(d + 1, t) for _, t in first.own],
+                           [(c + d - 1) % n + 1 for c in first.colors], full))
+    return plans
 
 
 def decode_node(plan: DecodePlan, messages: dict[Node, int],
@@ -310,18 +353,16 @@ def simulate_decode(scheme: TransmissionScheme, messages: dict[Node, int],
                     plans: list[DecodePlan] | None = None) -> dict[Node, int]:
     """Decode every node, one plan per user; the result must reproduce `messages`.
 
-    `plans` are the users' plans in order, built once by `plan_decode` for
-    callers that decode many message sets; without them each user's plan is
-    built, applied and dropped.  One broadcast serves every user, so each
-    shared dot is computed once.
+    `plans` are the users' plans in order, from `decode_plans`, which builds
+    them when none are given; callers decoding many message sets keep them.
+    One broadcast serves every user, so each shared dot is computed once.
     """
     graph = scheme.graph
     if set(messages) != set(graph.nodes):
         raise ValueError("messages must assign exactly one symbol per node")
     broadcast = scheme.transmit(messages)
     decoded: dict[Node, int] = {}
-    for k in range(1, graph.K + 1):
-        plan = plan_decode(scheme, k) if plans is None else plans[k - 1]
+    for plan in decode_plans(scheme) if plans is None else plans:
         decoded.update(decode_node(plan, messages, broadcast))
     return decoded
 
@@ -336,6 +377,7 @@ __all__ = [
     "build_mds_scheme",
     "DecodePlan",
     "plan_decode",
+    "decode_plans",
     "decode_node",
     "simulate_decode",
 ]

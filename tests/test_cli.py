@@ -210,13 +210,24 @@ def test_decode_failure_exits_three(capsys, monkeypatch):
     import sicps.scheme as scheme
 
     monkeypatch.setattr(scheme, "decode_node", corrupted_decode_node)
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         ["icp", "decode-test", "--gaps", "2,1", "--L", "1",
          "--trials", "2", "--seed", "7", "--format", "json"],
     )
     assert code == 3
     assert json.loads(out)["failures"] == 2 * 10
+    # Stderr names the first ten failing nodes, trial 0's in node order, then the count.
+    icp = cli.build_union_icp(cli.GapVector((2, 1), 1))
+    built = scheme.build_mds_scheme(icp, cli.theorem1_coloring(icp), scheme.MdsCode(icp.K))
+    plans = scheme.decode_plans(built)
+    lines = err.splitlines()
+    assert lines == [f"decode failure: trial 0, node {node}, unknown colors "
+                     f"{plans[node[0] - 1].unknown_colors}, m={plans[node[0] - 1].m}, "
+                     f"chi={built.chi}" for node in icp.nodes] + [
+        "decode failures: 20 nodes over 2 trials, 10 shown"]
+    assert [plan.m for plan in plans] == [built.chi] * icp.K
+    assert len(plans[0].unknown_colors) == built.chi
 
 
 def improper(build):
@@ -272,17 +283,21 @@ def test_oracle_fault_is_not_reported_as_skipped(capsys, monkeypatch):
 def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
     import sicps.scheme as scheme
 
-    built = []
+    calls, built = [], []
+    real_plans, real_plan = scheme.decode_plans, scheme.plan_decode
 
-    def spy(real):
-        def counted(scheme_, user):
-            built.append(user)
-            return real(scheme_, user)
-        return counted
+    def spy_plans(scheme_):
+        calls.append(scheme_)
+        return real_plans(scheme_)
 
-    # Both the CLI's own calls and any fallback inside simulate_decode count.
-    monkeypatch.setattr(cli, "plan_decode", spy(cli.plan_decode))
-    monkeypatch.setattr(scheme, "plan_decode", spy(scheme.plan_decode))
+    def spy_plan(scheme_, user):
+        built.append(user)
+        return real_plan(scheme_, user)
+
+    # Both the CLI's own call and any fallback inside simulate_decode count.
+    monkeypatch.setattr(cli, "decode_plans", spy_plans)
+    monkeypatch.setattr(scheme, "decode_plans", spy_plans)
+    monkeypatch.setattr(scheme, "plan_decode", spy_plan)
     code, out, _ = run(
         capsys,
         ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2",
@@ -290,7 +305,9 @@ def test_decode_test_builds_one_plan_per_user(capsys, monkeypatch, trials):
     )
     assert code == 0
     assert json.loads(out)["failures"] == 0
-    assert built == list(range(1, 9))  # K = 8 users, whatever the trial count
+    # One call for all K = 8 users, whatever the trial count: user 1's plan
+    # moved to the others, as the Theorem-1 coloring is circulant.
+    assert len(calls) == 1 and built == [1]
 
 
 def test_macc_rate_values(capsys):
@@ -743,7 +760,7 @@ def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     failures = payload["failures"]
     first = failures[0]
     assert {"representative", "user", "file", "cache_set", "part",
-            "expected", "decoded"} <= set(first)
+            "expected", "decoded", "m", "unknown_colors"} <= set(first)
     assert all(f["file"] == demands[f["user"] - 1] for f in failures)
     # Every node fails, in order (user, column), so the 15th failure of the
     # one-column class (1,1,1), split three ways, is user 5's third part.
@@ -756,6 +773,12 @@ def test_macc_simulate_failure_exits_three(capsys, monkeypatch):
     # Symbols are drawn per new (subfile, part) in order (column, user): user
     # 1's three columns of the first class get the 1st, 9th and 17th draws.
     assert [f["expected"] for f in failures[:8]] == [244, 17, 250, 244, 0, 150, 22, 113]
+    # Each failure names its user's unknown colors: m of them, the most being chi.
+    chis = {tuple(c["representative"]): c["chi"] for c in payload["classes"]}
+    assert all(len(f["unknown_colors"]) == f["m"] <= chis[tuple(f["representative"])]
+               and f["unknown_colors"] == sorted(set(f["unknown_colors"])) for f in failures)
+    for rep, chi in chis.items():
+        assert max(f["m"] for f in failures if tuple(f["representative"]) == rep) == chi
 
 
 def test_unknown_flag_usage_error():

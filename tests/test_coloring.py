@@ -32,7 +32,7 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, SuicpGraph, build_union_icp
+from sicps.icp import GapVector, SuicpGraph, build_union_icp, wrap
 from sicps.scheme import MdsCode, build_mds_scheme
 
 
@@ -335,7 +335,23 @@ def test_circulant_colorings_match_per_user_references(spec, data):
         k = data.draw(st.integers(1, spec.K))
         node = data.draw(st.sampled_from([nd for nd in icp.nodes if nd[0] != k]))
         sides = list(icp.user_side)
-        sides[k - 1] ^= icp.bit(node)
+        sides[k - 1] ^= 1 << (node[0] - 1) * spec.i + node[1] - 1
         graph = SuicpGraph(spec.K, spec.i, tuple(sides))
         assert not graph.has_user_shift
         assert_matches_references(graph, coloring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=gap_vectors(max_nodes=48), data=st.data())
+def test_circulant_coloring_equals_the_coloring_of_its_assignment(spec, data):
+    # The one-pass build fills the same assignment, classes and masks as the
+    # general constructor does from the assignment alone, proper or not.
+    icp = build_union_icp(spec)
+    n = data.draw(st.sampled_from([d for d in range(1, spec.K + 1) if spec.K % d == 0]))
+    shifts = data.draw(st.lists(st.integers(-spec.K, spec.K), min_size=spec.i, max_size=spec.i))
+    coloring = circulant_coloring(icp, n, shifts)
+    assignment = {(k, v): wrap(k - s, n)
+                  for k in range(1, spec.K + 1) for v, s in enumerate(shifts, start=1)}
+    reference = Coloring(assignment, n)._replace(shifts=tuple(shifts))
+    assert tuple(coloring) == tuple(reference)
+    assert list(coloring.assignment) == list(icp.nodes)  # node order, as the masks' bits

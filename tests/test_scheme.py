@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    gap_vectors,
     greedy_colored_graphs,
     graph_from_sides,
     greedy_coloring,
@@ -24,11 +25,13 @@ from conftest import (
     theorem1_colored_unions,
     vandermonde_matrix,
 )
+import sicps.macc as macc_module
 import sicps.scheme as scheme_module
 from sicps import cli
 from sicps.cli import _scheme_json
 from sicps.coloring import (
     Coloring,
+    circulant_coloring,
     local_chromatic_value,
     theorem1_coloring,
     theorem5_coloring,
@@ -46,6 +49,7 @@ from sicps.scheme import (
     TransmissionScheme,
     build_mds_scheme,
     decode_node,
+    decode_plans,
     is_prime,
     next_prime_at_least,
     plan_decode,
@@ -485,6 +489,109 @@ def test_transmit_applies_the_vandermonde_generator_to_the_color_aggregates(
     assert scheme.transmit(messages) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=gap_vectors(max_nodes=48), seed=st.integers(0, 2**32 - 1))
+@example(spec=GapVector((4, 0), 1), seed=0)  # chi = n = 6: every color unknown to some user
+def test_transmit_sends_the_first_chi_vandermonde_rows(spec, seed):
+    # Theorem-1 schemes on unions, where chi reaches n as well as staying below it.
+    graph, coloring = theorem1_colored_unions(spec)
+    n = coloring.num_colors
+    scheme = build_mds_scheme(graph, coloring, MdsCode(n))
+    q = scheme.field_order
+    rng = random.Random(seed)
+    messages = {node: rng.randrange(q) for node in graph.nodes}
+    aggregates = [sum(messages[node] for node in members) for members in coloring.classes]
+    expected = [sum(map(mul, row, aggregates)) % q for row in vandermonde_matrix(n, scheme.chi, q)]
+    assert scheme.transmit(messages) == expected
+
+
+def test_transmit_covers_chi_below_and_at_the_color_count():
+    below, full = setup((9, 7, 5, 3, 1), 3), setup((4, 0), 1)
+    assert build_mds_scheme(below, theorem1_coloring(below), MdsCode(below.K)).chi < below.K
+    assert build_mds_scheme(full, theorem1_coloring(full), MdsCode(full.K)).chi == full.K
+
+
+@st.composite
+def circulant_colored_unions(draw):
+    """A union of at most 48 nodes under a proper circulant coloring.
+
+    Theorem 1's, Theorem 5's on a two-column union with s = a1+a2+2 colors
+    and L = 1 + j*s, so that s | K, or one drawn from (n, shifts): a few
+    draws are tried, and if none is proper, Theorem 1's shifts plus a drawn
+    offset.
+    """
+    kind = draw(st.sampled_from(["theorem1", "theorem5", "drawn"]))
+    if kind == "theorem5":
+        s = draw(st.integers(2, 12))
+        a = draw(st.integers(0, s - 2))
+        icp = build_union_icp(GapVector(sorted((a, s - 2 - a), reverse=True),
+                                        1 + s * draw(st.integers(0, 24 // s - 1))))
+        return icp, theorem5_coloring(icp)
+    icp = build_union_icp(draw(gap_vectors(max_nodes=48)))
+    if kind == "theorem1":
+        return icp, theorem1_coloring(icp)
+    divisors = [d for d in range(1, icp.K + 1) if icp.K % d == 0]
+    for _ in range(8):
+        n = draw(st.sampled_from(divisors))
+        shifts = draw(st.lists(st.integers(0, n - 1), min_size=icp.i, max_size=icp.i))
+        coloring = circulant_coloring(icp, n, shifts)
+        if not verify_proper(icp, coloring):
+            return icp, coloring
+    offset = draw(st.integers(0, icp.K - 1))
+    return icp, circulant_coloring(icp, icp.K, [s + offset for s in theorem1_coloring(icp).shifts])
+
+
+def assert_plans_match_per_user(scheme, plans):
+    assert len(plans) == scheme.graph.K
+    for k, plan in enumerate(plans, start=1):
+        reference = plan_decode(scheme, k)
+        assert plan.scheme is scheme
+        assert (plan.m, plan.own, plan.colors) == (reference.m, reference.own, reference.colors)
+        assert plan.full == reference.full  # sorted, so that the weight keys are shared
+        assert all(a is b for a, b in zip(plan.weights, reference.weights, strict=True))
+        assert [sorted(mates) for mates in plan.classmates] == reference.classmates
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored=circulant_colored_unions())
+def test_decode_plans_move_user_ones_plan_to_every_user(colored):
+    graph, coloring = colored
+    assert coloring.shifts and graph.has_user_shift
+    scheme = build_mds_scheme(graph, coloring, MdsCode(coloring.num_colors))
+    users = []
+    real = scheme_module.plan_decode
+
+    def counted(scheme_, user):
+        users.append(user)
+        return real(scheme_, user)
+
+    scheme_module.plan_decode = counted
+    try:
+        plans = decode_plans(scheme)
+    finally:
+        scheme_module.plan_decode = real
+    assert users == [1]
+    assert_plans_match_per_user(scheme, plans)
+
+
+def test_a_bare_assignment_takes_the_per_user_path(monkeypatch):
+    icp = setup((2, 1, 0), 2)
+    rule = theorem1_coloring(icp)
+    bare = Coloring(rule.assignment, rule.num_colors)
+    assert bare.shifts == () and bare.classes == rule.classes
+    scheme = build_mds_scheme(icp, bare, MdsCode(bare.num_colors))
+    users = []
+
+    def counted(scheme_, user):
+        users.append(user)
+        return plan_decode(scheme_, user)
+
+    monkeypatch.setattr(scheme_module, "plan_decode", counted)
+    plans = decode_plans(scheme)
+    assert users == list(range(1, icp.K + 1))
+    assert_plans_match_per_user(scheme, plans)
+
+
 class RecordingMessages(dict):
     """Messages that record every node whose message is read."""
 
@@ -553,11 +660,11 @@ def test_simulation_builds_each_weight_list_once_and_plans_share_it(monkeypatch)
     # colors: 56 (F, own color) keys serve the 96 own nodes of every class's users.
     plans = []
 
-    def spy_plan(scheme, user):
-        plans.append(plan_decode(scheme, user))
-        return plans[-1]
+    def spy_plans(scheme):
+        plans.extend(decode_plans(scheme))
+        return plans[-scheme.graph.K:]
 
-    monkeypatch.setattr(scheme_module, "plan_decode", spy_plan)
+    monkeypatch.setattr(macc_module, "decode_plans", spy_plans)
     report = end_to_end_simulate(CcdnConfig(8, 8, 2), 2, list(range(1, 9)), seed=1)
     assert report.decoded_ok
     assert sum(len(plan.own) for plan in plans) == 96
@@ -597,6 +704,11 @@ def test_bases_share_one_int_per_residue_where_the_field_is_small():
     for x in (1, 2, 150, 300):
         values = [horner(bases[x - 1], y, 307) for y in (1, 2, 150, 300)]
         assert values == [int(y == x) for y in (1, 2, 150, 300)]
+    # The table of powers shares the same residues, and row r is p_x**r.
+    powers = code.powers
+    assert len(powers) == 300 and {len(row) for row in powers} == {300}
+    assert len({id(c) for table in (bases, powers) for row in table for c in row}) <= 307
+    assert all(powers[r][x - 1] == pow(x, r, 307) for r in (0, 1, 2, 299) for x in (1, 2, 150, 300))
 
 
 @settings(max_examples=60, deadline=None)
