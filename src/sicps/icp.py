@@ -28,12 +28,6 @@ Node = tuple[int, int]  # (user, column), both 1-based
 MAX_UNION_PAIRS = 2_000_000
 
 
-def wrap(m: int, n: int) -> int:
-    """Cyclic 1-based index: result is in [1, n], with multiples of n mapping to n."""
-    r = m % n
-    return n if r == 0 else r
-
-
 def rotate_gaps(gaps: tuple[int, ...], t: int) -> tuple[int, ...]:
     """Rotate the gap tuple clockwise t times (last entry moves to the front)."""
     n = len(gaps)
@@ -220,7 +214,6 @@ __all__ = [
     "GapVector",
     "UnionIcp",
     "SuicpGraph",
-    "wrap",
     "rotate_gaps",
     "canonical_rotation",
     "rotate_mask",

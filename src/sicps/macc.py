@@ -149,6 +149,8 @@ def rate_new_cost(K: int, L: int, w: int) -> float:
     the O(n log m) strided additions costs at most b more.  A fixed 10^4
     stands for the work of any call, so that a sum over many corners grows
     with their count.  It refuses n+m >= 2^1000, short of lgamma's float limit near 2.5e305.
+    It still counts the sums from t = a, not from `_rate_walk`'s later t0, so
+    it overestimates the walk, and every refusal stays where it was.
     """
     n, m = K - w * L - 1, w + 1
     if n < 0:
@@ -192,10 +194,13 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
 
         numerator = A*min(cap-n, K) + sum_{t=a}^{n} B(t),  a = max(1, cap-K+1).
 
-    Inclusion-exclusion, B(t) = sum_s (-1)^s C(m,s) col[n-ts] with col[r] =
-    C(r+m-1, m-1), and swapping the sums: s = 0, 1 give (n-a+1)*A - m*C(n-a+m, m)
-    by the hockey stick, and s >= 2 needs only s <= min(m, n//a), t <= n//s,
-    i.e. O(n log m) big-integer additions over one table of col.  Refused
+    Some counts are known without a sum: B(1) = 0 for n >= 1, B(2) = C(m, n),
+    and B(t) = 0 while (t-1)*m < n.  So the sum adds C(m, n) when a <= 2 <= n
+    and runs over t >= t0 = max(a, 3, ceil(n/m)+1) only.  Inclusion-exclusion,
+    B(t) = sum_s (-1)^s C(m,s) col[n-ts] with col[r] = C(r+m-1, m-1), and
+    swapping the sums: s = 0, 1 give (n-t0+1)*A - m*C(n-t0+m, m) by the hockey
+    stick, and s >= 2 needs only s <= min(m, n//t0), t <= n//s, i.e. O(n log m)
+    big-integer additions over one table of col[r], r <= n-2*t0.  Refused
     before any binomial is built above MAX_RATE_BIT_OPS (`rate_new_cost`);
     otherwise the one corner of `_rate_walk`, the walk `tradeoff_curve` takes.
     """
@@ -209,8 +214,10 @@ def rate_new(K: int, L: int, w: int) -> Fraction:
 def _rate_walk(K: int, L: int, ws: range):
     """Yield rate_new(K, L, w) for each w of `ws` in turn, unchecked and unbudgeted.
 
-    Each corner's column table is the running sum of the previous corner's (the
-    hockey stick), and its P = C(n+m-1, w-1) is the previous P times L factors.
+    The sums of `rate_new` start at each corner's t0, the first threshold whose
+    count B(t0) is not known in closed form.  Each corner's column table is the
+    running sum of the previous corner's (the hockey stick), and its P =
+    C(n+m-1, w-1) is the previous P times L factors.
     """
     col: list[int] = []
     for w in ws:
@@ -225,17 +232,21 @@ def _rate_walk(K: int, L: int, ws: range):
         cap = ru_cap(K, m, L)
         a = max(1, cap - K + 1)
         total = A * min(cap - n, K)
-        # The s >= 2 terms read col[r] = C(r+m-1, m-1) only for r <= n - 2a.
-        col = list(itertools.accumulate(col[:max(0, n - 2 * a + 1)]))
-        for r in range(len(col), n - 2 * a + 1):
+        if a <= 2 <= n:
+            total += math.comb(m, n)  # B(2), and B(1) = 0
+        # B(t) = 0 while (t-1)*m < n.  At n <= 0 the sums are empty for any t0.
+        t0 = max(a, 3, -(-n // m) + 1)
+        # The s >= 2 terms read col[r] = C(r+m-1, m-1) only for r <= n - 2*t0.
+        col = list(itertools.accumulate(col[:max(0, n - 2 * t0 + 1)]))
+        for r in range(len(col), n - 2 * t0 + 1):
             col.append(col[-1] * (r + m - 1) // r if r else 1)
-        if a <= n:
-            total += (n - a + 1) * A - m * math.comb(n - a + m, m)
+        if t0 <= n:
+            total += (n - t0 + 1) * A - m * math.comb(n - t0 + m, m)
             binom = m
-            for s in range(2, min(m, n // a) + 1):
+            for s in range(2, min(m, n // t0) + 1):
                 binom = binom * (m - s + 1) // s
-                # col[n - t*s] for t = a .. n//s, as one strided slice
-                term = binom * sum(col[n % s : n - s * a + 1 : s])
+                # col[n - t*s] for t = t0 .. n//s, as one strided slice
+                term = binom * sum(col[n % s : n - s * t0 + 1 : s])
                 total += -term if s % 2 else term
         yield Fraction(total, K * P // w * m)  # placement_set_count = K*P/w
 

@@ -358,7 +358,7 @@ def simulate_decode(scheme: TransmissionScheme, messages: dict[Node, int],
     One broadcast serves every user, so each shared dot is computed once.
     """
     graph = scheme.graph
-    if set(messages) != set(graph.nodes):
+    if len(messages) != len(graph) or not all(map(messages.__contains__, graph.nodes)):
         raise ValueError("messages must assign exactly one symbol per node")
     broadcast = scheme.transmit(messages)
     decoded: dict[Node, int] = {}

@@ -21,9 +21,14 @@ from sicps.icp import (
     require_leading_max,
     rotate_gaps,
     rotate_mask,
-    wrap,
 )
 from sicps.macc import CcdnConfig, RatePoint, Subfile, iter_placement_sets, rate_new
+
+
+def wrap(m: int, n: int) -> int:
+    """Cyclic 1-based index: result is in [1, n], with multiples of n mapping to n."""
+    r = m % n
+    return n if r == 0 else r
 
 
 def iter_weak_compositions(n: int, m: int):

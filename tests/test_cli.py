@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import json
@@ -835,6 +836,27 @@ def test_stdout_matches_golden(capsys, name, fmt):
     code, out, err = run(capsys, GOLDEN_RUNS[name] + ["--format", fmt])
     assert (code, err) == (0, "")
     assert out == golden.read_text(encoding="utf-8")
+
+
+# The sha256 of `macc tradeoff --N 100 --K K --L L --samples 100` at the
+# benchmark's sizes, too long to keep as golden files; CI checks (600, 3)'s
+# CSV through the installed entry point.
+TRADEOFF_DIGESTS = {
+    (1000, 10, "csv"): "5fc44ef633e98bc431679e8eb09c1cdc14c3495d64fa45a926df55bbfb622fe9",
+    (1000, 10, "json"): "e34f8185929030ebf699a04e54aa9d4762abb6aef3c1afc211181eb8c9da24f0",
+    (600, 3, "csv"): "01d6fa2dcf92dcf42a8cb800ab549b8ab5ee2817570fb89baa7af90daddae69c",
+    (600, 3, "json"): "b33e61471247525abbe74a1a8ecd10bd83150e072341de71867b353b862ebc12",
+    (2000, 50, "csv"): "6f9ba89da53b439717f4b10927ce2f16a1b4fb8a7d9dda4a70561f8c7f00932f",
+    (2000, 50, "json"): "b476ca5d137f92be1d197f879f453752015e7bd946b911b69988733966df1eb2",
+}
+
+
+@pytest.mark.parametrize("K, L, fmt", TRADEOFF_DIGESTS)
+def test_tradeoff_at_benchmark_sizes_matches_its_digest(capsys, K, L, fmt):
+    code, out, err = run(capsys, ["macc", "tradeoff", "--N", "100", "--K", str(K), "--L", str(L),
+                                  "--samples", "100", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TRADEOFF_DIGESTS[K, L, fmt]
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):

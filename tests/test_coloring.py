@@ -20,6 +20,7 @@ from conftest import (
     side_nodes,
     small_gap_vectors,
     theorem1_colored_unions,
+    wrap,
 )
 from sicps.coloring import (
     Coloring,
@@ -32,7 +33,7 @@ from sicps.coloring import (
     upper_bound_Ru,
     verify_proper,
 )
-from sicps.icp import GapVector, SuicpGraph, build_union_icp, wrap
+from sicps.icp import GapVector, SuicpGraph, build_union_icp
 from sicps.scheme import MdsCode, build_mds_scheme
 
 

@@ -18,6 +18,7 @@ from conftest import (
     side_nodes,
     single_known_files,
     tilde_icp_bounds,
+    wrap,
 )
 from sicps.bounds import mais_lower
 from sicps.coloring import local_chromatic_value, theorem1_coloring, upper_bound_Ru
@@ -27,7 +28,6 @@ from sicps.icp import (
     canonical_rotation,
     format_count,
     rotate_gaps,
-    wrap,
 )
 
 

@@ -29,11 +29,12 @@ from conftest import (
     simulated_rate,
     single_known_files,
     user_caches,
+    wrap,
 )
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.coloring import theorem1_coloring
-from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps, wrap
+from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps
 from sicps.macc import (
     MAX_RATE_BIT_OPS,
     CcdnConfig,
@@ -186,6 +187,18 @@ def test_composition_count_matches_brute_force():
             for t in range(0, n + 1):
                 brute_eq = sum(1 for c in comps if max(c) == t)
                 assert composition_count_max_eq(n, m, t) == brute_eq, (n, m, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 10))
+@example(10, 10)
+def test_composition_counts_that_the_rate_walk_does_not_sum(n, m):
+    # `_rate_walk` adds B(2) = C(m, n) and starts its sums past every B(t) = 0.
+    maxima = Counter(map(max, iter_weak_compositions(n, m)))
+    below = [sum(c for top, c in maxima.items() if top < t) for t in range(n + 3)]
+    assert below[1] == (n == 0)
+    assert below[2] == math.comb(m, n)
+    assert all(below[t] == 0 for t in range(1, n + 3) if (t - 1) * m < n)
 
 
 def test_rotation_classes_example():
@@ -343,9 +356,12 @@ def test_rate_walk_matches_enumeration_on_any_sub_range(walk):
 
 @settings(max_examples=25, deadline=None)
 @given(walk_ranges(st.sampled_from([600, 1000, 2000]), max_corners=8))
-@example((600, 3, range(84, 92)))  # the table grows from empty: n-2a+1 = 7w-600
-@example((600, 3, range(116, 124)))  # it peaks at w = 120, where a = 1, then shrinks
-@example((600, 3, range(193, 201)))  # as n-2a+1 = 598-3w, and empties at w = 200
+# The table has n-2*t0+1 entries, t0 = max(a, 3, ceil(n/m)+1).
+@example((600, 3, range(84, 92)))  # it grows from empty: t0 = a, n-2*t0+1 = 7w-600
+@example((600, 3, range(116, 124)))  # it peaks at w = 120, where a = 1 and t0 = 3, then shrinks
+@example((600, 3, range(193, 201)))  # as n-2*t0+1 = 594-3w, and empties at w = 198
+@example((602, 2, range(198, 203)))  # a = 2 at w = 200, where B(2) = C(m, n) = 1
+@example((2000, 50, range(21, 25)))  # t0 = ceil(n/m)+1 = 45 > a = 1 at w = 21
 @example((2000, 1, range(1993, 2001)))  # L = 1, up to the n = -1 top
 @example((1000, 10, range(95, 101)))  # K = wL at the top
 def test_rate_walk_matches_per_t_sum_at_benchmark_sizes(walk):

@@ -245,8 +245,15 @@ def test_decode_across_fields_and_colorings():
 def test_decode_requires_full_message_map():
     icp = setup((2, 1), 1)
     scheme = build_mds_scheme(icp, theorem1_coloring(icp), MdsCode(icp.K))
-    with pytest.raises(ValueError):
-        simulate_decode(scheme, {})
+    full = dict.fromkeys(icp.nodes, 1)
+    missing = dict(full)
+    del missing[(1, 1)]
+    extra = {**full, (icp.K + 1, 1): 1}
+    swapped = {**missing, (0, 1): 1}  # as many keys as nodes, one of them not a node
+    for messages in ({}, missing, extra, swapped):
+        with pytest.raises(ValueError, match=r"^messages must assign exactly one symbol per node$"):
+            simulate_decode(scheme, messages)
+    assert simulate_decode(scheme, full) == full
 
 
 def test_solve_mod_rejects_singular():
