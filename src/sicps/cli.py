@@ -1,7 +1,8 @@
 """Command-line front end: instance analysis, decode tests, rates, curves, simulation.
 
 Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3 verification
-failure.  Output is a pure function of the flags (plus the seed for randomized subcommands).
+failure, 4 internal error (any other exception).  Output is a pure function
+of the flags (plus the seed for randomized subcommands).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .scheme import MdsCode, TransmissionScheme, build_mds_scheme, decode_plans,
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 3
+INTERNAL_ERROR = 4
 # Most failing nodes `icp decode-test` names on stderr before it gives their count.
 MAX_FAILURE_LINES = 10
 
@@ -325,6 +327,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE if isinstance(exc, VerificationError) else USAGE_ERROR
+    except Exception as exc:
+        import traceback  # here, so that start-up does not pay for it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ class SuicpGraph:
         """Whether user k's side information is user 1's rotated by (k-1)*num_columns bits.
 
         Then shifting every user by one maps the graph onto itself, as on every
-        union instance.  Computed once per graph.
+        union instance, where `build_union_icp` presets it.  Computed once per graph.
         """
         n, first = len(self), self.user_side[0]
         return all(side == rotate_mask(first, k * self.num_columns, n)
@@ -194,7 +194,8 @@ def build_union_icp(spec: GapVector) -> UnionIcp:
     In column t (gaps rotated t-1 times) user 1 knows a chunk of L files after
     each of the first i-1 gaps, at offsets o from file 1; the user shift maps
     the instance onto itself, so user k's mask is user 1's rotated by (k-1)*i
-    bits.  An instance that `check_union_size` refuses is refused first.
+    bits, and `has_user_shift` is set true without a check.  An instance that
+    `check_union_size` refuses is refused first.
     """
     check_union_size(spec)
     K, L, i = spec.K, spec.L, spec.i
@@ -205,7 +206,9 @@ def build_union_icp(spec: GapVector) -> UnionIcp:
             gap_sum += gap
             first |= sum(1 << ((gap_sum + v * L + r) % K * i + t - 1) for r in range(1, L + 1))
     known = tuple(rotate_mask(first, k * i, K * i) for k in range(K))
-    return UnionIcp(K=K, num_columns=i, user_side=known, spec=spec)
+    union = UnionIcp(K=K, num_columns=i, user_side=known, spec=spec)
+    vars(union)["has_user_shift"] = True  # every side is user 1's rotated
+    return union
 
 
 __all__ = [

@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import NamedTuple
 
 from .coloring import ru_cap, theorem1_coloring
-from .icp import GapVector, UnionIcp, build_union_icp, format_count, rotate_gaps
+from .icp import GapVector, UnionIcp, build_union_icp, format_count, rotate_gaps, rotate_mask
 from .scheme import MdsCode, build_mds_scheme, decode_plans, simulate_decode
 
 RATE_SOURCES = ("NEW", "EXTREME", "MEMORY_SHARED")
@@ -39,10 +41,10 @@ MAX_RATE_BIT_OPS = 1_500_000_000
 # Most user-node pairs (K per delivery cell) that `end_to_end_simulate`
 # accepts; it refuses more before building anything, and only counts the
 # placement sets.  A class's union has about K pairs per cell (more when its
-# representative is periodic), about 0.15 us each to simulate as a whole
-# process (2-core Xeon, Python 3.11.7, on a CPU whose speed varies; 0.6 us on
-# small ones): (20,2,4) 546,000 pairs, 0.3 s; (60,1,2) 6.2 million,
-# 1.1-1.4 s; (80,1,2) 19.7 million, 2.4-2.9 s; 17-18 MB each.
+# representative is periodic), about 0.13 us each to simulate as a whole
+# process (2-core Xeon, Python 3.11.7, on a CPU whose speed varies; 0.5 us on
+# small ones): (20,2,4) 546,000 pairs, 0.24-0.32 s; (60,1,2) 6.2 million,
+# 0.8-0.95 s; (80,1,2) 19.7 million, 1.9-3.3 s; 16-17 MB each.
 # `icp.MAX_UNION_PAIRS` bounds a class.
 MAX_SIMULATION_SIZE = 20_000_000
 
@@ -337,49 +339,34 @@ def tradeoff_curve(cfg: CcdnConfig, samples: int = 0) -> list[RatePoint]:
     return out
 
 
-Subfile = tuple[int, tuple[int, ...]]  # (file id, cache set)
-
-
-def delivery_cells(cfg: CcdnConfig, label: tuple[int, ...],
-                   demands: list[int]) -> tuple[Subfile, ...]:
-    """The K (file, cache set) cells of the delivery column with this label.
-
-    User 1 misses the sets c_1 < ... < c_w with c_1 > L, one column each.  Row
-    k of that column holds the set shifted by k-1, which user 1 reads exactly
-    when some c_j + k-1 lands in its caches 1..L, i.e. in a chunk of L rows
-    starting at row K-c_j+2.  The gaps between those chunks, from row 2 on,
-    make the label (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1); read
-    backwards, c_1 = label[-1]+L+1 and each next gap adds L to it.
-    """
-    K, L = cfg.K, cfg.L
-    anchor, c = [], 1
-    for gap in reversed(label[1:]):
-        c += L + gap
-        anchor.append(c)
-    cells = []
-    for row in range(K):
-        cache_set = [(s + row - 1) % K + 1 for s in anchor]
-        cache_set.sort()
-        cells.append((demands[row], tuple(cache_set)))
-    return tuple(cells)
-
-
 def group_rotation_classes(cfg: CcdnConfig, w: int) -> list[tuple[tuple[int, ...], int]]:
     """rotation_classes of the column labels, the weak (w+1)-compositions of K-wL-1."""
     return list(rotation_classes(cfg.K - w * cfg.L - 1, w + 1))
 
 
 class DeliveryClass(NamedTuple):
-    """A class's union ICP; columns[t] holds the cells of column rotate_gaps(rep, t)."""
+    """A class's union ICP; columns[t] is the anchor mask of column rotate_gaps(rep, t)."""
 
     bar: UnionIcp
-    columns: tuple[tuple[Subfile, ...], ...]
+    columns: tuple[int, ...]
 
 
-def build_delivery_icp(cfg: CcdnConfig, rep: tuple[int, ...], period: int,
-                       demands: list[int]) -> DeliveryClass:
-    columns = tuple(delivery_cells(cfg, rotate_gaps(rep, t), demands) for t in range(period))
-    return DeliveryClass(build_union_icp(GapVector(rep, cfg.L)), columns)
+def build_delivery_icp(cfg: CcdnConfig, rep: tuple[int, ...], period: int) -> DeliveryClass:
+    """The class's union and, for t < period, the K-bit anchor mask of column rotate_gaps(rep, t).
+
+    A column's anchor mask sets bit s-1 for each cache s of its row 1: the
+    placement set c_1 < ... < c_w that user 1 misses, with c_1 = label[-1]+L+1
+    and each next c_j adding L and the next gap of the label read backwards.
+    Row k holds that set shifted by k-1, `rotate_mask(columns[t], k-1, K)`.
+    """
+    L, columns = cfg.L, []
+    for t in range(period):
+        mask, bit = 0, 0
+        for gap in reversed(rotate_gaps(rep, t)[1:]):
+            bit += L + gap
+            mask |= 1 << bit
+        columns.append(mask)
+    return DeliveryClass(build_union_icp(GapVector(rep, L)), tuple(columns))
 
 
 class ClassReport(NamedTuple):
@@ -411,15 +398,16 @@ def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
     user-node pairs, K per delivery cell, is refused before anything is
     built.  Then one MdsCode(K, field_order) is built, which refuses a bad
     field even where w*L = K leaves no class, and every class's scheme shares
-    it.  A class's columns are its representative's rotations, their
-    cells read off the labels.  A representative of period p < len(rep)
-    covers only p distinct columns, so each of their subfiles is split into
-    len(rep)/p equal parts, turning the class's columns into a full union
-    instance.  Each class sends chi rows, the local chromatic value of its
-    Theorem-1 coloring, so the transmitted size sum(chi / (split * |sets|))
-    over classes, in file units, is at most rate_new: Ru bounds each chi.
-    Each node that decodes wrong is a failure, naming its subfile and part
-    and its user's m and unknown colors, from the class's decode plans.
+    it.  A class's columns are its representative's rotations, each an
+    anchor mask read off its label (`build_delivery_icp`).  A representative
+    of period p < len(rep) covers only p distinct columns, so each of their
+    subfiles is split into len(rep)/p equal parts, turning the class's
+    columns into a full union instance.  Each class sends chi rows, the
+    local chromatic value of its Theorem-1 coloring, so the transmitted size
+    sum(chi / (split * |sets|)) = sum(chi * period) / ((w+1) * |sets|) over
+    classes, in file units, is at most rate_new: Ru bounds each chi.
+    Each node that decodes wrong is a failure, naming its file, cache set,
+    part, and its user's m and unknown colors, from the class's decode plans.
     """
     if len(demands) != cfg.K:
         raise ValueError(f"need exactly {format_count(cfg.K)} demands, got {len(demands)}")
@@ -439,38 +427,40 @@ def end_to_end_simulate(cfg: CcdnConfig, w: int, demands: list[int],
     q = code.field_order
     rng = random.Random(f"{seed}")
 
-    total = Fraction(0)
+    total = 0  # sum of chi * period
     reports = []
     failures: list[dict] = []
     for rep, period in group_rotation_classes(cfg, w):
-        split = len(rep) // period
-        bar, columns = build_delivery_icp(cfg, rep, period, demands)
+        bar, columns = build_delivery_icp(cfg, rep, period)
         scheme = build_mds_scheme(bar, theorem1_coloring(bar), code)
 
-        # Bar node (k, p) carries part (p-1)//period of the subfile in row k of
-        # the column whose label is the (p-1)-th rotation of the rep; each
-        # distinct (subfile, part) draws one symbol, p outer and k inner.
-        pieces = {(k, p): (cell, (p - 1) // period)
-                  for p in range(1, bar.i + 1)
-                  for k, cell in enumerate(columns[(p - 1) % period], start=1)}
-        symbols = {piece: rng.randrange(q) for piece in dict.fromkeys(pieces.values())}
-        messages = dict(zip(pieces, map(symbols.__getitem__, pieces.values())))
+        # Bar node (k, p) carries part (p-1)//period of user k's file on the
+        # cache set of row k of column (p-1) % period, that column's anchor
+        # mask rotated by k-1.  Each distinct (file, mask, part) draws one
+        # symbol when first seen, p outer and k inner.
+        symbols = defaultdict(partial(rng.randrange, q))
+        messages = {}
+        for p in range(1, bar.i + 1):
+            anchor, part = columns[(p - 1) % period], (p - 1) // period
+            for k, file in enumerate(demands, start=1):
+                messages[k, p] = symbols[file, rotate_mask(anchor, k - 1, K), part]
         plans = decode_plans(scheme)
         decoded = simulate_decode(scheme, messages, plans)
         # One comparison in C on success; a failed decode is then scanned node by node.
         failed = [] if decoded == messages else [v for v in bar.nodes if decoded[v] != messages[v]]
-        for node in failed:
-            (file, cache_set), part = pieces[node]
-            plan = plans[node[0] - 1]
-            failures.append({"representative": list(rep), "user": node[0], "file": file,
-                             "cache_set": list(cache_set), "part": part + 1,
-                             "expected": messages[node], "decoded": decoded[node],
+        for k, p in failed:
+            mask, plan = rotate_mask(columns[(p - 1) % period], k - 1, K), plans[k - 1]
+            failures.append({"representative": list(rep), "user": k, "file": demands[k - 1],
+                             "cache_set": [s + 1 for s in range(K) if mask >> s & 1],
+                             "part": (p - 1) // period + 1,
+                             "expected": messages[k, p], "decoded": decoded[k, p],
                              "m": plan.m, "unknown_colors": plan.unknown_colors})
-        total += Fraction(scheme.chi, split * num_sets)
-        reports.append(ClassReport(rep, columns=period, split=split, chi=scheme.chi, field=q))
+        total += scheme.chi * period
+        reports.append(ClassReport(rep, columns=period, split=len(rep) // period,
+                                   chi=scheme.chi, field=q))
     return SimulationReport(
         decoded_ok=not failures,
-        total_rate=total,
+        total_rate=Fraction(total, (w + 1) * num_sets),
         classes=tuple(reports),
         failures=tuple(failures),
     )
@@ -496,7 +486,6 @@ __all__ = [
     "rate_hkd",
     "rate_rk",
     "tradeoff_curve",
-    "delivery_cells",
     "build_delivery_icp",
     "end_to_end_simulate",
 ]

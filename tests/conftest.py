@@ -22,7 +22,9 @@ from sicps.icp import (
     rotate_gaps,
     rotate_mask,
 )
-from sicps.macc import CcdnConfig, RatePoint, Subfile, iter_placement_sets, rate_new
+from sicps.macc import CcdnConfig, RatePoint, iter_placement_sets, rate_new
+
+Subfile = tuple[int, tuple[int, ...]]  # (file id, cache set)
 
 
 def wrap(m: int, n: int) -> int:
@@ -77,7 +79,7 @@ def reference_delivery_table(cfg: CcdnConfig, w: int,
                              demands: list[int]) -> dict[tuple[int, ...], tuple[Subfile, ...]]:
     """Every delivery column, label -> K (file, cache set) cells, from the placement sets.
 
-    The oracle route that `macc.delivery_cells` inverts: user 1 misses the
+    The oracle route that `delivery_cells` inverts: user 1 misses the
     placement sets c_1 < ... < c_w with c_1 > L, row k of that column holds
     the set shifted by k-1, and the label is
     (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1).  Columns come in the
@@ -96,6 +98,28 @@ def reference_delivery_table(cfg: CcdnConfig, w: int,
         table[label] = cells
     assert len(table) == math.comb(K - w * L + w - 1, w)
     return table
+
+
+def delivery_cells(cfg: CcdnConfig, label: tuple[int, ...],
+                   demands: list[int]) -> tuple[Subfile, ...]:
+    """The K (file, cache set) cells of the delivery column with this label.
+
+    User 1 misses the sets c_1 < ... < c_w with c_1 > L, one column each.  Row
+    k of that column holds the set shifted by k-1, which user 1 reads exactly
+    when some c_j + k-1 lands in its caches 1..L, i.e. in a chunk of L rows
+    starting at row K-c_j+2.  The gaps between those chunks, from row 2 on,
+    make the label (K-c_w, c_w-c_{w-1}-L, ..., c_2-c_1-L, c_1-L-1); read
+    backwards, c_1 = label[-1]+L+1 and each next gap adds L to it.  The
+    reference for the anchor masks of `macc.build_delivery_icp`: row k's set
+    is the column's mask rotated by k-1.
+    """
+    K, L = cfg.K, cfg.L
+    anchor, c = [], 1
+    for gap in reversed(label[1:]):
+        c += L + gap
+        anchor.append(c)
+    return tuple((demands[row], tuple(sorted((s + row - 1) % K + 1 for s in anchor)))
+                 for row in range(K))
 
 
 def canonical_gap_vectors(max_nodes: int):

@@ -18,6 +18,7 @@ from conftest import (
     available_to_user,
     canonical_gap_vectors,
     composition_count_max_below,
+    delivery_cells,
     exact_rate_special,
     iter_weak_compositions,
     random_canonical_gap_vector,
@@ -40,7 +41,6 @@ from sicps.coloring import (
 from sicps.icp import GapVector, build_union_icp, rotate_gaps
 from sicps.macc import (
     CcdnConfig,
-    delivery_cells,
     iter_placement_sets,
     placement_set_count,
     rate_hkd,

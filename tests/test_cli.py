@@ -728,6 +728,23 @@ def test_a_fault_inside_theorem5_is_not_read_as_inapplicable(capsys, monkeypatch
     assert (code, out, err) == (2, "", "error: an internal fault\n")
 
 
+def test_internal_fault_exits_four_after_its_traceback(capsys, monkeypatch):
+    # An exception that is neither a ValueError nor an OSError is a fault of
+    # the library: exit 4, its traceback, then one line naming it.
+    import sicps.bounds as bounds
+
+    def faulty(spec):
+        raise ZeroDivisionError("an internal fault")
+
+    monkeypatch.setattr(bounds, "lower_bound_mais_constructive", faulty)
+    code, out, err = run(capsys, ["icp", "analyze", "--gaps", "2,1,0", "--L", "2"])
+    assert (code, out) == (4, "")
+    lines = err.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-2:] == ["ZeroDivisionError: an internal fault",
+                          "internal error: ZeroDivisionError: an internal fault"]
+
+
 @pytest.mark.parametrize("argv", [
     ["icp", "analyze", "--gaps", "2,2", "--L", "7"],
     ["icp", "decode-test", "--gaps", "2,1,0", "--L", "2", "--seed", "1", "--trials", "2"],
@@ -857,6 +874,25 @@ def test_tradeoff_at_benchmark_sizes_matches_its_digest(capsys, K, L, fmt):
                                   "--samples", "100", "--format", fmt])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == TRADEOFF_DIGESTS[K, L, fmt]
+
+
+# The sha256 of `macc simulate --K K --L L --w w --demands <k % 5 + 1 for k < K>
+# --seed 3` at the benchmark's sizes, taken before symbols were keyed by
+# cache-set masks; CI checks (16, 2, 3) through the installed entry point.
+SIMULATE_DIGESTS = {
+    (16, 2, 3): "6a727913cf4872b55524b526ecc757f9d7942d6dfbaa17e83f75e65728825151",
+    (13, 3, 2): "5178655d3733acc7fea4421aeaa65a33d3c223e6a20e227eb8c270fb35bef1b0",
+    (12, 1, 3): "b29caed906d995ba6227b5fb1b8319ebd792dac244df7f94a6f05cabdb5a22f6",
+}
+
+
+@pytest.mark.parametrize("K, L, w", SIMULATE_DIGESTS)
+def test_simulate_at_benchmark_sizes_matches_its_digest(capsys, K, L, w):
+    demands = ",".join(str(k % 5 + 1) for k in range(K))
+    code, out, err = run(capsys, ["macc", "simulate", "--K", str(K), "--L", str(L), "--w", str(w),
+                                  "--demands", demands, "--seed", "3"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[K, L, w]
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):

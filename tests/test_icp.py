@@ -24,6 +24,7 @@ from sicps.bounds import mais_lower
 from sicps.coloring import local_chromatic_value, theorem1_coloring, upper_bound_Ru
 from sicps.icp import (
     GapVector,
+    SuicpGraph,
     build_union_icp,
     canonical_rotation,
     format_count,
@@ -179,6 +180,16 @@ def test_user_side_is_user_one_shifted(spec):
     for k in range(1, spec.K + 1):
         shifted = frozenset((wrap(b + k - 1, spec.K), t) for b, t in side_nodes(icp, 1))
         assert side_nodes(icp, k) == shifted == eq2_known_set(spec, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=gap_vectors(max_nodes=48))
+def test_union_presets_the_user_shift_it_has(spec):
+    # build_union_icp sets has_user_shift without a check; the property
+    # computed from the same sides on a plain graph must agree.
+    icp = build_union_icp(spec)
+    assert vars(icp)["has_user_shift"] is True
+    assert SuicpGraph(icp.K, icp.num_columns, icp.user_side).has_user_shift is True
 
 
 def test_union_columns_are_rotated_single_instances():

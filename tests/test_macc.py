@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from conftest import (
     available_to_user,
     brute_placement_sets,
     composition_count_max_below,
+    delivery_cells,
     interpolate_rate,
     iter_weak_compositions,
     minimal_period,
@@ -34,13 +36,12 @@ from conftest import (
 import sicps.macc as macc
 from sicps.cli import tradeoff_csv
 from sicps.coloring import theorem1_coloring
-from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps
+from sicps.icp import GapVector, build_union_icp, canonical_rotation, rotate_gaps, rotate_mask
 from sicps.macc import (
     MAX_RATE_BIT_OPS,
     CcdnConfig,
     RatePoint,
     build_delivery_icp,
-    delivery_cells,
     end_to_end_simulate,
     group_rotation_classes,
     iter_placement_sets,
@@ -661,6 +662,14 @@ def test_delivery_cells_match_reference_table():
                 assert periods == len(table), (K, L, w)
 
 
+def anchor_mask_cells(cfg, mask, demands):
+    """A column's K (file, cache set) cells read off its anchor mask: row k rotates it by k-1."""
+    K = cfg.K
+    rows = (rotate_mask(mask, k - 1, K) for k in range(1, K + 1))
+    return tuple((file, tuple(s + 1 for s in range(K) if row >> s & 1))
+                 for file, row in zip(demands, rows))
+
+
 def test_simulation_stages_give_every_set_and_column_once():
     # The stages end_to_end_simulate runs: placement_map holds every placement
     # set, and build_delivery_icp over group_rotation_classes yields each
@@ -675,11 +684,46 @@ def test_simulation_stages_give_every_set_and_column_once():
         assert classes == list(rotation_classes(K - w * L - 1, w + 1))
         columns = {}
         for rep, period in classes:
-            bar, cells = build_delivery_icp(cfg, rep, period, demands)
-            assert bar.spec == GapVector(rep, L) and len(cells) == period
-            for t, column in enumerate(cells):
-                assert columns.setdefault(rotate_gaps(rep, t), column) is column
+            bar, masks = build_delivery_icp(cfg, rep, period)
+            assert bar.spec == GapVector(rep, L) and len(masks) == period
+            for t, mask in enumerate(masks):
+                assert rotate_gaps(rep, t) not in columns
+                columns[rotate_gaps(rep, t)] = anchor_mask_cells(cfg, mask, demands)
         assert columns == reference_delivery_table(cfg, w, demands), (K, L, w)
+
+
+def test_anchor_masks_match_delivery_cells():
+    # Every class's anchor masks, on every (K, L, w) with K <= 12, against the
+    # sorted cells of the reference route, row by row.
+    for K in range(2, 13):
+        for L in range(1, K):
+            for w in range(1, K // L + 1):
+                cfg = CcdnConfig(K, K, L)
+                demands = [(7 * k) % K + 1 for k in range(K)]
+                for rep, period in group_rotation_classes(cfg, w):
+                    _, masks = build_delivery_icp(cfg, rep, period)
+                    assert all(0 < mask < 1 << K and mask.bit_count() == w for mask in masks)
+                    for t, mask in enumerate(masks):
+                        assert anchor_mask_cells(cfg, mask, demands) == delivery_cells(
+                            cfg, rotate_gaps(rep, t), demands), (K, L, w, rep, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(13, 40), data=st.data())
+def test_anchor_masks_match_delivery_cells_past_twelve_users(K, data):
+    # One drawn label per example: its class's masks against the reference cells.
+    L = data.draw(st.integers(1, K - 1))
+    w = data.draw(st.integers(1, (K - 1) // L))
+    cuts = sorted(data.draw(st.lists(st.integers(0, K - w * L - 1), min_size=w, max_size=w)))
+    label = tuple(b - a for a, b in zip([0, *cuts], [*cuts, K - w * L - 1]))
+    rep = canonical_rotation(label)[0]
+    period = minimal_period(rep)
+    cfg, demands = CcdnConfig(K, K, L), [(5 * k) % K + 1 for k in range(K)]
+    bar, masks = build_delivery_icp(cfg, rep, period)
+    assert bar.spec == GapVector(rep, L) and len(masks) == period
+    for t, mask in enumerate(masks):
+        assert anchor_mask_cells(cfg, mask, demands) == delivery_cells(
+            cfg, rotate_gaps(rep, t), demands), (K, L, w, rep, t)
 
 
 def test_delivery_table_zero_columns_at_full_memory():
@@ -752,7 +796,7 @@ def test_delivery_table_refuses_too_many_user_node_pairs(monkeypatch):
     assert sum(c.columns for c in report.classes) * 8 == 80
     monkeypatch.setattr(macc, "MAX_SIMULATION_SIZE", 639)
     built = []
-    monkeypatch.setattr(macc, "delivery_cells", lambda *args: built.append(args))
+    monkeypatch.setattr(macc, "build_delivery_icp", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="80 delivery cells of 640 user-node pairs"):
         end_to_end_simulate(cfg, 2, [1] * 8)
     assert built == []  # refused before any column is built
@@ -911,6 +955,40 @@ def test_simulation_sends_one_symbol_per_subfile_part(monkeypatch, N, demands):
         assert all(len(values) == 1 for values in symbols.values()), rep
         repeats += len(messages) - len(symbols)
     assert repeats > 0
+
+
+def reference_messages(cfg, w, demands, seed):
+    """Each class's messages: one draw per new ((file, sorted cache set), part), p outer."""
+    K = cfg.K
+    rng, q = random.Random(f"{seed}"), MdsCode(K).field_order
+    out = []
+    for rep, period in rotation_classes(K - w * cfg.L - 1, w + 1):
+        pieces = {(k, p): (delivery_cells(cfg, rotate_gaps(rep, p - 1), demands)[k - 1],
+                           (p - 1) // period)
+                  for p in range(1, len(rep) + 1) for k in range(1, K + 1)}
+        symbols = {}
+        for piece in pieces.values():
+            if piece not in symbols:
+                symbols[piece] = rng.randrange(q)
+        out.append({node: symbols[piece] for node, piece in pieces.items()})
+    return out
+
+
+@pytest.mark.parametrize("K, L, w, seed", [(8, 2, 2, 5), (11, 2, 3, 6), (12, 1, 3, 3),
+                                           (9, 3, 2, 1), (13, 3, 2, 3), (12, 2, 1, 0)])
+def test_simulation_messages_match_sorted_cache_set_keys(monkeypatch, K, L, w, seed):
+    # Keying a piece by its cache-set mask draws the same symbols, in the same
+    # order, as keying it by the sorted cache set of the reference cells.
+    sent = []
+
+    def spy(scheme, messages, plans=None):
+        sent.append(messages)
+        return simulate_decode(scheme, messages, plans)
+
+    monkeypatch.setattr(macc, "simulate_decode", spy)
+    cfg, demands = CcdnConfig(5, K, L), [k % 5 + 1 for k in range(K)]
+    assert end_to_end_simulate(cfg, w, demands, seed=seed).decoded_ok
+    assert sent == reference_messages(cfg, w, demands, seed)
 
 
 def test_simulation_respects_field_choice():
